@@ -1,4 +1,4 @@
-"""Low-level quadrature and differentiation helpers on uniform grids.
+"""Low-level quadrature, differentiation and line-search helpers on uniform grids.
 
 Everything here works in the log-radius variable x = log r, where the grids
 are uniform.  The composite trapezoidal rule is corrected at both ends with
@@ -8,6 +8,8 @@ while the interior weights stay equal to h, which preserves the spectral
 accuracy of the plain trapezoidal rule for integrands decaying at both ends.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -74,6 +76,22 @@ def uniform_weights(n: int, h: float, i0: int = 0, i1: int | None = None) -> np.
     return w
 
 
+def _stencil_matrix(n: int, h: float, order: int, width: int, shift: float,
+                    rows: int) -> np.ndarray:
+    """rows x n matrix of `width`-point Fornberg rows for the order-th
+    derivative at the points (i + shift) h: the window centered on the point
+    in the interior, the nearest full window (one-sided rows) near the ends."""
+    D = np.zeros((rows, n))
+    xs = np.arange(width, dtype=float) * h
+    lead = (width - 1) // 2          # window nodes left of an interior point
+    center = fornberg_weights(xs, (lead + shift) * h, order)
+    for i in range(rows):
+        j0 = min(max(i - lead, 0), n - width)
+        D[i, j0:j0 + width] = (center if j0 == i - lead
+                               else fornberg_weights(xs, (i - j0 + shift) * h, order))
+    return D
+
+
 def derivative_matrix(n: int, h: float, order: int, half: int = 4) -> np.ndarray:
     """Dense differentiation matrix of the given derivative order.
 
@@ -84,16 +102,7 @@ def derivative_matrix(n: int, h: float, order: int, half: int = 4) -> np.ndarray
     st = 2 * half + 1
     if n < st:
         raise ValueError(f"grid too small for stencil: n={n} < {st}")
-    D = np.zeros((n, n))
-    xs = np.arange(st, dtype=float) * h
-    center = fornberg_weights(xs, half * h, order)
-    for i in range(n):
-        if half <= i < n - half:
-            D[i, i - half:i + half + 1] = center
-        else:
-            j0 = min(max(i - half, 0), n - st)
-            D[i, j0:j0 + st] = fornberg_weights(xs, (i - j0) * h, order)
-    return D
+    return _stencil_matrix(n, h, order, st, 0, n)
 
 
 def staggered_derivative_matrix(n: int, h: float, width: int = 8) -> np.ndarray:
@@ -107,14 +116,23 @@ def staggered_derivative_matrix(n: int, h: float, width: int = 8) -> np.ndarray:
     """
     if n < width + 1:
         raise ValueError(f"grid too small for staggered stencil: n={n}")
-    D = np.zeros((n - 1, n))
-    xs = np.arange(width, dtype=float) * h
-    half = width // 2
-    center = fornberg_weights(xs, (half - 0.5) * h, 1)
-    for i in range(n - 1):
-        if half - 1 <= i < n - half:
-            D[i, i - half + 1:i - half + 1 + width] = center
+    return _stencil_matrix(n, h, 1, width, 0.5, n - 1)
+
+
+def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, float]:
+    """Golden-section search for a minimum of f on [a, b], stopped once the
+    bracket is narrower than tol.  Returns the final bracket (a, b) and the
+    smaller of its two probe values."""
+    phi = (math.sqrt(5) - 1) / 2
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
         else:
-            j0 = min(max(i - half + 1, 0), n - width)
-            D[i, j0:j0 + width] = fornberg_weights(xs, (i - j0 + 0.5) * h, 1)
-    return D
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return a, b, min(fc, fd)

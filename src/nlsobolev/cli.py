@@ -17,7 +17,6 @@ from .functional import deficit, el_residual
 from .grid import make_log_grid, read_field_csv
 from .manifold import BubbleParams, bubble, dist_to_manifold
 from .params import hls_sobolev_constant, make_params
-from .riesz import angular_kernel, dump_kernel_csv
 from .spectrum import assemble_sector, solve_generalized, spectral_gap
 
 __all__ = ["run_cli", "main"]
@@ -37,13 +36,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, grid_default=(1e-3, 1e3, 2048)):
+        """--dim, --alpha, --out and, unless grid_default is None, the grid flags."""
         sp.add_argument("--dim", type=int, required=True, help="space dimension N >= 3")
         sp.add_argument("--alpha", type=float, required=True,
                         help="interaction exponent, 0 < alpha < N")
-        sp.add_argument("--grid-min", type=float, default=grid_default[0])
-        sp.add_argument("--grid-max", type=float, default=grid_default[1])
-        sp.add_argument("--grid-n", type=int, default=grid_default[2])
-        sp.add_argument("--seed", type=int, default=0)
+        if grid_default is not None:
+            sp.add_argument("--grid-min", type=float, default=grid_default[0])
+            sp.add_argument("--grid-max", type=float, default=grid_default[1])
+            sp.add_argument("--grid-n", type=int, default=grid_default[2])
         sp.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
     common(sub.add_parser("constants", help="sharp constants and exponents"))
@@ -54,17 +54,17 @@ def _build_parser() -> _Parser:
     sp.add_argument("--ell", type=int, default=None,
                     help="angular sector; omit for the merged gap report")
     sp.add_argument("--k", type=int, default=8, help="eigenvalues per sector")
-    sp.add_argument("--dump-kernel", type=str, default=None,
-                    help="debug: write the pointwise kernel table CSV here")
     sp = sub.add_parser("deficit", help="deficit report for a field read from CSV")
-    common(sp)
+    common(sp, grid_default=None)
     sp.add_argument("--input", type=str, required=True, help="RadialField CSV path")
     sp = sub.add_parser("sweep", help="deficit/distance ratios near the manifold")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--epsilons", type=str, default="1e-2,3e-3,1e-3")
     sp.add_argument("--directions", type=str, default="eigen-gap,random-1,random-2")
     sp = sub.add_parser("bounded", help="bounded-domain weak/strong norm experiment")
-    common(sp)
+    common(sp, grid_default=None)
+    sp.add_argument("--grid-n", type=int, default=2048, help="nodes on [radius 1e-7, radius]")
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--lambdas", type=str, default="1e2,1e3,1e4")
     return parser
@@ -99,7 +99,8 @@ def run_cli(argv=None) -> int:
         return 1
     try:
         p = make_params(args.dim, args.alpha)
-        grid = make_log_grid(args.grid_min, args.grid_max, args.grid_n)
+        if hasattr(args, "grid_min"):
+            grid = make_log_grid(args.grid_min, args.grid_max, args.grid_n)
         exit_code = 0
         if args.command == "constants":
             c = hls_sobolev_constant(p)
@@ -125,8 +126,6 @@ def run_cli(argv=None) -> int:
                 rep = solve_generalized(assemble_sector(p, args.ell, grid), args.k)
             else:
                 rep = spectral_gap(p, grid, args.k)
-            if args.dump_kernel:
-                dump_kernel_csv(angular_kernel(p, args.ell or 0, grid), args.dump_kernel)
             payload = rep.to_json_dict()
         elif args.command == "deficit":
             f = read_field_csv(args.input)
@@ -145,8 +144,8 @@ def run_cli(argv=None) -> int:
             payload = {"rows": [r.to_json_dict() for r in rows], **summarize_sweep(rows)}
         elif args.command == "bounded":
             lams = [float(s) for s in args.lambdas.split(",")]
-            rep = bounded_domain_experiment(p, args.radius, lams)
-            grid = make_log_grid(args.radius * 1e-7, args.radius, 2048)
+            rep = bounded_domain_experiment(p, args.radius, lams, args.grid_n)
+            grid = rep.grid
             payload = rep.to_json_dict()
         else:  # pragma: no cover - argparse enforces the choices
             raise ValidationError(f"unknown command {args.command!r}")

@@ -33,7 +33,6 @@ class SweepConfig:
     directions: tuple[str, ...] = ("eigen-gap", "random-1", "random-2")
     grid: RadialGrid | None = None
     seed: int = 0
-    out: str | None = None   # report destination, consumed by the CLI
 
     def __post_init__(self):
         eps = self.epsilons
@@ -145,8 +144,10 @@ def tail_energy(p: Params, R: float, lam: float) -> float:
 
 @dataclass
 class BoundedDomainReport:
-    """Per-lambda diagnostics of the truncated-bubble family on B_R."""
+    """Per-lambda diagnostics of the truncated-bubble family on B_R, computed
+    on `grid` (not serialized)."""
     R: float
+    grid: RadialGrid
     lambdas: list[float]
     deficit: list[float]
     weak_norm: list[float]
@@ -168,7 +169,8 @@ def bounded_domain_experiment(p: Params, R: float, lambdas: list[float],
     deficit, weak and strong L^{N/(N-2)} norms, and their remainder ratios.
 
     The support lies inside B_R, so the whole-space deficit formulas apply on
-    the domain.  Requires lam * R >= 10 (the concentration regime)."""
+    the domain; the grid spans [R 1e-7, R] with grid_n nodes.  Requires
+    lam * R >= 10 (the concentration regime)."""
     if R <= 0:
         raise ValidationError("R must be positive")
     lams = [float(l) for l in lambdas]
@@ -179,7 +181,7 @@ def bounded_domain_experiment(p: Params, R: float, lambdas: list[float],
     N, q = p.N, p.q_weak
     amp = hls_sobolev_constant(p).bubble_amp
     grid = make_log_grid(R * 1e-7, R, grid_n)
-    out = BoundedDomainReport(R=R, lambdas=lams, deficit=[], weak_norm=[],
+    out = BoundedDomainReport(R=R, grid=grid, lambdas=lams, deficit=[], weak_norm=[],
                               strong_norm=[], weak_ratio=[], strong_ratio=[],
                               tail_energy=[])
     e = (N - 2) / 2.0

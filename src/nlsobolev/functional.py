@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._quadrature import derivative_matrix
+from ._quadrature import _golden_section
 from .errors import ValidationError
-from .grid import RadialField, field_abs_pow, field_signed_pow, h1_inner
+from .grid import RadialField, _dmat, field_abs_pow, field_signed_pow, h1_inner
 from .params import Params, hls_sobolev_constant, sphere_area
 from .riesz import interaction_energy, riesz_potential
 
@@ -58,9 +58,8 @@ def el_residual(u: RadialField, p: Params) -> float:
     N, ts = p.N, p.two_star_alpha
     pot = riesz_potential(field_abs_pow(u, ts), p, 0)
     nonlin = pot.values * field_signed_pow(u, ts - 1.0).values
-    D1 = derivative_matrix(g.n, g.h, 1)
-    D2 = derivative_matrix(g.n, g.h, 2)
-    lap = (D2 @ u.values + (N - 2) * (D1 @ u.values)) * np.exp(-2 * g.x)
+    lap = (_dmat(g.n, g.h, 2) @ u.values
+           + (N - 2) * (_dmat(g.n, g.h, 1) @ u.values)) * np.exp(-2 * g.x)
     resid = -lap - nonlin
     inner = slice(_EDGE, g.n - _EDGE)
     scale = float(np.max(np.abs(nonlin[inner])))
@@ -114,18 +113,5 @@ def weak_norm(u: RadialField, R: float, q: float) -> float:
         def negg(x):
             return -float(cub(x)) / (om / N * math.exp(N * x)) ** expo
 
-        a, b = g.x[lo], g.x[hi]
-        phi = (math.sqrt(5) - 1) / 2
-        c1, d1 = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = negg(c1), negg(d1)
-        while b - a > 1e-12:
-            if fc < fd:
-                b, d1, fd = d1, c1, fc
-                c1 = b - phi * (b - a)
-                fc = negg(c1)
-            else:
-                a, c1, fc = c1, d1, fd
-                d1 = a + phi * (b - a)
-                fd = negg(d1)
-        best = max(best, -min(fc, fd))
+        best = max(best, -_golden_section(negg, g.x[lo], g.x[hi], 1e-12)[2])
     return best

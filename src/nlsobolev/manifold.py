@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from ._quadrature import _golden_section
 from .errors import BracketingError, ValidationError
 from .grid import RadialField, RadialGrid, h1_inner
 from .params import Params, hls_sobolev_constant
@@ -148,20 +149,8 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
         raise BracketingError("no interior minimum over lambda; distance not bracketed")
     interior.sort(key=lambda j: vals[j])
     best = None
-    phi = (math.sqrt(5) - 1) / 2
     for j in interior[:3]:
-        a, b = xs[j - 1], xs[j + 1]
-        c1, d1 = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = d2_and_c(c1)[0], d2_and_c(d1)[0]
-        while b - a > 1e-10:
-            if fc < fd:
-                b, d1, fd = d1, c1, fc
-                c1 = b - phi * (b - a)
-                fc = d2_and_c(c1)[0]
-            else:
-                a, c1, fc = c1, d1, fd
-                d1 = a + phi * (b - a)
-                fd = d2_and_c(d1)[0]
+        a, b, _ = _golden_section(lambda x: d2_and_c(x)[0], xs[j - 1], xs[j + 1], 1e-10)
         ll = 0.5 * (a + b)
         # polish: the cancellation noise of d^2 limits the golden-section
         # minimum to ~sqrt(eps); the stationarity root does not

@@ -17,10 +17,11 @@ phi over grid cells, with the singular cell integrated adaptively.  Fields
 carrying jump markers are split into a continuous part plus exact
 exponential-step contributions so that ball indicators lose no accuracy.
 
-The normalization constant c_ell is not taken from a formula: it is
-calibrated once per (N, ell) against Newton's theorem (ell = 0, alpha = N-2)
-or against a direct angular quadrature (ell >= 1), which pins the
-spherical-harmonic conventions.
+The normalization is c_ell = omega_{N-2} = |S^{N-2}| by the Funk-Hecke
+formula (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV): for
+unit vectors e, w and a degree-ell spherical harmonic Y,
+int_{S^{N-1}} F(e.w) Y(w) dw = Y(e) omega_{N-2} int_{-1}^{1} F(t) G_ell(t)
+(1-t^2)^{(N-3)/2} dt, applied to F(t) = (r^2 + s^2 - 2 r s t)^{-alpha/2}.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad_vec
 from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
@@ -37,7 +38,7 @@ from .grid import RadialField, RadialGrid
 from .params import Params, sphere_area
 
 __all__ = ["AngularKernel", "angular_kernel", "riesz_potential",
-           "interaction_energy", "dump_kernel_csv", "MAX_ELL"]
+           "interaction_energy", "MAX_ELL"]
 
 MAX_ELL = 3
 _NEAR_XI = 0.33
@@ -217,7 +218,7 @@ class _ConvTables:
         out = fftconvolve(psi, self.weights)
         return out[self.half:self.half + len(psi)]
 
-    def toeplitz(self, n: int, offset: int = 0) -> np.ndarray:
+    def toeplitz(self, n: int) -> np.ndarray:
         """Dense weight matrix W[i, j] = w_{i-j} for grid-size n."""
         idx = np.arange(n)
         return self.weights[idx[:, None] - idx[None, :] + self.half]
@@ -240,59 +241,13 @@ class _ConvTables:
         return ce
 
 
-_calibration_cache: dict[tuple, float] = {}
 _kernel_cache: dict[tuple, "AngularKernel"] = {}
-
-
-def _newton_calibration(N: int) -> float:
-    """c_0 from Newton's theorem at alpha = N-2: the ell=0 kernel must equal
-    omega_{N-1} max(r,s)^{-(N-2)}."""
-    prof = KernelProfile(N, float(N - 2), 0)
-    r, s = 1.0, 2.3
-    xi = abs(math.log(s / r))
-    target = sphere_area(N) * max(r, s) ** (-(N - 2.0))
-    raw = (2 * r * s) ** (-(N - 2.0) / 2) * float(prof(xi)[0])
-    return target / raw
-
-
-def _angular_oracle_calibration(N: int, ell: int, alpha: float,
-                                profile: KernelProfile) -> float:
-    """c_ell from a direct polar-angle quadrature of the sphere integral
-    int |r e_1 - s w|^{-alpha} G_ell(w_1) dw at one well-separated (r, s)."""
-    r, s = 1.0, 2.3
-    gc = profile.gcoef
-    om2 = sphere_area(N - 1)
-
-    def integrand(th):
-        ct = math.cos(th)
-        return ((r * r + s * s - 2 * r * s * ct) ** (-alpha / 2)
-                * np.polyval(gc[::-1], ct) * math.sin(th) ** (N - 2))
-
-    target = om2 * quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-    xi = abs(math.log(s / r))
-    raw = (2 * r * s) ** (-alpha / 2) * float(profile(xi)[0])
-    return target / raw
-
-
-def _calibration(N: int, ell: int, alpha: float, profile: KernelProfile) -> float:
-    key = (N, ell)
-    if key not in _calibration_cache:
-        if ell == 0:
-            c = _newton_calibration(N)
-        else:
-            c = _angular_oracle_calibration(N, ell, alpha, profile)
-        # the calibrated constant must agree with the sphere-measure reduction
-        if abs(c / sphere_area(N - 1) - 1.0) > 1e-6:
-            raise NumericsError(
-                f"kernel normalization calibration failed for N={N}, ell={ell}")
-        _calibration_cache[key] = c
-    return _calibration_cache[key]
 
 
 @dataclass(eq=False)
 class AngularKernel:
     """Degree-ell projected Riesz kernel on one grid: profile, product-
-    integration tables, calibrated normalization, and the (lazy) dense table
+    integration tables, Funk-Hecke normalization, and the (lazy) dense table
     of pointwise values k_ell(r_i, s_j)."""
     ell: int
     params: Params
@@ -390,10 +345,9 @@ def angular_kernel(p: Params, ell: int, grid: RadialGrid) -> AngularKernel:
         span = grid.x[-1] - grid.x[0]
         npad = int(math.ceil(span / grid.h)) + 8
         tables = _ConvTables(profile, grid.h, grid.n + 2 * npad)
-        c_norm = _calibration(p.N, ell, p.alpha, profile)
         _kernel_cache[key] = AngularKernel(ell=ell, params=p, grid=grid,
                                            profile=profile, tables=tables,
-                                           c_norm=c_norm, npad=npad)
+                                           c_norm=sphere_area(p.N - 1), npad=npad)
     return _kernel_cache[key]
 
 
@@ -424,10 +378,3 @@ def interaction_energy(f: RadialField, g: RadialField, p: Params) -> float:
     val = float(psi_f @ kernel.tables.convolve(psi_g))
     return sphere_area(p.N) * kappa * gr.h * val
 
-
-def dump_kernel_csv(kernel: AngularKernel, path: str) -> None:
-    """Debug dump of the pointwise kernel table (row r, column s)."""
-    with open(path, "w") as fh:
-        fh.write("r\\s," + ",".join(f"{s:.9g}" for s in kernel.grid.nodes) + "\n")
-        for r, row in zip(kernel.grid.nodes, kernel.table):
-            fh.write(f"{r:.9g}," + ",".join(f"{v:.9g}" for v in row) + "\n")

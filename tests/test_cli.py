@@ -52,16 +52,6 @@ def test_spectrum_subcommand(tmp_path):
     assert np.min(np.abs(mu - 2.0)) < 1e-2
 
 
-def test_spectrum_kernel_dump(tmp_path):
-    dump = os.path.join(tmp_path, "kern.csv")
-    code, _, env = run_to_json(
-        ["spectrum", "--dim", "6", "--alpha", "4", "--ell", "0", "--grid-n", "512",
-         "--dump-kernel", dump], tmp_path, "s2.json")
-    assert code == 0
-    head = open(dump).readline()
-    assert head.startswith("r\\s,")
-
-
 def test_deficit_subcommand(tmp_path, p42):
     grid = nl.make_log_grid(1e-3, 1e3, 1024)
     U = nl.bubble(p42, nl.BubbleParams(c=2.0, lam=3.0), grid)
@@ -106,6 +96,31 @@ def test_bounded_subcommand(tmp_path):
     pl = env["payload"]
     assert len(pl["lambdas"]) == 2
     assert all(s >= w for s, w in zip(pl["strong_norm"], pl["weak_norm"]))
+
+
+def test_bounded_grid_n(tmp_path):
+    code, _, env = run_to_json(
+        ["bounded", "--dim", "3", "--alpha", "1", "--lambdas", "1e2", "--grid-n", "1024"],
+        tmp_path, "bn.json")
+    assert code == 0
+    assert env["grid"] == {"r_min": 1e-7, "r_max": 1.0, "n": 1024}
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--seed", "0"],
+    ["verify-bubble", "--seed", "0"],
+    ["spectrum", "--seed", "0"],
+    ["deficit", "--input", "field.csv", "--seed", "0"],
+    ["deficit", "--input", "field.csv", "--grid-n", "512"],
+    ["deficit", "--input", "field.csv", "--grid-min", "1e-2"],
+    ["deficit", "--input", "field.csv", "--grid-max", "1e2"],
+    ["bounded", "--seed", "0"],
+    ["bounded", "--grid-min", "1e-3"],
+    ["bounded", "--grid-max", "10"],
+])
+def test_flag_not_read_by_subcommand_exit_code(argv, capsys):
+    assert run_cli(argv + ["--dim", "4", "--alpha", "2"]) == 1
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_validation_exit_code(capsys):

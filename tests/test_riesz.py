@@ -73,11 +73,14 @@ def test_newton_kernel_closed_form(p31):
             assert kern.table[i, j] == pytest.approx(exact, rel=1e-9)
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_kernel_vs_angular_quadrature_oracle(ell):
+@pytest.mark.parametrize("N,alpha,ell",
+                         [pytest.param(5, 2.7, ell, id=str(ell)) for ell in (1, 2, 3)]
+                         + [(N, alpha, ell) for N in (3, 4, 5, 6)
+                            for alpha in (0.5, N - 2.0) for ell in (0, 1, 2, 3)])
+def test_kernel_vs_angular_quadrature_oracle(N, alpha, ell):
     """Direct polar-angle quadrature of int |r e1 - s w|^{-alpha} G_ell(w1) dw,
-    with the Gegenbauer polynomial taken from scipy for independence."""
-    N, alpha = 5, 2.7
+    with the Gegenbauer polynomial taken from scipy for independence; checks
+    the Funk-Hecke normalization omega_{N-2} of every sector."""
     p = nl.make_params(N, alpha)
     g = nl.make_log_grid(1e-2, 1e2, 129)
     kern = nl.angular_kernel(p, ell, g)
@@ -87,6 +90,8 @@ def test_kernel_vs_angular_quadrature_oracle(ell):
     rng = np.random.default_rng(5)
     for _ in range(4):
         i, j = rng.integers(10, 119, size=2)
+        while i == j:   # off the diagonal, where the oracle integrand is singular
+            i, j = rng.integers(10, 119, size=2)
         r, s = g.nodes[i], g.nodes[j]
 
         def f(th):
