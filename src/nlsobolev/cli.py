@@ -1,7 +1,7 @@
 """Command-line surface: constants, verify-bubble, spectrum, deficit, sweep,
 bounded.  Reports are wrapped in a deterministic JSON envelope
 {tool_version, params, grid, payload}; exit codes are 0 on success, 1 on
-validation errors, 2 on numerical failures.
+validation and file errors, 2 on numerical failures.
 """
 from __future__ import annotations
 
@@ -46,7 +46,8 @@ def _build_parser() -> _Parser:
             sp.add_argument("--grid-n", type=int, default=grid_default[2])
         sp.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
-    common(sub.add_parser("constants", help="sharp constants and exponents"))
+    common(sub.add_parser("constants", help="sharp constants and exponents"),
+           grid_default=None)
     common(sub.add_parser("verify-bubble",
                           help="Euler-Lagrange residual and deficit of the bubble"))
     sp = sub.add_parser("spectrum", help="linearized eigenvalues per sector or merged")
@@ -74,7 +75,8 @@ def _envelope(p, grid, payload) -> dict:
     return {
         "tool_version": __version__,
         "params": {"N": p.N, "alpha": p.alpha},
-        "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "n": grid.n},
+        "grid": None if grid is None else {"r_min": grid.r_min, "r_max": grid.r_max,
+                                           "n": grid.n},
         "payload": payload,
     }
 
@@ -89,7 +91,8 @@ def _emit(env: dict, out: str | None) -> None:
 
 
 def run_cli(argv=None) -> int:
-    """Dispatch subcommands; 0 on success, 1 validation error, 2 numerical failure."""
+    """Dispatch subcommands; 0 on success, 1 validation or file error, 2 numerical
+    failure."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -99,8 +102,8 @@ def run_cli(argv=None) -> int:
         return 1
     try:
         p = make_params(args.dim, args.alpha)
-        if hasattr(args, "grid_min"):
-            grid = make_log_grid(args.grid_min, args.grid_max, args.grid_n)
+        grid = (make_log_grid(args.grid_min, args.grid_max, args.grid_n)
+                if hasattr(args, "grid_min") else None)
         exit_code = 0
         if args.command == "constants":
             c = hls_sobolev_constant(p)
@@ -151,7 +154,7 @@ def run_cli(argv=None) -> int:
             raise ValidationError(f"unknown command {args.command!r}")
         _emit(_envelope(p, grid, payload), args.out)
         return exit_code
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

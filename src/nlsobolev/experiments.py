@@ -58,11 +58,9 @@ def _direction_field(spec: str, cfg: SweepConfig, grid: RadialGrid) -> RadialFie
     p = cfg.params
     if spec == "eigen-gap":
         rep = solve_generalized(assemble_sector(p, 0, grid), k=10)
-        ts = p.two_star_alpha
-        idx = [j for j, m in enumerate(rep.eigenvalues) if m > ts + 1e-3]
-        if not idx:
+        if rep.mu_gap is None:
             raise NumericsError("no radial eigenvalue above the degenerate one")
-        vec = rep.eigenvectors[:, idx[0]]
+        vec = rep.eigenvectors[:, rep.eigenvalues.index(rep.mu_gap)]
         w = RadialField(grid=grid, values=vec, tail_exponent=float(p.N - 2),
                         head_value=float(vec[0]))
     elif spec.startswith("random-"):

@@ -88,6 +88,11 @@ class RadialField:
             raise ValidationError("values must have one entry per grid node")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("field values must be finite at every node")
+        if math.isnan(self.tail_exponent) or self.tail_exponent == -math.inf:
+            raise ValidationError(f"tail_exponent must be finite or +inf, "
+                                  f"got {self.tail_exponent}")
+        if not math.isfinite(self.head_value):
+            raise ValidationError(f"head_value must be finite, got {self.head_value}")
 
     def tail_value(self, r: np.ndarray) -> np.ndarray:
         v = self.values[-1]
@@ -262,17 +267,21 @@ def read_field_csv(path: str) -> RadialField:
         header = fh.readline().strip()
         if header != "r,value":
             raise ValidationError(f"unexpected CSV header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key] = float(val)
-                continue
-            a, _, b = line.partition(",")
-            rs.append(float(a))
-            vs.append(float(b))
+            try:
+                if line.startswith("#"):
+                    key, _, val = line[1:].partition("=")
+                    meta[key] = float(val)
+                    continue
+                a, _, b = line.partition(",")
+                rs.append(float(a))
+                vs.append(float(b))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}, line {lineno}: malformed number in {line!r}") from None
     if "tail_exponent" not in meta or "head_value" not in meta:
         raise ValidationError("CSV missing tail_exponent/head_value footer rows")
     nodes = np.array(rs)

@@ -8,10 +8,10 @@ Both forms are assembled symmetric by construction: the Dirichlet part as
 D^T Q D with the quadrature weights folded in, the nonlocal part from the
 symmetric Toeplitz product-integration weights of the sector kernel.  A
 Dirichlet condition at the outermost node removes constant-tail quasi-modes
-that do not belong to the energy space.  The pencil is reduced to an ordinary
-symmetric problem by factoring A (which is positive definite here); factoring
-B instead, as one might first try, loses the low eigenvalues whenever B's
-small-eigenvalue tail carries weight of the physical modes.
+that do not belong to the energy space.  LAPACK reduces the pencil to an
+ordinary symmetric problem by factoring A (which is positive definite here);
+factoring B instead, as one might first try, loses the low eigenvalues whenever
+B's small-eigenvalue tail carries weight of the physical modes.
 """
 from __future__ import annotations
 
@@ -77,12 +77,16 @@ class SpectrumReport:
                 "b1_candidate": self.b1_candidate}
 
 
-def _gap_and_count(p: Params, eigenvalues: np.ndarray) -> tuple[float | None, int]:
+def _report(p: Params, ell: int | None, mu, vecs=None) -> SpectrumReport:
+    """Report ascending eigenvalues mu: the first one above 2*_a (mu_gap) and
+    the count inside (1, 2*_a), both up to the identification tolerance."""
     ts = p.two_star_alpha
-    above = eigenvalues[eigenvalues > ts + _MATCH_TOL]
-    gap = float(above[0]) if len(above) else None
-    k = int(np.sum((eigenvalues > 1.0 + _MATCH_TOL) & (eigenvalues < ts - _MATCH_TOL)))
-    return gap, k
+    mu = [float(m) for m in mu]
+    gap = next((m for m in mu if m > ts + _MATCH_TOL), None)
+    kc = sum(1.0 + _MATCH_TOL < m < ts - _MATCH_TOL for m in mu)
+    return SpectrumReport(ell=ell, eigenvalues=mu, mu_gap=gap, k_count=kc,
+                          b1_candidate=None if gap is None else 2.0 * (gap - ts),
+                          eigenvectors=vecs)
 
 
 def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
@@ -123,11 +127,15 @@ def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
 def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors.
 
-    B is validated positive semidefinite to tolerance; the reduction factors
-    the positive-definite A after a Dirichlet restriction at the outer node,
-    so B's numerical kernel (far-field nodes where the weights underflow) is
-    deflated implicitly: those modes land at 1/mu = 0.
+    B is validated positive semidefinite to tolerance; after a Dirichlet
+    restriction at the outer node, LAPACK's subset solver (dsygvx) factors the
+    positive-definite A and returns only the k largest 1/mu, so B's numerical
+    kernel (far-field nodes where the weights underflow) is deflated
+    implicitly: those modes land at 1/mu = 0.  k is clamped to the n - 1
+    unknowns.  Each eigenvector's largest-magnitude entry is positive.
     """
+    if k < 1:
+        raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
     A = op.A[:-1, :-1]
     B = op.B[:-1, :-1]
     beig = np.linalg.eigvalsh(B)
@@ -135,18 +143,18 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
         raise IndefiniteOperatorError(
             f"B has a negative eigenvalue beyond tolerance: {beig[0]:.3e}")
     d = 1.0 / np.sqrt(np.diag(A))
-    A2 = d[:, None] * A * d[None, :]
-    B2 = d[:, None] * B * d[None, :]
+    m = len(d)
+    k = min(k, m)
     try:
-        L = np.linalg.cholesky(A2)
+        nu, Q = sla.eigh(d[:, None] * B * d[None, :], d[:, None] * A * d[None, :],
+                         subset_by_index=[m - k, m - 1], driver="gvx")
     except np.linalg.LinAlgError as exc:
         raise IndefiniteOperatorError("A is not positive definite") from exc
-    C = sla.solve_triangular(L, sla.solve_triangular(L, B2, lower=True).T, lower=True)
-    nu, Q = np.linalg.eigh(0.5 * (C + C.T))
     nu, Q = nu[::-1], Q[:, ::-1]
-    k = min(k, int(np.sum(nu > 1e-13 * nu[0])))
+    k = int(np.sum(nu > 1e-13 * nu[0]))
     mu = 1.0 / nu[:k]
-    vecs_in = d[:, None] * sla.solve_triangular(L.T, Q[:, :k], lower=False)
+    vecs_in = d[:, None] * Q[:, :k]
+    vecs_in *= np.sign(vecs_in[np.argmax(np.abs(vecs_in), axis=0), np.arange(k)])
     vecs = np.zeros((op.grid.n, k))
     vecs[:-1, :] = vecs_in
     # normalize in the B-form; reject grid-frequency (sawtooth) eigenvectors,
@@ -159,12 +167,7 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
         if rough > 1.0:
             raise IndefiniteOperatorError(
                 f"eigenvector {j} oscillates at the grid scale (mu={mu[j]:.6g})")
-    gap, kc = _gap_and_count(op.params, mu)
-    ts = op.params.two_star_alpha
-    return SpectrumReport(ell=op.ell, eigenvalues=[float(m) for m in mu],
-                          mu_gap=gap, k_count=kc,
-                          b1_candidate=None if gap is None else 2.0 * (gap - ts),
-                          eigenvectors=vecs)
+    return _report(op.params, op.ell, mu, vecs)
 
 
 def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> SpectrumReport:
@@ -182,10 +185,4 @@ def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> Spec
     for ell in SECTOR_ELLS:
         rep = solve_generalized(assemble_sector(p, ell, grid), k)
         merged.extend(rep.eigenvalues)
-    merged.sort()
-    arr = np.array(merged)
-    gap, kc = _gap_and_count(p, arr)
-    ts = p.two_star_alpha
-    return SpectrumReport(ell=None, eigenvalues=[float(m) for m in merged],
-                          mu_gap=gap, k_count=kc,
-                          b1_candidate=None if gap is None else 2.0 * (gap - ts))
+    return _report(p, None, sorted(merged))

@@ -22,6 +22,7 @@ def test_constants_subcommand(tmp_path):
     assert code == 0
     assert set(env) == {"tool_version", "params", "grid", "payload"}
     assert env["params"] == {"N": 4, "alpha": 2.0}
+    assert env["grid"] is None
     assert env["payload"]["c_hls"] == pytest.approx(math.pi / 2 * math.sqrt(6), rel=1e-10)
     assert env["payload"]["two_star_alpha"] == 3.0
 
@@ -117,10 +118,44 @@ def test_bounded_grid_n(tmp_path):
     ["bounded", "--seed", "0"],
     ["bounded", "--grid-min", "1e-3"],
     ["bounded", "--grid-max", "10"],
+    ["constants", "--grid-n", "17"],
+    ["constants", "--grid-min", "5"],
+    ["constants", "--grid-max", "6"],
 ])
 def test_flag_not_read_by_subcommand_exit_code(argv, capsys):
     assert run_cli(argv + ["--dim", "4", "--alpha", "2"]) == 1
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, codes", [("0", {1}), ("-2", {1}), ("5000", {0, 2})])
+def test_spectrum_k_exit_code(k, codes, capsys):
+    # k < 1 is a validation error; k beyond the n - 1 unknowns is clamped
+    code = run_cli(["spectrum", "--dim", "6", "--alpha", "4", "--grid-n", "256", "--k", k])
+    assert code in codes
+    if code == 1:
+        assert "error: need k >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing-input", "unwritable-out", "malformed-csv"])
+def test_file_error_exit_code(case, tmp_path, p42, capsys):
+    path = os.path.join(tmp_path, "field.csv")
+    out = os.path.join(tmp_path, "d.json")
+    if case != "missing-input":
+        U = nl.bubble(p42, nl.BubbleParams(c=1.0, lam=1.0), nl.make_log_grid(1e-3, 1e3, 512))
+        nl.write_field_csv(U, path)
+    if case == "unwritable-out":
+        out = os.path.join(tmp_path, "no-such-dir", "d.json")
+    if case == "malformed-csv":
+        lines = open(path).read().splitlines(keepends=True)
+        lines[4] = lines[4].replace(",", ",1.0x", 1)
+        open(path, "w").writelines(lines)
+    code = run_cli(["deficit", "--dim", "4", "--alpha", "2", "--input", path, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    if case == "malformed-csv":
+        assert "line 5" in err
+    assert not os.path.exists(out)
 
 
 def test_validation_exit_code(capsys):

@@ -153,6 +153,17 @@ def test_field_powers():
     assert s3.head_value == pytest.approx(-0.125)
 
 
+@pytest.mark.parametrize("tail, head", [(math.nan, 0.0), (-math.inf, 0.0),
+                                        (2.0, math.nan), (2.0, math.inf),
+                                        (2.0, -math.inf), (math.inf, math.inf)])
+def test_field_rejects_nonfinite_metadata(tail, head):
+    g = nl.make_log_grid(1e-2, 1e2, 128)
+    with pytest.raises(ValidationError):
+        nl.RadialField(grid=g, values=np.ones(g.n), tail_exponent=tail, head_value=head)
+    # +inf tail_exponent (hard truncation) with a finite head stays legal
+    nl.RadialField(grid=g, values=np.ones(g.n), tail_exponent=math.inf, head_value=1.0)
+
+
 def test_dilate_preserves_gradient_norm(p42, grid_default):
     U = nl.bubble(p42, nl.BubbleParams(c=1.0, lam=1.0), grid_default)
     base = nl.h1_inner(U, U, 0, p42.N)

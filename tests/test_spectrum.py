@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import nlsobolev as nl
 from nlsobolev.errors import ValidationError
@@ -95,6 +96,34 @@ def test_eigenvalues_ascending_and_consistent(op64_s0, rep64_s0):
         assert quot == pytest.approx(mu[j], rel=1e-10)
 
 
+def _full_reduction(op, k):
+    """Oracle: the k smallest mu of A v = mu B v by a Cholesky reduction of the
+    scaled Dirichlet-restricted pencil and a full symmetric eigensolve, with
+    B-normalized eigenvectors whose largest-magnitude entry is positive."""
+    A, B = op.A[:-1, :-1], op.B[:-1, :-1]
+    d = 1.0 / np.sqrt(np.diag(A))
+    L = np.linalg.cholesky(d[:, None] * A * d[None, :])
+    C = sla.solve_triangular(L, sla.solve_triangular(L, d[:, None] * B * d[None, :],
+                                                     lower=True).T, lower=True)
+    nu, Q = np.linalg.eigh(0.5 * (C + C.T))
+    V = d[:, None] * sla.solve_triangular(L.T, Q[:, ::-1][:, :k], lower=False)
+    V /= np.sqrt(np.einsum("ij,ij->j", V, B @ V))
+    V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
+    return 1.0 / nu[::-1][:k], V
+
+
+@pytest.mark.parametrize("sector", [0, 1])
+def test_subset_solve_matches_full_reduction(sector, request):
+    op = request.getfixturevalue(f"op64_s{sector}")
+    rep = nl.solve_generalized(op, 8)
+    mu_ref, V_ref = _full_reduction(op, 8)
+    np.testing.assert_allclose(rep.eigenvalues, mu_ref, rtol=1e-12, atol=0)
+    V = rep.eigenvectors
+    assert np.all(V[-1] == 0.0)
+    assert np.max(np.abs(V[:-1] - V_ref)) <= 1e-9
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] > 0)
+
+
 def test_quotient_at_least_one(p64, grid64, op64_s0):
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -139,7 +168,9 @@ def test_spectral_gap_merged(p64, grid64):
     assert set(d) == {"ell", "eigenvalues", "mu_gap", "k_count", "b1_candidate"}
 
 
-def test_sector_validation(p64, grid64):
+def test_sector_validation(p64, grid64, op64_s0):
+    with pytest.raises(ValidationError):
+        nl.solve_generalized(op64_s0, 0)
     with pytest.raises(ValidationError):
         nl.assemble_sector(p64, 3, grid64)
     with pytest.raises(ValidationError):
