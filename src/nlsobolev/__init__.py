@@ -22,7 +22,16 @@ from .spectrum import (SectorOperator, SpectrumReport, assemble_sector,
 from .experiments import (BoundedDomainReport, SweepConfig, SweepRow,
                           bounded_domain_experiment, ratio_sweep, summarize_sweep,
                           tail_energy)
-from .cli import run_cli
+
+
+def __getattr__(name):
+    # nlsobolev.cli is loaded on first use: importing it here would put it in
+    # sys.modules before `python -m nlsobolev.cli` runs it, which runpy warns about
+    if name == "run_cli":
+        from .cli import run_cli
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

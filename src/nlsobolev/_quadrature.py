@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["fornberg_weights", "gregory_correction", "uniform_weights", "derivative_matrix"]
 
@@ -77,19 +78,21 @@ def uniform_weights(n: int, h: float, i0: int = 0, i1: int | None = None) -> np.
 
 
 def _stencil_matrix(n: int, h: float, order: int, width: int, shift: float,
-                    rows: int) -> np.ndarray:
-    """rows x n matrix of `width`-point Fornberg rows for the order-th
+                    rows: int) -> sp.csr_array:
+    """rows x n CSR matrix of `width`-point Fornberg rows for the order-th
     derivative at the points (i + shift) h: the window centered on the point
     in the interior, the nearest full window (one-sided rows) near the ends."""
-    D = np.zeros((rows, n))
     xs = np.arange(width, dtype=float) * h
     lead = (width - 1) // 2          # window nodes left of an interior point
     center = fornberg_weights(xs, (lead + shift) * h, order)
+    j0 = np.clip(np.arange(rows) - lead, 0, n - width)
+    vals = np.empty((rows, width))
     for i in range(rows):
-        j0 = min(max(i - lead, 0), n - width)
-        D[i, j0:j0 + width] = (center if j0 == i - lead
-                               else fornberg_weights(xs, (i - j0 + shift) * h, order))
-    return D
+        vals[i] = (center if j0[i] == i - lead
+                   else fornberg_weights(xs, (i - j0[i] + shift) * h, order))
+    cols = j0[:, None] + np.arange(width)
+    return sp.csr_array((vals.ravel(), cols.ravel(), np.arange(0, rows * width + 1, width)),
+                        shape=(rows, n))
 
 
 def derivative_matrix(n: int, h: float, order: int, half: int = 4) -> np.ndarray:
@@ -102,17 +105,18 @@ def derivative_matrix(n: int, h: float, order: int, half: int = 4) -> np.ndarray
     st = 2 * half + 1
     if n < st:
         raise ValueError(f"grid too small for stencil: n={n} < {st}")
-    return _stencil_matrix(n, h, order, st, 0, n)
+    return _stencil_matrix(n, h, order, st, 0, n).toarray()
 
 
-def staggered_derivative_matrix(n: int, h: float, width: int = 8) -> np.ndarray:
-    """(n-1) x n first-derivative matrix evaluated at the cell midpoints.
+def staggered_derivative_matrix(n: int, h: float, width: int = 8) -> sp.csr_array:
+    """(n-1) x n sparse first-derivative matrix evaluated at the cell midpoints.
 
     Used for assembling Dirichlet quadratic forms: a staggered stencil never
     annihilates the grid's Nyquist sawtooth, so the assembled form has no
     spurious low-energy modes (a wide centered stencil maps the sawtooth to
     zero and fabricates eigenvalues for it).  Even `width` centered on the
-    cell gives 8th-order accuracy at width=8.
+    cell gives 8th-order accuracy at width=8; D^T Q D then has bandwidth
+    width - 1.
     """
     if n < width + 1:
         raise ValueError(f"grid too small for staggered stencil: n={n}")

@@ -3,6 +3,7 @@ manifold, bubble tail energies, and the bounded-domain weak-vs-strong-norm
 comparison."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = self.epsilons
-        if any(e < 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValidationError("epsilons must be positive and strictly decreasing")
+        if not all(0 < e < math.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+            raise ValidationError("epsilons must be finite, positive and strictly decreasing")
 
 
 @dataclass

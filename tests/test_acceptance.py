@@ -164,7 +164,7 @@ def _sharp_local_constant(p, grid):
     op = nl.assemble_sector(p, 0, grid)
     MW = nl.sphere_area(N) * np.diag(grid.log_weights * np.exp(N * grid.x)
                                      * op.w_potential)
-    dirichlet = (op.A - MW)[:-1, :-1]
+    dirichlet = (op.A.toarray() - MW)[:-1, :-1]
     sigma, vecs = sla.eigh((ts * op.B - MW)[:-1, :-1], dirichlet)
     nu = 1.0 / sigma[::-1][:6]
     j = int(np.argmax(nu > 1.0 + 1e-3))

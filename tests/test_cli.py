@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +136,34 @@ def test_spectrum_k_exit_code(k, codes, capsys):
     assert code in codes
     if code == 1:
         assert "error: need k >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["1e-2,0", "1e-2,nan", "inf,1e-2"])
+def test_sweep_bad_epsilon_exit_code(eps, capsys):
+    code = run_cli(["sweep", "--dim", "6", "--alpha", "4", "--grid-n", "512",
+                    "--epsilons", eps, "--directions", "random-1"])
+    assert code == 1
+    assert "error: epsilons must be finite, positive" in capsys.readouterr().err
+
+
+def test_run_as_module_without_runtime_warning(tmp_path):
+    # the package must not import nlsobolev.cli before runpy executes it
+    out = os.path.join(tmp_path, "c.json")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nl.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nlsobolev.cli",
+         "constants", "--dim", "4", "--alpha", "2", "--out", out],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.load(open(out))["payload"]["two_star_alpha"] == 3.0
+
+
+def test_run_cli_reexported():
+    from nlsobolev import run_cli as from_package
+    assert from_package is run_cli and nl.run_cli is run_cli
+    assert "run_cli" in nl.__all__
 
 
 @pytest.mark.parametrize("case", ["missing-input", "unwritable-out", "malformed-csv"])

@@ -11,7 +11,7 @@ from nlsobolev.errors import ValidationError
 
 @pytest.fixture(scope="module")
 def sweep_rows(p64):
-    cfg = nl.SweepConfig(params=p64, epsilons=(1e-2, 1e-3, 0.0),
+    cfg = nl.SweepConfig(params=p64, epsilons=(1e-2, 1e-3),
                          directions=("eigen-gap", "random-1"),
                          grid=nl.make_log_grid(1e-3, 1e3, 1024), seed=0)
     return nl.ratio_sweep(cfg)
@@ -22,26 +22,25 @@ def test_sweep_config_validation(p64):
         nl.SweepConfig(params=p64, epsilons=(1e-3, 1e-2))
     with pytest.raises(ValidationError):
         nl.SweepConfig(params=p64, epsilons=(1e-2, -1e-3))
+    for eps in ((1e-2, math.nan), (math.inf, 1e-2), (1e-2, 0.0), (math.nan,), (0.0,)):
+        with pytest.raises(ValidationError, match="finite, positive"):
+            nl.SweepConfig(params=p64, epsilons=eps)
 
 
 def test_sweep_rows_invariants(sweep_rows):
     by_eps = {}
     for r in sweep_rows:
-        if r.eps > 0:
-            assert r.deficit is not None and r.deficit >= 0
-            assert r.dist is not None and r.dist > 0
-            assert r.ratio is not None and 0 < r.ratio <= 1.05
-            by_eps.setdefault(r.direction, {})[r.eps] = r.ratio
-        else:
-            assert r.ratio is None   # undefined at eps = 0
+        assert r.deficit is not None and r.deficit >= 0
+        assert r.dist is not None and r.dist > 0
+        assert r.ratio is not None and 0 < r.ratio <= 1.05
+        by_eps.setdefault(r.direction, {})[r.eps] = r.ratio
     # the orthogonal-direction distance is eps to leading order
     for r in sweep_rows:
-        if r.eps > 0:
-            assert r.dist == pytest.approx(r.eps, rel=5e-3)
+        assert r.dist == pytest.approx(r.eps, rel=5e-3)
 
 
 def test_sweep_deterministic(p64, sweep_rows):
-    cfg = nl.SweepConfig(params=p64, epsilons=(1e-2, 1e-3, 0.0),
+    cfg = nl.SweepConfig(params=p64, epsilons=(1e-2, 1e-3),
                          directions=("eigen-gap", "random-1"),
                          grid=nl.make_log_grid(1e-3, 1e3, 1024), seed=0)
     rows2 = nl.ratio_sweep(cfg)

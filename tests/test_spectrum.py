@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import nlsobolev as nl
-from nlsobolev.errors import ValidationError
+from nlsobolev.errors import IndefiniteOperatorError, NumericsError, ValidationError
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
 from conftest import bump_field, unit_bubble
 
@@ -23,6 +26,11 @@ def op64_s0(p64, grid64):
 @pytest.fixture(scope="module")
 def op64_s1(p64, grid64):
     return nl.assemble_sector(p64, 1, grid64)
+
+
+@pytest.fixture(scope="module")
+def op64_s2(p64, grid64):
+    return nl.assemble_sector(p64, 2, grid64)
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +108,7 @@ def _full_reduction(op, k):
     """Oracle: the k smallest mu of A v = mu B v by a Cholesky reduction of the
     scaled Dirichlet-restricted pencil and a full symmetric eigensolve, with
     B-normalized eigenvectors whose largest-magnitude entry is positive."""
-    A, B = op.A[:-1, :-1], op.B[:-1, :-1]
+    A, B = op.A.toarray()[:-1, :-1], op.B[:-1, :-1]
     d = 1.0 / np.sqrt(np.diag(A))
     L = np.linalg.cholesky(d[:, None] * A * d[None, :])
     C = sla.solve_triangular(L, sla.solve_triangular(L, d[:, None] * B * d[None, :],
@@ -112,7 +120,7 @@ def _full_reduction(op, k):
     return 1.0 / nu[::-1][:k], V
 
 
-@pytest.mark.parametrize("sector", [0, 1])
+@pytest.mark.parametrize("sector", [0, 1, 2])
 def test_subset_solve_matches_full_reduction(sector, request):
     op = request.getfixturevalue(f"op64_s{sector}")
     rep = nl.solve_generalized(op, 8)
@@ -122,6 +130,76 @@ def test_subset_solve_matches_full_reduction(sector, request):
     assert np.all(V[-1] == 0.0)
     assert np.max(np.abs(V[:-1] - V_ref)) <= 1e-9
     assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] > 0)
+
+
+def _dip_b(op, frac):
+    """op with B lowered along the eigenvector of the smallest eigenvalue of its
+    Dirichlet restriction, so that this eigenvalue becomes -frac * lambda_max."""
+    ev, V = np.linalg.eigh(op.B[:-1, :-1])
+    v = np.zeros(op.grid.n)
+    v[:-1] = V[:, 0]
+    return dataclasses.replace(op, B=op.B - (ev[0] + frac * ev[-1]) * np.outer(v, v))
+
+
+def test_b_dip_beyond_tolerance_rejected(op64_s0):
+    with pytest.raises(IndefiniteOperatorError):
+        nl.solve_generalized(_dip_b(op64_s0, 1e-8), 8)
+
+
+def test_b_dip_within_tolerance_solves(op64_s0, rep64_s0):
+    rep = nl.solve_generalized(_dip_b(op64_s0, 1e-12), 8)
+    np.testing.assert_allclose(rep.eigenvalues, rep64_s0.eigenvalues, rtol=1e-8)
+
+
+def test_negative_a_rejected(op64_s0):
+    with pytest.raises(IndefiniteOperatorError, match="A is not positive definite"):
+        nl.solve_generalized(dataclasses.replace(op64_s0, A=-op64_s0.A), 8)
+
+
+def test_lanczos_no_convergence_is_numerics_error(op64_s0, monkeypatch):
+    eigsh = spla.eigsh
+
+    def pencil_fails(*args, **kwargs):
+        if kwargs.get("M") is None:     # the PSD check's lambda_max still runs
+            return eigsh(*args, **kwargs)
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", pencil_fails)
+    with pytest.raises(NumericsError, match="did not converge"):
+        nl.solve_generalized(op64_s0, 8)
+
+
+def _closed_form_mu(N, alpha, j):
+    """mu_j = (E_j + w) / (E_0 rho_j + w), the stereographic diagonalization
+    derived in the spectrum module docstring."""
+    ts = (2 * N - alpha) / (N - 2)
+    a = (N - 2) / 2
+
+    def E(i):
+        return (i + a) * (i + a + 1)
+
+    def rho(i):
+        return math.exp(math.lgamma(i + alpha / 2) + math.lgamma(N - alpha / 2)
+                        - math.lgamma(alpha / 2) - math.lgamma(i + N - alpha / 2))
+
+    w = (E(1) - ts * E(0) * rho(1)) / (ts - 1)
+    return (E(j) + w) / (E(0) * rho(j) + w)
+
+
+@given(case=st.sampled_from([4, 5, 6]).flatmap(
+    lambda N: st.tuples(st.just(N), st.floats(min_value=0.5, max_value=N - 2.0))))
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+def test_eigenvalues_match_closed_form(case):
+    N, alpha = case
+    p = nl.make_params(N, alpha)
+    grid = nl.make_log_grid(1e-3, 1e3, 1024)
+    for ell in nl.spectrum.SECTOR_ELLS:
+        mu = nl.solve_generalized(nl.assemble_sector(p, ell, grid), 6).eigenvalues
+        # sector 0 at N = 4 carries the bubble's slow r^{-2} tail on a finite grid
+        rtol = 1e-4 if (ell == 0 and N == 4) else 1e-6
+        exact = [_closed_form_mu(N, alpha, k + ell) for k in range(len(mu))]
+        assert len(mu) == 6
+        np.testing.assert_allclose(mu, exact, rtol=rtol, atol=0)
 
 
 def test_quotient_at_least_one(p64, grid64, op64_s0):
