@@ -178,18 +178,16 @@ def bounded_domain_experiment(p: Params, R: float, lambdas: list[float],
     if any(l * R < 10 for l in lams):
         raise ValidationError("need lambda * R >= 10 for every lambda")
     N, q = p.N, p.q_weak
-    amp = hls_sobolev_constant(p).bubble_amp
     grid = make_log_grid(R * 1e-7, R, grid_n)
     out = BoundedDomainReport(R=R, grid=grid, lambdas=lams, deficit=[], weak_norm=[],
                               strong_norm=[], weak_ratio=[], strong_ratio=[],
                               tail_energy=[])
     e = (N - 2) / 2.0
     for lam in lams:
-        pref = amp * lam ** e
-        a_R = pref * (1.0 + (lam * R) ** 2) ** (-e)
-        vals = np.maximum(pref * (1.0 + (lam * grid.nodes) ** 2) ** (-e) - a_R, 0.0)
-        u = RadialField(grid=grid, values=vals, tail_exponent=np.inf,
-                        head_value=pref - a_R)
+        U = bubble(p, BubbleParams(c=1.0, lam=lam), grid)
+        a_R = U.head_value * (1.0 + (lam * R) ** 2) ** (-e)
+        u = RadialField(grid=grid, values=np.maximum(U.values - a_R, 0.0),
+                        tail_exponent=np.inf, head_value=U.head_value - a_R)
         rep = deficit(u, p)
         wk = weak_norm(u, R, q)
         st = integrate(field_abs_pow(u, q), N) ** (1.0 / q)

@@ -113,30 +113,32 @@ def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
                       nodes=np.exp(x), log_weights=uniform_weights(int(n), h))
 
 
-def _tail_correction(f: RadialField, moment: int) -> float:
-    """Closed form of int_{r_max}^inf f(r) r^{moment-1} dr for the declared tail."""
-    v = f.values[-1]
-    if v == 0.0 or np.isinf(f.tail_exponent):
+def _tail_correction(v_end: float, exponent: float, moment: float, r_max: float) -> float:
+    """Closed form of int_{r_max}^inf v_end (r/r_max)^{-exponent} r^{moment-1} dr."""
+    if v_end == 0.0 or np.isinf(exponent):
         return 0.0
-    margin = f.tail_exponent - moment
+    margin = exponent - moment
     if margin <= 0:
         raise DivergentTailError(
-            f"tail exponent {f.tail_exponent} too small for the r^{moment - 1} moment")
-    return v * f.grid.r_max ** moment / margin
+            f"tail exponent {exponent} too small for the r^{moment - 1} moment")
+    return v_end * r_max ** moment / margin
 
 
 def integrate(f: RadialField, N: int) -> float:
     """omega_{N-1} * int_0^inf f(r) r^{N-1} dr with head/tail extensions."""
-    core = float(f.grid.weights(N) @ f.values)
-    head = f.head_value * f.grid.r_min ** N / N
-    return sphere_area(N) * (core + head + _tail_correction(f, N))
+    g = f.grid
+    core = float(g.weights(N) @ f.values)
+    head = f.head_value * g.r_min ** N / N
+    tail = _tail_correction(f.values[-1], f.tail_exponent, N, g.r_max)
+    return sphere_area(N) * (core + head + tail)
 
 
 def integrate_from(f: RadialField, N: int, i0: int) -> float:
     """Same as integrate but over [nodes[i0], infinity) only."""
     g = f.grid
     w = uniform_weights(g.n, g.h, i0=i0) * g.nodes ** N
-    return sphere_area(N) * (float(w @ f.values) + _tail_correction(f, N))
+    tail = _tail_correction(f.values[-1], f.tail_exponent, N, g.r_max)
+    return sphere_area(N) * (float(w @ f.values) + tail)
 
 
 @lru_cache(maxsize=32)
@@ -166,24 +168,16 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
     ux, vx = D @ u.values, D @ v.values
     ew = g.log_weights * np.exp((N - 2) * g.x)
     total = float(ew @ (ux * vx))
-    # gradient tail: u' ~ u'(r_max) (r/r_max)^{-(p_u+1)}
-    pu, pv = u.tail_exponent + 1, v.tail_exponent + 1
+    # gradient tail: u' ~ u'(r_max) (r/r_max)^{-(tail_exponent+1)}, likewise v'
     du_end, dv_end = ux[-1] / g.r_max, vx[-1] / g.r_max
-    if du_end != 0.0 and dv_end != 0.0 and not (np.isinf(pu) or np.isinf(pv)):
-        margin = pu + pv - N
-        if margin <= 0:
-            raise DivergentTailError("gradient tail not integrable")
-        total += du_end * dv_end * g.r_max ** N / margin
+    total += _tail_correction(du_end * dv_end, (u.tail_exponent + 1) + (v.tail_exponent + 1),
+                              N, g.r_max)
     if ell > 0:
         cf = ell * (ell + N - 2)
         total += cf * float(ew @ (u.values * v.values))
         total += cf * u.head_value * v.head_value * g.r_min ** (N - 2) / (N - 2)
-        if u.values[-1] != 0.0 and v.values[-1] != 0.0 \
-                and not (np.isinf(u.tail_exponent) or np.isinf(v.tail_exponent)):
-            margin = u.tail_exponent + v.tail_exponent - (N - 2)
-            if margin <= 0:
-                raise DivergentTailError("centrifugal tail not integrable")
-            total += cf * u.values[-1] * v.values[-1] * g.r_max ** (N - 2) / margin
+        total += _tail_correction(cf * u.values[-1] * v.values[-1],
+                                  u.tail_exponent + v.tail_exponent, N - 2, g.r_max)
     return sphere_area(N) * total
 
 

@@ -16,6 +16,8 @@ Toeplitz weights exact for piecewise-cubic psi, built from moment tables of
 phi over grid cells, with the singular cell integrated adaptively.  Fields
 carrying jump markers are split into a continuous part plus exact
 exponential-step contributions so that ball indicators lose no accuracy.
+Both the smooth part and the step parts are one FFT convolution with a lag
+table (`_lag_convolve`); built kernels sit in a small LRU cache.
 
 The normalization is c_ell = omega_{N-2} = |S^{N-2}| by the Funk-Hecke
 formula (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV): for
@@ -26,11 +28,12 @@ int_{S^{N-1}} F(e.w) Y(w) dw = Y(e) omega_{N-2} int_{-1}^{1} F(t) G_ell(t)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad_vec
-from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
 from .errors import DivergentTailError, NumericsError, ValidationError
@@ -43,6 +46,19 @@ __all__ = ["AngularKernel", "angular_kernel", "riesz_potential",
 MAX_ELL = 3
 _NEAR_XI = 0.33
 _MOMENT_DEGREE = 8
+_KERNEL_CACHE_SIZE = 8
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+# cubic Lagrange basis on eta-nodes {-1, 0, 1, 2}, ascending monomial coefficients
+_LAGRANGE4 = np.array([[0.0, -1 / 3, 1 / 2, -1 / 6],
+                       [1.0, -1 / 2, -1.0, 1 / 2],
+                       [0.0, 1.0, 1 / 2, -1 / 2],
+                       [0.0, -1 / 6, 0.0, 1 / 6]])
+
+
+def _lag_convolve(seq: np.ndarray, lags: np.ndarray, half: int) -> np.ndarray:
+    """out[i] = sum_j lags[half + i - j] seq[j] for i < len(seq), by one real FFT."""
+    L = next_fast_len(len(seq) + len(lags) - 1, True)
+    return irfft(rfft(seq, L) * rfft(lags, L), L)[half:half + len(seq)]
 
 
 def _gegenbauer_coeffs(ell: int, N: int) -> np.ndarray:
@@ -85,10 +101,12 @@ class KernelProfile:
             for k in range(i + 1):
                 g_u[k] += gc * math.comb(i, k) * (-1.0) ** k
         self.rho = np.convolve(g_u, binom)[:J]
-        # rule for the [1, 2] piece, weight (2-u)^{beta-1}
+        # rule for the [1, 2] piece, weight (2-u)^{beta-1}, with the fixed
+        # factor G_ell(1-u) u^{a0} of the integrand folded in
         xj, wj = roots_jacobi(24, self.a0, 0.0)
         self._i2_u = (xj + 3.0) / 2.0
-        self._i2_w = wj * 2.0 ** (-self.beta)
+        self._i2_w = (wj * 2.0 ** (-self.beta) * np.polyval(self.gcoef[::-1], 1 - self._i2_u)
+                      * self._i2_u ** self.a0)
         # int_0^1 v^{a0} (1+v)^{-alpha/2} dv with the v^{a0} weight built in
         xa, wa = roots_jacobi(24, 0.0, self.a0)
         va = (xa + 1.0) / 2.0
@@ -120,21 +138,19 @@ class KernelProfile:
         al, a0 = self.alpha, self.a0
         out = c ** (a0 + 1 - al / 2) * self._A0          # [0, c] piece
         K = max(4, int(np.ceil(np.max(-np.log(c)) / 1.5)))
-        xg, wg = np.polynomial.legendre.leggauss(12)
         lnc = np.log(c)
         for p in range(K):                                # [c, 1] piece, log panels
             t0 = lnc * (1 - p / K)
             t1 = lnc * (1 - (p + 1) / K)
-            mid = 0.5 * (t0[:, None] + t1[:, None]) + 0.5 * (t1 - t0)[:, None] * xg
+            mid = 0.5 * (t0[:, None] + t1[:, None]) + 0.5 * (t1 - t0)[:, None] * _GL_X
             vals = np.exp((a0 + 1 - al / 2) * mid) * (1 + c[:, None] * np.exp(-mid)) ** (-al / 2)
-            out += (vals @ wg) * 0.5 * (t1 - t0)
+            out += (vals @ _GL_W) * 0.5 * (t1 - t0)
         return out
 
     def _near(self, xi: np.ndarray) -> np.ndarray:
         al = self.alpha
         c = np.maximum(2.0 * np.sinh(xi / 2.0) ** 2, 1e-280)
-        gpoly = np.polyval(self.gcoef[::-1], 1 - self._i2_u)
-        i2 = (c[:, None] + self._i2_u) ** (-al / 2) @ (self._i2_w * gpoly * self._i2_u ** self.a0)
+        i2 = (c[:, None] + self._i2_u) ** (-al / 2) @ self._i2_w
         Ma = self._m_start(c)
         acc = self.rho[0] * Ma
         one_c = (1 + c) ** (1 - al / 2)
@@ -143,16 +159,6 @@ class KernelProfile:
             Ma = (one_c - a * c * Ma) / (a + 1 - al / 2)
             acc += self.rho[j] * Ma
         return acc + i2
-
-    def value_at_zero(self) -> float:
-        """phi(0); +inf when alpha >= N-1 (the pointwise diagonal degenerates)."""
-        al = self.alpha
-        if al >= self.N - 1:
-            return math.inf
-        gpoly = np.polyval(self.gcoef[::-1], 1 - self._i2_u)
-        i2 = float(self._i2_u ** (-al / 2) @ (self._i2_w * gpoly * self._i2_u ** self.a0))
-        js = np.arange(len(self.rho))
-        return i2 + float(np.sum(self.rho / (self.a0 + js + 1 - al / 2)))
 
     def __call__(self, xi) -> np.ndarray:
         xi = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
@@ -175,9 +181,8 @@ class _ConvTables:
         self.profile, self.h, self.nlag = profile, h, nlag
         D = _MOMENT_DEGREE + 1
         P = np.zeros((D, nlag))
-        xg, wg = np.polynomial.legendre.leggauss(12)
-        eta = (xg + 1) / 2
-        wtab = np.array([wg / 2 * eta ** d for d in range(D)])      # (D, 12)
+        eta = (_GL_X + 1) / 2
+        wtab = np.array([_GL_W / 2 * eta ** d for d in range(D)])   # (D, 12)
         ms = np.arange(1, nlag)
         vals = profile(((ms[:, None] + eta) * h).ravel()).reshape(len(ms), -1)
         P[:, 1:] = wtab @ vals.T
@@ -189,34 +194,19 @@ class _ConvTables:
 
         P[:, 0] = quad_vec(cell0, 0.0, h, epsabs=1e-13, epsrel=1e-11, limit=200)[0] / h
         self.P = P
-        # cubic Lagrange basis on eta-nodes {-1, 0, 1, 2}, monomial coefficients
-        L = np.zeros((4, 4))
-        nodes = np.array([-1.0, 0.0, 1.0, 2.0])
-        for j in range(4):
-            pl = np.poly1d([1.0])
-            for k in range(4):
-                if k != j:
-                    pl *= np.poly1d([1.0, -nodes[k]]) / (nodes[j] - nodes[k])
-            L[j, :len(pl.coeffs)] = pl.coeffs[::-1]
-        wpos = np.zeros(nlag + 3)                 # index shifted by +1
-        contrib = h * (L @ P[:4])                 # (4, nlag): weight vs (nu, cell)
+        wpos = np.zeros(nlag + 3)                 # lags -1 .. nlag+1
+        contrib = h * (_LAGRANGE4 @ P[:4])        # (4, nlag): weight vs (nu, cell)
         for j, nu in enumerate((-1, 0, 1, 2)):
             wpos[1 + nu:1 + nu + nlag] += contrib[j]
-        M = nlag + 1
+        M = nlag + 1                              # w[M + m] = wpos[1 + m] + wpos[1 - m]
         w = np.zeros(2 * M + 1)
-        for m in range(-M, M + 1):
-            v = 0.0
-            if -1 <= m <= nlag + 1:
-                v += wpos[m + 1]
-            if -1 <= -m <= nlag + 1:
-                v += wpos[-m + 1]
-            w[m + M] = v
+        w[M - 1:] += wpos
+        w[:M + 2] += wpos[::-1]
         self.weights = w
         self.half = M
 
     def convolve(self, psi: np.ndarray) -> np.ndarray:
-        out = fftconvolve(psi, self.weights)
-        return out[self.half:self.half + len(psi)]
+        return _lag_convolve(psi, self.weights, self.half)
 
     def toeplitz(self, n: int) -> np.ndarray:
         """Dense weight matrix W[i, j] = w_{i-j} for grid-size n."""
@@ -241,14 +231,16 @@ class _ConvTables:
         return ce
 
 
-_kernel_cache: dict[tuple, "AngularKernel"] = {}
+_kernel_cache: OrderedDict[tuple, "AngularKernel"] = OrderedDict()   # LRU, most recent last
 
 
 @dataclass(eq=False)
 class AngularKernel:
-    """Degree-ell projected Riesz kernel on one grid: profile, product-
-    integration tables, Funk-Hecke normalization, and the (lazy) dense table
-    of pointwise values k_ell(r_i, s_j)."""
+    """Degree-ell projected Riesz kernel on one grid: the profile phi_ell,
+    the product-integration tables over the padded log grid, and the
+    Funk-Hecke normalization c_norm, so that pointwise
+    k_ell(r, s) = c_norm (2 r s)^{-alpha/2} profile(log r - log s).  `apply`
+    integrates a field against it; nothing dense of size n x n is kept."""
     ell: int
     params: Params
     grid: RadialGrid
@@ -256,21 +248,6 @@ class AngularKernel:
     tables: _ConvTables
     c_norm: float
     npad: int
-    _table: np.ndarray | None = dc_field(default=None, repr=False)
-
-    @property
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            g, al = self.grid, self.params.alpha
-            x = g.x
-            xi = np.abs(x[:, None] - x[None, :])
-            vals = np.empty_like(xi)
-            off = ~np.eye(g.n, dtype=bool)
-            vals[off] = self.profile(xi[off])
-            np.fill_diagonal(vals, self.profile.value_at_zero())
-            pref = self.c_norm * (2.0 * g.nodes[:, None] * g.nodes[None, :]) ** (-al / 2)
-            self._table = pref * vals
-        return self._table
 
     def x_extended(self) -> np.ndarray:
         g = self.grid
@@ -330,25 +307,29 @@ class AngularKernel:
         seq = np.zeros(len(xe))
         nb = self.npad + b
         seq[1:nb + 1] = np.exp(gam * xe[1:nb + 1])
-        ce = self.tables.step_kernel(gam)
-        out = fftconvolve(seq, ce)[self.tables.half:self.tables.half + len(xe)]
+        out = _lag_convolve(seq, self.tables.step_kernel(gam), self.tables.half)
         return out[self.npad:self.npad + g.n] * g.h
 
 
 def angular_kernel(p: Params, ell: int, grid: RadialGrid) -> AngularKernel:
-    """Build (or fetch from cache) the sector-ell kernel on this grid."""
+    """Build (or fetch from the LRU cache of the last _KERNEL_CACHE_SIZE
+    kernels) the sector-ell kernel on this grid."""
     if not (0 <= ell <= MAX_ELL):
         raise ValidationError(f"ell must lie in 0..{MAX_ELL}, got {ell}")
     key = (p.N, p.alpha, ell, grid.key())
-    if key not in _kernel_cache:
-        profile = KernelProfile(p.N, p.alpha, ell)
-        span = grid.x[-1] - grid.x[0]
-        npad = int(math.ceil(span / grid.h)) + 8
-        tables = _ConvTables(profile, grid.h, grid.n + 2 * npad)
-        _kernel_cache[key] = AngularKernel(ell=ell, params=p, grid=grid,
-                                           profile=profile, tables=tables,
-                                           c_norm=sphere_area(p.N - 1), npad=npad)
-    return _kernel_cache[key]
+    if key in _kernel_cache:
+        _kernel_cache.move_to_end(key)
+        return _kernel_cache[key]
+    profile = KernelProfile(p.N, p.alpha, ell)
+    span = grid.x[-1] - grid.x[0]
+    npad = int(math.ceil(span / grid.h)) + 8
+    tables = _ConvTables(profile, grid.h, grid.n + 2 * npad)
+    kernel = AngularKernel(ell=ell, params=p, grid=grid, profile=profile, tables=tables,
+                           c_norm=sphere_area(p.N - 1), npad=npad)
+    _kernel_cache[key] = kernel
+    if len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+        _kernel_cache.popitem(last=False)
+    return kernel
 
 
 def riesz_potential(f: RadialField, p: Params, ell: int = 0) -> RadialField:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,11 @@ def bump_field(grid, center=0.0, width=1.0, amp=1.0):
 
 def unit_bubble(p, grid, lam=1.0, c=1.0):
     return nl.bubble(p, nl.BubbleParams(c=c, lam=lam), grid)
+
+
+def src_env():
+    """Environment for a child Python process that imports this nlsobolev."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(nl.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env

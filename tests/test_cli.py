@@ -9,6 +9,7 @@ import pytest
 
 import nlsobolev as nl
 from nlsobolev.cli import run_cli
+from conftest import src_env
 
 
 def run_to_json(args, tmp_path, name):
@@ -149,13 +150,10 @@ def test_sweep_bad_epsilon_exit_code(eps, capsys):
 def test_run_as_module_without_runtime_warning(tmp_path):
     # the package must not import nlsobolev.cli before runpy executes it
     out = os.path.join(tmp_path, "c.json")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(nl.__file__))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "nlsobolev.cli",
          "constants", "--dim", "4", "--alpha", "2", "--out", out],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.load(open(out))["payload"]["two_star_alpha"] == 3.0
 

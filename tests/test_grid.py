@@ -134,6 +134,18 @@ def test_h1_inner_symmetric_and_positive(grid_1024):
     assert nl.h1_inner(z, z, 0, 3) == 0.0
 
 
+@pytest.mark.parametrize("ell", [0, 2])
+def test_h1_inner_divergent_gradient_tail(ell):
+    # u ~ r^{-0.2}: u' u' r^{N-1} ~ r^{-1.4} is not integrable at infinity for N = 3
+    g = nl.make_log_grid(1e-2, 1e2, 256)
+    u = nl.RadialField(grid=g, values=(1 + g.nodes ** 2) ** -0.1,
+                       tail_exponent=0.2, head_value=1.0)
+    with pytest.raises(DivergentTailError):
+        nl.h1_inner(u, u, ell, 3)
+    steep = nl.RadialField(grid=g, values=u.values, tail_exponent=1.5, head_value=1.0)
+    assert np.isfinite(nl.h1_inner(steep, steep, ell, 3))
+
+
 def test_h1_inner_grid_mismatch():
     u = bump_field(nl.make_log_grid(1e-2, 1e2, 128))
     v = bump_field(nl.make_log_grid(1e-3, 1e2, 128))

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -6,8 +9,19 @@ from scipy.integrate import quad
 from scipy.special import gegenbauer as scipy_gegenbauer
 
 import nlsobolev as nl
+from nlsobolev import riesz
 from nlsobolev.errors import DivergentTailError, ValidationError
-from conftest import bump_field, unit_bubble
+from conftest import bump_field, src_env, unit_bubble
+
+
+def pointwise_table(kern):
+    """Dense pointwise kernel k_ell(r_i, s_j) = c_norm (2 r_i s_j)^{-alpha/2}
+    phi_ell(|x_i - x_j|) on the kernel's grid; the diagonal is phi_ell(0) as the
+    production profile evaluates it."""
+    g, al = kern.grid, kern.params.alpha
+    xi = np.abs(g.x[:, None] - g.x[None, :])
+    vals = kern.profile(xi.ravel()).reshape(xi.shape)
+    return kern.c_norm * (2.0 * g.nodes[:, None] * g.nodes[None, :]) ** (-al / 2) * vals
 
 
 def riesz_identity_exact(p, r):
@@ -48,8 +62,8 @@ def test_kernel_homogeneity_and_symmetry(p32, p42):
     # grid with nodes at exact powers of 2: k(2r, 2s) = 2^{-alpha} k(r, s)
     for p in (p42, p32):
         g = nl.make_log_grid(0.5, 8.0, 129)
-        tab = nl.angular_kernel(p, 0, g).table
-        iu, ju = np.triu_indices(g.n, k=1)  # diagonal is +inf when alpha >= N-1
+        tab = pointwise_table(nl.angular_kernel(p, 0, g))
+        iu, ju = np.triu_indices(g.n, k=1)  # off the diagonal, singular when alpha >= N-1
         scale = np.max(np.abs(tab[iu, ju]))
         assert np.max(np.abs(tab[iu, ju] - tab[ju, iu])) <= 1e-12 * scale
         off = ~np.eye(g.n, dtype=bool)
@@ -57,20 +71,21 @@ def test_kernel_homogeneity_and_symmetry(p32, p42):
         i2, j2 = g.index_of(2.0), g.index_of(4.0)
         assert tab[i2, j2] == pytest.approx(2.0 ** (-p.alpha) * tab[i1, j1], rel=1e-12)
         assert tab[off].min() > 0 and tab.min() > 0   # ell = 0 kernel positive
-    # alpha >= N-1: pointwise diagonal degenerates (documented), operator stays fine
-    assert np.isinf(nl.angular_kernel(p32, 0, nl.make_log_grid(0.5, 8.0, 129)).table[3, 3])
+    # alpha >= N-1: the profile is unbounded at xi = 0, so it grows as xi shrinks
+    prof = nl.angular_kernel(p32, 0, nl.make_log_grid(0.5, 8.0, 129)).profile
+    assert np.all(np.diff(prof(np.logspace(-3, -12, 10))) > 0)
 
 
 def test_newton_kernel_closed_form(p31):
     # alpha = N-2, ell = 0: k_0(r,s) = omega_{N-1} max(r,s)^{-(N-2)}
     g = nl.make_log_grid(1e-2, 1e2, 257)
-    kern = nl.angular_kernel(p31, 0, g)
+    tab = pointwise_table(nl.angular_kernel(p31, 0, g))
     om = nl.sphere_area(3)
     idx = [10, 60, 128, 200, 250]
     for i in idx:
         for j in idx:
             exact = om * max(g.nodes[i], g.nodes[j]) ** (-1.0)
-            assert kern.table[i, j] == pytest.approx(exact, rel=1e-9)
+            assert tab[i, j] == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("N,alpha,ell",
@@ -83,7 +98,7 @@ def test_kernel_vs_angular_quadrature_oracle(N, alpha, ell):
     the Funk-Hecke normalization omega_{N-2} of every sector."""
     p = nl.make_params(N, alpha)
     g = nl.make_log_grid(1e-2, 1e2, 129)
-    kern = nl.angular_kernel(p, ell, g)
+    tab = pointwise_table(nl.angular_kernel(p, ell, g))
     Gl = scipy_gegenbauer(ell, (N - 2) / 2.0)
     norm = Gl(1.0)
     om2 = nl.sphere_area(N - 1)
@@ -100,7 +115,7 @@ def test_kernel_vs_angular_quadrature_oracle(N, alpha, ell):
                     * Gl(ct) / norm * math.sin(th) ** (N - 2))
 
         oracle = om2 * quad(f, 0, math.pi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-        assert kern.table[i, j] == pytest.approx(oracle, rel=1e-6)
+        assert tab[i, j] == pytest.approx(oracle, rel=1e-6)
 
 
 def test_potential_scaling(p42, grid_default):
@@ -226,3 +241,46 @@ def test_hls_form_bounds(p42, grid_1024):
             assert t_form == pytest.approx(1.0, rel=1e-6)
         else:
             assert t_form < 1.0 - 1e-3
+
+
+def test_import_skips_scipy_signal():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nlsobolev; print('scipy.signal' in sys.modules)"],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n,m,half", [(1, 1, 0), (7, 15, 7), (40, 17, 3), (64, 129, 64),
+                                      (33, 200, 150)])
+def test_lag_convolve_matches_direct_sum(n, m, half):
+    rng = np.random.default_rng(n * 1000 + m)
+    seq, lags = rng.normal(size=n), rng.normal(size=m)
+    direct = np.array([sum(lags[half + i - j] * seq[j] for j in range(n)
+                           if 0 <= half + i - j < m) for i in range(n)])
+    got = riesz._lag_convolve(seq, lags, half)
+    assert got.shape == (n,)
+    assert np.allclose(got, direct, rtol=0, atol=1e-12 * np.sum(np.abs(lags)) * np.max(np.abs(seq)))
+
+
+@pytest.mark.parametrize("N,alpha,ell", [(4, 2.0, 0), (5, 2.7, 1), (3, 1.0, 3)])
+def test_weights_exactly_symmetric(N, alpha, ell):
+    tables = nl.angular_kernel(nl.make_params(N, alpha), ell,
+                               nl.make_log_grid(1e-2, 1e2, 129)).tables
+    assert len(tables.weights) == 2 * tables.half + 1
+    assert np.array_equal(tables.weights, tables.weights[::-1])
+
+
+def test_kernel_cache_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    size = riesz._KERNEL_CACHE_SIZE
+    assert size >= 6   # spectral_gap's three sectors and the sweep's three pairs
+    p = nl.make_params(4, 1.0)
+    grids = [nl.make_log_grid(1e-1, 1e1, 16 + k) for k in range(size + 3)]
+    kernels = [nl.angular_kernel(p, 0, g) for g in grids]
+    assert len(riesz._kernel_cache) == size
+    for g, k in zip(grids[::-1][:size], kernels[::-1][:size]):
+        assert nl.angular_kernel(p, 0, g) is k
+    assert len(riesz._kernel_cache) == size
+    assert nl.angular_kernel(p, 0, grids[0]) is not kernels[0]   # evicted, rebuilt
+    assert len(riesz._kernel_cache) == size

@@ -1,0 +1,27 @@
+"""Smoke runs of the experiment scripts at small sizes."""
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import src_env
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("script,args,expect", [
+    pytest.param("spectrum_scan.py", ["--pairs", "4:2", "--grid-n", "256", "--k", "4"],
+                 "mu_gap = ", id="spectrum_scan"),
+    pytest.param("ratio_sweep_experiment.py",
+                 ["--dim", "4", "--alpha", "2", "--grid-n", "512", "--epsilons", "1e-2"],
+                 "empirical_b1_lower_bound_candidate", id="ratio_sweep_experiment"),
+    pytest.param("bounded_domain_experiment.py",
+                 ["--dim", "3", "--alpha", "1", "--lambdas", "1e2,1e3"],
+                 "weak-ratio floor (min/max):", id="bounded_domain_experiment"),
+])
+def test_script_runs(script, args, expect):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          env=src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout
