@@ -95,17 +95,18 @@ def _stencil_matrix(n: int, h: float, order: int, width: int, shift: float,
                         shape=(rows, n))
 
 
-def derivative_matrix(n: int, h: float, order: int, half: int = 4) -> np.ndarray:
-    """Dense differentiation matrix of the given derivative order.
+def derivative_matrix(n: int, h: float, order: int, half: int = 4) -> sp.csr_array:
+    """n x n sparse differentiation matrix of the given derivative order.
 
     Centered (2*half+1)-point stencils in the interior, matching one-sided
     stencils near the ends; half=4 gives 8th-order interior accuracy, which
-    keeps gradient energies below the quadrature error floor.
+    keeps gradient energies below the quadrature error floor.  The CSR band
+    holds (2*half+1) n nonzeros, so a matvec costs O(n).
     """
     st = 2 * half + 1
     if n < st:
         raise ValueError(f"grid too small for stencil: n={n} < {st}")
-    return _stencil_matrix(n, h, order, st, 0, n).toarray()
+    return _stencil_matrix(n, h, order, st, 0, n)
 
 
 def staggered_derivative_matrix(n: int, h: float, width: int = 8) -> sp.csr_array:

@@ -26,8 +26,14 @@ class SweepConfig:
     """One ratio-sweep run: perturbation sizes, direction specs, grid, seed.
 
     Direction specs: "eigen-gap" takes the first radial eigenfunction above
-    the degenerate eigenvalue; "random-<k>" takes a seeded smooth bump in
-    log r projected orthogonal to the tangent space.
+    the degenerate eigenvalue; "random-<k>" takes a seeded bump in t =
+    (log r - x0) / (3 sigma), exp(1 - 1/(1 - t^2)) for |t| < 1 and exactly 0
+    elsewhere (x0 uniform in [-2, 2], sigma in [0.4, 1.2], drawn from
+    seed + k), projected orthogonal to the tangent space.  The bump is
+    C-infinity with compact support, so after projection its far field is
+    exactly the tangent directions' r^{-(N-2)} tail that the field declares;
+    a support that does not lie strictly inside the grid is a validation
+    error, recorded as the row's note.
     """
     params: Params
     epsilons: tuple[float, ...] = (1e-2, 3e-3, 1e-3)
@@ -68,9 +74,15 @@ def _direction_field(spec: str, cfg: SweepConfig, grid: RadialGrid) -> RadialFie
         rng = np.random.default_rng(cfg.seed + int(spec.split("-", 1)[1]))
         x0 = rng.uniform(-2.0, 2.0)
         sig = rng.uniform(0.4, 1.2)
-        vals = np.exp(-0.5 * ((grid.x - x0) / sig) ** 2)
-        w = RadialField(grid=grid, values=vals, tail_exponent=np.inf,
-                        head_value=float(vals[0]))
+        lo, hi = x0 - 3 * sig, x0 + 3 * sig
+        if not grid.x[0] < lo < hi < grid.x[-1]:
+            raise ValidationError(
+                f"{spec}: bump support r in [{math.exp(lo):.4g}, {math.exp(hi):.4g}] "
+                f"does not lie strictly inside the grid [{grid.r_min:.4g}, {grid.r_max:.4g}]")
+        t2 = ((grid.x - x0) / (3 * sig)) ** 2
+        vals = np.zeros(grid.n)
+        vals[t2 < 1] = np.exp(1.0 - 1.0 / (1.0 - t2[t2 < 1]))
+        w = RadialField(grid=grid, values=vals, tail_exponent=np.inf, head_value=0.0)
     else:
         raise ValidationError(f"unknown direction spec {spec!r}")
     return project_orthogonal(w, p, 1.0, 0)

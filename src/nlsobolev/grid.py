@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._quadrature import derivative_matrix, uniform_weights
 from .errors import DivergentTailError, ValidationError
@@ -142,7 +143,7 @@ def integrate_from(f: RadialField, N: int, i0: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _dmat(n: int, h: float, order: int) -> np.ndarray:
+def _dmat(n: int, h: float, order: int) -> sp.csr_array:
     return derivative_matrix(n, h, order)
 
 

@@ -162,15 +162,18 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
         f2, c = d2_and_c(ll)
         if best is None or f2 < best[0]:
             best = (f2, c, ll)
-    d2min, c, ll = best
+    _, c, ll = best
     lam = math.exp(ll)
-    d = math.sqrt(max(d2min, 0.0))
+    # at the final lambda, d = ||u - c U_lambda|| directly: unlike
+    # uu - c^2 EU it does not cancel, and w gets unit norm by construction
     Ub = bubble(p, BubbleParams(c=c, lam=lam), grid)
-    resid = u.values - Ub.values
-    if d > 1e-9 * math.sqrt(uu):
-        w = RadialField(grid=grid, values=resid / d,
+    resid = RadialField(grid=grid, values=u.values - Ub.values,
                         tail_exponent=min(u.tail_exponent, p.N - 2.0),
-                        head_value=(u.head_value - Ub.head_value) / d)
+                        head_value=u.head_value - Ub.head_value)
+    d = math.sqrt(h1_inner(resid, resid, 0, p.N))
+    if d > 1e-9 * math.sqrt(uu):
+        w = RadialField(grid=grid, values=resid.values / d,
+                        tail_exponent=resid.tail_exponent, head_value=resid.head_value / d)
     else:
         d = 0.0
         w = RadialField(grid=grid, values=np.zeros(grid.n),

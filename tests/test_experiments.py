@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import nlsobolev as nl
 from nlsobolev.errors import ValidationError
+from nlsobolev.experiments import _direction_field
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,41 @@ def test_sweep_unknown_direction_recorded(p64):
                          grid=nl.make_log_grid(1e-3, 1e3, 1024))
     rows = nl.ratio_sweep(cfg)
     assert len(rows) == 1 and rows[0].ratio is None and rows[0].note
+
+
+# (run seed, direction) of the (4, 2) sweep-benchmark ops whose eps = 1e-3
+# ratio once exceeded 1.05 (up to 1.078): the old Gaussian bump's far field
+# did not match its declared tail and put a first-order term in the deficit
+KNOWN_BIASED_OPS = [(204, "random-785044"), (8, "random-386423"), (11, "random-776808")]
+
+
+@pytest.mark.parametrize("seed, spec", KNOWN_BIASED_OPS)
+def test_random_direction_ratio_has_no_first_order_bias(p42, grid_default, seed, spec):
+    # the symmetric estimate ([delta(U + eps w) + delta(U - eps w)]/2 - delta(U))
+    # / d^2 cancels every odd order in eps, so the raw ratio may differ from
+    # it only at second order
+    cfg = nl.SweepConfig(params=p42, epsilons=(1e-3,), directions=(spec,),
+                         grid=grid_default, seed=seed)
+    (row,) = nl.ratio_sweep(cfg)
+    assert row.ratio is not None and row.ratio <= 1.05
+    w = _direction_field(spec, cfg, grid_default)
+    U = nl.bubble(p42, nl.BubbleParams(c=1.0, lam=1.0), grid_default)
+    u_minus = nl.RadialField(grid=grid_default, values=U.values - row.eps * w.values,
+                             tail_exponent=min(U.tail_exponent, w.tail_exponent),
+                             head_value=U.head_value - row.eps * w.head_value)
+    sym = (0.5 * (row.deficit + nl.deficit(u_minus, p42).deficit)
+           - nl.deficit(U, p42).deficit) / row.dist ** 2
+    assert abs(row.ratio - sym) <= 0.01
+
+
+def test_random_direction_support_outside_grid_recorded(p42):
+    # seed 0, random-1 draws the support r in [0.032, 34], wider than [0.1, 10]
+    cfg = nl.SweepConfig(params=p42, epsilons=(1e-2, 1e-3), directions=("random-1",),
+                         grid=nl.make_log_grid(1e-1, 1e1, 512), seed=0)
+    rows = nl.ratio_sweep(cfg)
+    assert len(rows) == 2
+    for r in rows:
+        assert r.ratio is None and "support" in r.note
 
 
 def test_summarize_sweep(sweep_rows):

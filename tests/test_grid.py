@@ -103,6 +103,16 @@ def test_differentiate_bubble_far_field(p32, grid_default):
     assert val == pytest.approx(-(p32.N - 2) * amp, rel=1e-4)
 
 
+def test_derivative_matrices_are_banded():
+    # 9-point stencils: a CSR band with 9 nonzeros per row, never a dense n x n
+    import scipy.sparse as sp
+    from nlsobolev.grid import _dmat
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    for order in (1, 2):
+        D = _dmat(g.n, g.h, order)
+        assert sp.issparse(D) and D.nnz == 9 * g.n
+
+
 def test_integration_by_parts():
     g = nl.make_log_grid(1e-3, 1e3, 1024)
     N = 3

@@ -76,8 +76,8 @@ def test_tangent_directions_solve_linearized_equation(p42, grid_default):
 
 def test_dist_on_manifold_points(p42, grid_default):
     dec = nl.dist_to_manifold(unit_bubble(p42, grid_default), p42)
-    # the distance of an on-manifold point sits at the cancellation floor
-    # sqrt(eps * ||u||^2) of the d^2 = ||u||^2 - c^2 ||U||^2 subtraction
+    # d is the direct residual norm ||u - c U_lambda||; on the manifold it
+    # falls below the 1e-9 ||u|| cut-off and is reported as exactly 0
     assert dec.d == pytest.approx(0.0, abs=1e-6)
     assert dec.best.c == pytest.approx(1.0, rel=1e-7)
     assert dec.best.lam == pytest.approx(1.0, rel=1e-6)
@@ -106,6 +106,42 @@ def test_dist_of_orthogonal_perturbation(p42, grid_default):
     uu = nl.h1_inner(u, u, 0, p42.N)
     EU = nl.h1_inner(U, U, 0, p42.N)
     assert uu == pytest.approx(dec.d ** 2 + dec.best.c ** 2 * EU, rel=1e-8)
+
+
+def test_dist_is_direct_residual_norm(p42, grid_default):
+    # d is ||u - c U_lambda|| at the final (c, lambda), not the cancelling
+    # ||u||^2 - c^2 ||U||^2, which was off by 6e-5 relative at eps = 1e-4
+    U = unit_bubble(p42, grid_default)
+    eps = 1e-4
+    u = nl.RadialField(grid=grid_default, values=U.values * (1.0 + eps * grid_default.x / 7),
+                       tail_exponent=U.tail_exponent, head_value=U.head_value)
+    dec = nl.dist_to_manifold(u, p42)
+    Ub = unit_bubble(p42, grid_default, lam=dec.best.lam, c=dec.best.c)
+    resid = nl.RadialField(grid=grid_default, values=u.values - Ub.values,
+                           tail_exponent=U.tail_exponent,
+                           head_value=u.head_value - Ub.head_value)
+    assert dec.d == pytest.approx(math.sqrt(nl.h1_inner(resid, resid, 0, p42.N)), rel=1e-12)
+    assert nl.h1_inner(dec.w, dec.w, 0, p42.N) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_dist_allocates_no_dense_stencil(p42, grid_default):
+    # a dense 2048 x 2048 derivative matrix alone is 33.6 MB; the CSR band
+    # and every field of one distance evaluation fit in well under 4 MB
+    import tracemalloc
+    from nlsobolev.grid import _dmat
+    U = unit_bubble(p42, grid_default)
+    w = nl.project_orthogonal(bump_field(grid_default, 0.4, 0.7), p42, 1.0, 0)
+    u = nl.RadialField(grid=grid_default, values=U.values + 1e-3 * w.values,
+                       tail_exponent=U.tail_exponent,
+                       head_value=U.head_value + 1e-3 * w.head_value)
+    _dmat.cache_clear()
+    tracemalloc.start()
+    try:
+        nl.dist_to_manifold(u, p42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_dist_rescaling_invariance(p42, grid_default):
