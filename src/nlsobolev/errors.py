@@ -20,7 +20,7 @@ class DivergentTailError(NumericsError):
 
 
 class BracketingError(NumericsError):
-    """A one-dimensional minimization failed to bracket an interior minimum."""
+    """A one-dimensional search failed to bracket an interior optimum or root."""
 
 
 class IndefiniteOperatorError(NumericsError):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from ._quadrature import _golden_section
 from .errors import BracketingError, ValidationError
 from .grid import RadialField, RadialGrid, h1_inner
 from .params import Params, hls_sobolev_constant
@@ -26,16 +25,13 @@ __all__ = ["BubbleParams", "Decomposition", "bubble", "tangent_basis",
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Coordinates (c, lambda, z) on the extremal manifold; z pinned to 0."""
+    """Coordinates (c, lambda) on the extremal manifold; the center is 0."""
     c: float
     lam: float
-    z: float = 0.0
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValidationError("bubble scale lambda must be positive")
-        if self.z != 0.0:
-            raise ValidationError("the radial pipeline pins the bubble center at z = 0")
 
 
 @dataclass(eq=False)
@@ -117,10 +113,14 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     """Minimize ||u - c U_{lambda,0}|| in the gradient norm.
 
     For fixed lambda the optimal coefficient is closed-form,
-    c(lambda) = <u, U_lambda>_{D^{1,2}} / ||U||^2, so the problem reduces to a
-    one-dimensional minimization over log lambda: a coarse multistart scan
-    followed by golden-section refinement of the best local minima.  A scan
-    whose minimum sits on the boundary is reported as a bracketing failure.
+    c(lambda) = p(lambda) / ||U||^2 with p(lambda) = <u, U_lambda>_{D^{1,2}},
+    and ||U_lambda|| does not depend on lambda, so the minima of
+    d^2 = ||u||^2 - c^2 ||U||^2 are the maxima of |p|.  A 121-node scan of p
+    over log lambda picks the (at most 3) best interior maxima of |p|; on the
+    two scan cells around each, brentq solves the stationarity equation
+    <u, d/dlambda U_lambda> = 0, which, unlike d^2, does not cancel.  The root
+    with the largest |p| wins.  A scan with no interior maximum, or with no
+    candidate whose cells bracket a root, raises BracketingError.
     """
     grid = u.grid
     uu = h1_inner(u, u, 0, p.N)
@@ -129,41 +129,33 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     U1 = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
     EU = h1_inner(U1, U1, 0, p.N)
 
-    def d2_and_c(loglam: float) -> tuple[float, float]:
-        Ul = bubble(p, BubbleParams(c=1.0, lam=math.exp(loglam)), grid)
-        c = h1_inner(u, Ul, 0, p.N) / EU
-        return uu - c * c * EU, c
+    def overlap(loglam: float) -> float:
+        return h1_inner(u, bubble(p, BubbleParams(c=1.0, lam=math.exp(loglam)), grid), 0, p.N)
 
     def stationarity(loglam: float) -> float:
-        # d(d^2)/d(log lam) is proportional to -c <u, d/dlam U>; the inner
-        # product form has no cancellation, unlike d^2 itself
         return h1_inner(u, _dlam_bubble(p, math.exp(loglam), grid), 0, p.N)
 
     lam0 = _half_height_scale(p, u)
     lo, hi = math.log(lam0) - math.log(100.0), math.log(lam0) + math.log(100.0)
     xs = np.linspace(lo, hi, 121)
-    vals = np.array([d2_and_c(x)[0] for x in xs])
+    absp = np.abs([overlap(x) for x in xs])
     interior = [j for j in range(1, len(xs) - 1)
-                if vals[j] <= vals[j - 1] and vals[j] <= vals[j + 1]]
+                if absp[j] >= absp[j - 1] and absp[j] >= absp[j + 1]]
     if not interior:
         raise BracketingError("no interior minimum over lambda; distance not bracketed")
-    interior.sort(key=lambda j: vals[j])
+    interior.sort(key=lambda j: -absp[j])
     best = None
     for j in interior[:3]:
-        a, b, _ = _golden_section(lambda x: d2_and_c(x)[0], xs[j - 1], xs[j + 1], 1e-10)
-        ll = 0.5 * (a + b)
-        # polish: the cancellation noise of d^2 limits the golden-section
-        # minimum to ~sqrt(eps); the stationarity root does not
-        width = max(b - a, 1e-9)
-        sa, sb = ll - 64 * width, ll + 64 * width
-        ga, gb = stationarity(sa), stationarity(sb)
-        if ga * gb < 0:
-            ll = brentq(stationarity, sa, sb, xtol=1e-14)
-        f2, c = d2_and_c(ll)
-        if best is None or f2 < best[0]:
-            best = (f2, c, ll)
-    _, c, ll = best
-    lam = math.exp(ll)
+        if stationarity(xs[j - 1]) * stationarity(xs[j + 1]) > 0:
+            continue
+        ll = brentq(stationarity, xs[j - 1], xs[j + 1], xtol=1e-14)
+        pl = overlap(ll)
+        if best is None or abs(pl) > abs(best[0]):
+            best = (pl, ll)
+    if best is None:
+        raise BracketingError("no stationarity root over lambda; distance not bracketed")
+    pl, ll = best
+    c, lam = pl / EU, math.exp(ll)
     # at the final lambda, d = ||u - c U_lambda|| directly: unlike
     # uu - c^2 EU it does not cancel, and w gets unit norm by construction
     Ub = bubble(p, BubbleParams(c=c, lam=lam), grid)
@@ -184,16 +176,9 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
 def project_orthogonal(w: RadialField, p: Params, lam: float, ell: int) -> RadialField:
     """Remove the sector-ell tangent components of w (in the Dirichlet form)
     and renormalize to unit norm."""
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
     if ell < 0:
         raise ValidationError("ell must be nonnegative")
-    if ell == 0:
-        dirs = [bubble(p, BubbleParams(c=1.0, lam=lam), w.grid), _dlam_bubble(p, lam, w.grid)]
-    elif ell == 1:
-        dirs = [_dr_bubble(p, lam, w.grid)]
-    else:
-        dirs = []
+    dirs = [t for k, t in tangent_basis(p, lam, w.grid) if k == ell]
     nrm0 = math.sqrt(h1_inner(w, w, ell, p.N))
     if nrm0 == 0.0:
         raise ValidationError("cannot project the zero field")
@@ -202,7 +187,7 @@ def project_orthogonal(w: RadialField, p: Params, lam: float, ell: int) -> Radia
                       head_value=w.head_value)
     for _ in range(2):   # re-orthogonalize once for 1e-12 residuals
         for t in dirs:
-            coef = h1_inner(out, t, ell, p.N) / h1_inner(t, t, ell, p.N)
+            coef = h1_inner(out, t, ell, p.N)   # t has unit norm
             out = RadialField(grid=w.grid, values=out.values - coef * t.values,
                               tail_exponent=min(out.tail_exponent, t.tail_exponent),
                               head_value=out.head_value - coef * t.head_value)

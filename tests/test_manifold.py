@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 import nlsobolev as nl
-from nlsobolev.errors import ValidationError
+from nlsobolev.errors import BracketingError, ValidationError
 from conftest import bump_field, unit_bubble
 
 
 def test_bubble_params_validation():
     with pytest.raises(ValidationError):
         nl.BubbleParams(c=1.0, lam=0.0)
-    with pytest.raises(ValidationError):
-        nl.BubbleParams(c=1.0, lam=1.0, z=0.5)
 
 
 def test_bubble_amplitude_and_tail(p42, grid_default):
@@ -81,10 +79,59 @@ def test_dist_on_manifold_points(p42, grid_default):
     assert dec.d == pytest.approx(0.0, abs=1e-6)
     assert dec.best.c == pytest.approx(1.0, rel=1e-7)
     assert dec.best.lam == pytest.approx(1.0, rel=1e-6)
-    dec = nl.dist_to_manifold(unit_bubble(p42, grid_default, lam=5.0, c=3.0), p42)
-    assert dec.d == pytest.approx(0.0, abs=3e-6)
-    assert dec.best.c == pytest.approx(3.0, rel=1e-7)
-    assert dec.best.lam == pytest.approx(5.0, rel=1e-6)
+    # the scan maximizes |<u, U_lambda>|, so a negative multiple is found too
+    for c in (3.0, -3.0):
+        dec = nl.dist_to_manifold(unit_bubble(p42, grid_default, lam=5.0, c=c), p42)
+        assert dec.d == pytest.approx(0.0, abs=3e-6)
+        assert dec.best.c == pytest.approx(c, rel=1e-7)
+        assert dec.best.lam == pytest.approx(5.0, rel=1e-6)
+
+
+def _sum(a, b, s):
+    return nl.RadialField(grid=a.grid, values=a.values + s * b.values,
+                          tail_exponent=min(a.tail_exponent, b.tail_exponent),
+                          head_value=a.head_value + s * b.head_value)
+
+
+def test_dist_finds_stationarity_root(p31, grid_default):
+    # far from the manifold: a golden-section search on the cancelling d^2
+    # stopped at a relative stationarity residual of 2.2e-8 here
+    u = _sum(unit_bubble(p31, grid_default), unit_bubble(p31, grid_default, lam=10.0), 0.5)
+    dec = nl.dist_to_manifold(u, p31)
+    _, dlam = nl.tangent_basis(p31, dec.best.lam, grid_default)[1]   # unit norm
+    resid = nl.h1_inner(u, dlam, 0, p31.N) / math.sqrt(nl.h1_inner(u, u, 0, p31.N))
+    assert abs(resid) <= 1e-12
+
+
+@pytest.mark.parametrize("s, lam", [(0.9, 1.1030), (1.2, 45.695)])
+def test_dist_two_bubble_multistart(p42, grid_default, s, lam):
+    # the scan sees two interior maxima of |<u, U_lambda>|; the larger wins
+    u = _sum(unit_bubble(p42, grid_default), unit_bubble(p42, grid_default, lam=50.0), s)
+    assert nl.dist_to_manifold(u, p42).best.lam == pytest.approx(lam, rel=1e-4)
+
+
+def test_dist_raises_when_no_root_bracketed(p42, grid_default, monkeypatch):
+    # a stationarity function with no sign change must raise, not fall back to
+    # the best scan node; <U_1, U_lambda> > 0 has none
+    import nlsobolev.manifold as manifold
+    monkeypatch.setattr(manifold, "_dlam_bubble",
+                        lambda p, lam, grid: unit_bubble(p, grid, lam=lam))
+    with pytest.raises(BracketingError):
+        nl.dist_to_manifold(unit_bubble(p42, grid_default), p42)
+
+
+def test_dist_h1_inner_call_budget(p42, grid_default, monkeypatch):
+    # one scan plus one bracketed root per candidate; a second search stage
+    # (177 calls with a golden section in front of the root) would exceed this
+    import nlsobolev.manifold as manifold
+    U = unit_bubble(p42, grid_default)
+    w = nl.project_orthogonal(bump_field(grid_default, 0.4, 0.7), p42, 1.0, 0)
+    u = _sum(U, w, 1e-3)
+    calls = []
+    inner = manifold.h1_inner
+    monkeypatch.setattr(manifold, "h1_inner", lambda *a: calls.append(1) or inner(*a))
+    nl.dist_to_manifold(u, p42)
+    assert len(calls) <= 150
 
 
 def test_dist_of_orthogonal_perturbation(p42, grid_default):
