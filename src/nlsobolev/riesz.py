@@ -13,9 +13,10 @@ psi(y) = e^{(N-alpha/2) y} f(e^y) with the fixed profile phi_ell.  The profile
 is weakly singular at xi = 0 (like |xi|^{N-1-alpha}, divergent for
 alpha >= N-1), so the convolution is discretized by product integration:
 Toeplitz weights exact for piecewise-cubic psi, built from moment tables of
-phi over grid cells, with the singular cell integrated adaptively.  Fields
-carrying jump markers are split into a continuous part plus exact
-exponential-step contributions so that ball indicators lose no accuracy.
+phi over grid cells; the singular cell uses one fixed Gauss rule graded
+geometrically toward xi = 0 (Schwab, Computing 53 (1994)).  Fields carrying
+jump markers are split into a continuous part plus exact exponential-step
+contributions so that ball indicators lose no accuracy.
 Both the smooth part and the step parts are one FFT convolution with a lag
 table (`_lag_convolve`); built kernels sit in a small LRU cache.
 
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import quad_vec
-from scipy.special import roots_jacobi
+from scipy.special import beta, hyp2f1, roots_jacobi
 
 from .errors import DivergentTailError, NumericsError, ValidationError
 from .grid import RadialField, RadialGrid
@@ -48,6 +48,7 @@ _NEAR_XI = 0.33
 _MOMENT_DEGREE = 8
 _KERNEL_CACHE_SIZE = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_C_FLOOR = 1e-280        # near-branch floor on c = cosh xi - 1, reached at xi ~ sqrt(2 c)
 # cubic Lagrange basis on eta-nodes {-1, 0, 1, 2}, ascending monomial coefficients
 _LAGRANGE4 = np.array([[0.0, -1 / 3, 1 / 2, -1 / 6],
                        [1.0, -1 / 2, -1.0, 1 / 2],
@@ -88,7 +89,8 @@ class KernelProfile:
         self.beta = (N - 1) / 2.0
         self.a0 = self.beta - 1.0
         self.gcoef = _gegenbauer_coeffs(ell, N)
-        self._gj_cache: dict[int, tuple] = {}
+        rules = [roots_jacobi(q, self.a0, self.a0) for q in self._FAR_ORDERS]
+        self._far_rules = [(t, w * np.polyval(self.gcoef[::-1], t)) for t, w in rules]
         # Taylor coefficients of rho(u) = G_ell(1-u)(2-u)^{beta-1} about u = 0
         J = 60
         binom = np.zeros(J)
@@ -107,26 +109,16 @@ class KernelProfile:
         self._i2_u = (xj + 3.0) / 2.0
         self._i2_w = (wj * 2.0 ** (-self.beta) * np.polyval(self.gcoef[::-1], 1 - self._i2_u)
                       * self._i2_u ** self.a0)
-        # int_0^1 v^{a0} (1+v)^{-alpha/2} dv with the v^{a0} weight built in
-        xa, wa = roots_jacobi(24, 0.0, self.a0)
-        va = (xa + 1.0) / 2.0
-        self._A0 = 2.0 ** (-(self.a0 + 1.0)) * float(np.sum(wa * (1 + va) ** (-self.alpha / 2)))
+        # A0 = int_0^1 v^{a0} (1+v)^{-alpha/2} dv, in closed form
+        self._A0 = hyp2f1(self.alpha / 2, self.a0 + 1, self.a0 + 2, -1.0) / (self.a0 + 1)
 
     # -- far branch ---------------------------------------------------------
-    def _gj_rule(self, q: int):
-        if q not in self._gj_cache:
-            e = (self.N - 3) / 2.0
-            t, w = roots_jacobi(q, e, e)
-            self._gj_cache[q] = (t, w * np.polyval(self.gcoef[::-1], t))
-        return self._gj_cache[q]
-
     def _far(self, xi: np.ndarray) -> np.ndarray:
         out = np.empty_like(xi)
         lo = self._FAR_EDGES[0]
-        for hi, q in zip(self._FAR_EDGES[1:], self._FAR_ORDERS):
+        for hi, (t, w) in zip(self._FAR_EDGES[1:], self._far_rules):
             m = (xi >= lo) & (xi < hi)
             if np.any(m):
-                t, w = self._gj_rule(q)
                 chi = np.cosh(xi[m])
                 out[m] = (chi[:, None] - t) ** (-self.alpha / 2) @ w
             lo = hi
@@ -149,7 +141,7 @@ class KernelProfile:
 
     def _near(self, xi: np.ndarray) -> np.ndarray:
         al = self.alpha
-        c = np.maximum(2.0 * np.sinh(xi / 2.0) ** 2, 1e-280)
+        c = np.maximum(2.0 * np.sinh(xi / 2.0) ** 2, _C_FLOOR)
         i2 = (c[:, None] + self._i2_u) ** (-al / 2) @ self._i2_w
         Ma = self._m_start(c)
         acc = self.rho[0] * Ma
@@ -186,13 +178,20 @@ class _ConvTables:
         ms = np.arange(1, nlag)
         vals = profile(((ms[:, None] + eta) * h).ravel()).reshape(len(ms), -1)
         P[:, 1:] = wtab @ vals.T
-        # singular cell m = 0, one adaptive vector quadrature
-        powers = np.arange(D)
-
-        def cell0(s):
-            return profile(s)[0] * (s / h) ** powers
-
-        P[:, 0] = quad_vec(cell0, 0.0, h, epsabs=1e-13, epsrel=1e-11, limit=200)[0] / h
+        # singular cell m = 0: eta = e^t, t in [t_lo, 0] on equal 12-node panels no
+        # wider than 0.75 (so e^{9t} to round-off).  phi ~ xi^pw + const, pw = N-1-alpha,
+        # leaves < e^{-37} below -T; where `_near`'s c-floor stops the rule short of -T,
+        # the rest is exact for phi's leading term 2^{a0} B(a0+1, -pw/2) (xi^2/2)^{pw/2}.
+        a0, pw = profile.a0, profile.N - 1 - profile.alpha
+        T = 37.0 / min(1.0, pw + 1)
+        t_lo = max(-T, math.log(math.sqrt(2 * _C_FLOOR) / h))
+        K = math.ceil(-t_lo / 0.75)
+        t = (t_lo / K * (np.arange(K)[:, None] + eta)).ravel()   # counted down from 0
+        wt = np.tile(_GL_W, K) * (-t_lo / (2 * K)) * profile(h * np.exp(t))
+        P[:, 0] = np.exp(np.outer(np.arange(1, D + 1), t)) @ wt
+        if t_lo > -T:   # only for N - alpha < 0.12, where pw < -0.88
+            q = pw + 1 + np.arange(D)
+            P[:, 0] += 2 ** (a0 - pw / 2) * beta(a0 + 1, -pw / 2) * h ** pw * np.exp(q * t_lo) / q
         self.P = P
         wpos = np.zeros(nlag + 3)                 # lags -1 .. nlag+1
         contrib = h * (_LAGRANGE4 @ P[:4])        # (4, nlag): weight vs (nu, cell)

@@ -5,7 +5,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import gegenbauer as scipy_gegenbauer
 
 import nlsobolev as nl
@@ -91,7 +91,8 @@ def test_newton_kernel_closed_form(p31):
 @pytest.mark.parametrize("N,alpha,ell",
                          [pytest.param(5, 2.7, ell, id=str(ell)) for ell in (1, 2, 3)]
                          + [(N, alpha, ell) for N in (3, 4, 5, 6)
-                            for alpha in (0.5, N - 2.0) for ell in (0, 1, 2, 3)])
+                            for alpha in (0.5, N - 2.0, N - 1.0, N - 0.95)
+                            for ell in (0, 1, 2, 3)])
 def test_kernel_vs_angular_quadrature_oracle(N, alpha, ell):
     """Direct polar-angle quadrature of int |r e1 - s w|^{-alpha} G_ell(w1) dw,
     with the Gegenbauer polynomial taken from scipy for independence; checks
@@ -243,12 +244,68 @@ def test_hls_form_bounds(p42, grid_1024):
             assert t_form < 1.0 - 1e-3
 
 
-def test_import_skips_scipy_signal():
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+def test_import_skips_scipy_module(module):
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nlsobolev; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, nlsobolev; print({module!r} in sys.modules)"],
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("N,alpha,ell", [(N, alpha, ell) for N in (3, 4, 5, 6)
+                                         for alpha in (0.5, N - 2.0, N - 1.0, N - 0.95)
+                                         for ell in (0, 3)])
+def test_singular_cell_matches_adaptive_oracle(N, alpha, ell):
+    """The graded rule's singular-cell moments P[d, 0] = int_0^1 phi(h eta)
+    eta^d deta against adaptive Gauss-Kronrod on [0, h] in the original
+    variable, through the alpha >= N-1 range where phi is unbounded."""
+    g = nl.make_log_grid(1e-2, 1e2, 129)
+    kern = nl.angular_kernel(nl.make_params(N, alpha), ell, g)
+    h, powers = g.h, np.arange(kern.tables.P.shape[0])
+    ref = quad_vec(lambda s: kern.profile(s)[0] * (s / h) ** powers, 0.0, h,
+                   epsabs=0.0, epsrel=1e-12, limit=400, quadrature="gk15")[0] / h
+    assert np.max(np.abs(kern.tables.P[:, 0] / ref - 1)) <= 1e-11
+
+
+@pytest.mark.parametrize("alpha", [2.9, 2.99])
+def test_singular_cell_near_alpha_N_closed_form(alpha):
+    """N = 3, ell = 0 has phi(xi) = ((c+2)^b - c^b)/b, c = 2 sinh^2(xi/2),
+    b = 1 - alpha/2.  As alpha -> N the graded rule's depth falls below the
+    near branch's c-floor and is finished by the leading term; the moments
+    must still match a 40-digit integral of the closed form."""
+    mp = pytest.importorskip("mpmath")
+    g = nl.make_log_grid(1e-3, 1e3, 1025)
+    P0 = nl.angular_kernel(nl.make_params(3, alpha), 0, g).tables.P[:, 0]
+
+    def moment(d):
+        h, b = mp.mpf(g.h), 1 - mp.mpf(alpha) / 2
+        pw = 2 - mp.mpf(alpha)          # phi ~ xi^pw; xi = h v^{1/(pw+1)} absorbs it
+
+        def f(v):
+            xi = h * v ** (1 / (pw + 1))
+            c = 2 * mp.sinh(xi / 2) ** 2
+            return ((c + 2) ** b - c ** b) / b * xi ** -pw * v ** (d / (pw + 1))
+        return mp.quad(f, [0, mp.mpf(10) ** -30, mp.mpf(10) ** -10, 1]) * h ** pw / (pw + 1)
+
+    with mp.workdps(40):
+        ref = np.array([float(moment(d)) for d in range(len(P0))])
+    assert np.max(np.abs(P0 / ref - 1)) <= 1e-12
+
+
+def test_cold_build_makes_few_profile_calls(monkeypatch):
+    """One vector call for the regular cells and one for the singular cell."""
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    calls = []
+    call = riesz.KernelProfile.__call__
+
+    def counted(self, xi):
+        calls.append(len(np.atleast_1d(xi)))
+        return call(self, xi)
+
+    monkeypatch.setattr(riesz.KernelProfile, "__call__", counted)
+    nl.angular_kernel(nl.make_params(5, 4.02), 0, nl.make_log_grid(1e-3, 1e3, 2048))
+    assert 1 <= len(calls) <= 4
 
 
 @pytest.mark.parametrize("n,m,half", [(1, 1, 0), (7, 15, 7), (40, 17, 3), (64, 129, 64),
