@@ -71,6 +71,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _float_list(flag: str, text: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"{flag} must be a comma-separated list of numbers, got {text!r}") from None
+
+
 def _envelope(p, grid, payload) -> dict:
     return {
         "tool_version": __version__,
@@ -139,14 +147,14 @@ def run_cli(argv=None) -> int:
             rep.ratio = rep.deficit / dec.d ** 2 if dec.d > 0 else None
             payload = rep.to_json_dict()
         elif args.command == "sweep":
-            eps = tuple(float(s) for s in args.epsilons.split(","))
+            eps = tuple(_float_list("--epsilons", args.epsilons))
             dirs = tuple(s.strip() for s in args.directions.split(","))
             cfg = SweepConfig(params=p, epsilons=eps, directions=dirs,
                               grid=grid, seed=args.seed)
             rows = ratio_sweep(cfg)
             payload = {"rows": [r.to_json_dict() for r in rows], **summarize_sweep(rows)}
         elif args.command == "bounded":
-            lams = [float(s) for s in args.lambdas.split(",")]
+            lams = _float_list("--lambdas", args.lambdas)
             rep = bounded_domain_experiment(p, args.radius, lams, args.grid_n)
             grid = rep.grid
             payload = rep.to_json_dict()

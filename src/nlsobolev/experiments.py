@@ -29,11 +29,12 @@ class SweepConfig:
     the degenerate eigenvalue; "random-<k>" takes a seeded bump in t =
     (log r - x0) / (3 sigma), exp(1 - 1/(1 - t^2)) for |t| < 1 and exactly 0
     elsewhere (x0 uniform in [-2, 2], sigma in [0.4, 1.2], drawn from
-    seed + k), projected orthogonal to the tangent space.  The bump is
-    C-infinity with compact support, so after projection its far field is
-    exactly the tangent directions' r^{-(N-2)} tail that the field declares;
-    a support that does not lie strictly inside the grid is a validation
-    error, recorded as the row's note.
+    seed + k, both non-negative integers), projected orthogonal to the
+    tangent space.  The bump is C-infinity with compact support, so after
+    projection its far field is exactly the tangent directions' r^{-(N-2)}
+    tail that the field declares; a malformed spec, or a support that does
+    not lie strictly inside the grid, is a validation error, recorded as the
+    row's note.
     """
     params: Params
     epsilons: tuple[float, ...] = (1e-2, 3e-3, 1e-3)
@@ -45,6 +46,8 @@ class SweepConfig:
         eps = self.epsilons
         if not all(0 < e < math.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValidationError("epsilons must be finite, positive and strictly decreasing")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -71,7 +74,10 @@ def _direction_field(spec: str, cfg: SweepConfig, grid: RadialGrid) -> RadialFie
         w = RadialField(grid=grid, values=vec, tail_exponent=float(p.N - 2),
                         head_value=float(vec[0]))
     elif spec.startswith("random-"):
-        rng = np.random.default_rng(cfg.seed + int(spec.split("-", 1)[1]))
+        k = spec[len("random-"):]
+        if not (k.isascii() and k.isdigit()):
+            raise ValidationError(f"{spec}: random-<k> needs a non-negative integer k")
+        rng = np.random.default_rng(cfg.seed + int(k))
         x0 = rng.uniform(-2.0, 2.0)
         sig = rng.uniform(0.4, 1.2)
         lo, hi = x0 - 3 * sig, x0 + 3 * sig
@@ -185,6 +191,8 @@ def bounded_domain_experiment(p: Params, R: float, lambdas: list[float],
     if R <= 0:
         raise ValidationError("R must be positive")
     lams = [float(l) for l in lambdas]
+    if not all(math.isfinite(l) for l in lams):
+        raise ValidationError("lambdas must be finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValidationError("lambdas must be increasing")
     if any(l * R < 10 for l in lams):

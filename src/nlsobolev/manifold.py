@@ -13,14 +13,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
 from .errors import BracketingError, ValidationError
-from .grid import RadialField, RadialGrid, h1_inner
-from .params import Params, hls_sobolev_constant
+from .grid import RadialField, RadialGrid, _dmat, _tail_correction, h1_inner
+from .params import Params, hls_sobolev_constant, sphere_area
 
 __all__ = ["BubbleParams", "Decomposition", "bubble", "tangent_basis",
            "dist_to_manifold", "project_orthogonal"]
+
+_SCAN_HALF_WIDTH = math.log(100.0)          # the scan covers lam0 * [1/100, 100]
+_SCAN_SPACING = 2 * _SCAN_HALF_WIDTH / 120  # target node spacing in log lambda
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,44 @@ def _half_height_scale(p: Params, u: RadialField) -> float:
     return r_half_bubble / r_half_u
 
 
+def _overlap_representer(u: RadialField, N: int) -> np.ndarray:
+    """The vector rep with rep @ v.values == h1_inner(u, v, 0, N) for every v
+    of tail exponent N - 2 (the bubbles and their lambda-derivatives):
+    omega_{N-1} D^T (ew * Du), with h1_inner's gradient-tail term, linear in
+    v's end slope Dv[-1] / r_max, folded into the last stencil row."""
+    g = u.grid
+    D = _dmat(g.n, g.h, 1)
+    ux = D @ u.values
+    gw = g.log_weights * np.exp((N - 2) * g.x) * ux
+    gw[-1] += _tail_correction(ux[-1] / g.r_max, u.tail_exponent + N, N, g.r_max) / g.r_max
+    return sphere_area(N) * (D.T @ gw)
+
+
+def _scan_steps(h: float) -> tuple[int, int]:
+    """(m, K) for the lambda-scan nodes log lam0 + k m h, k = -K..K: m h is
+    the grid multiple nearest _SCAN_SPACING (h itself on coarser grids), and
+    K m h reaches _SCAN_HALF_WIDTH."""
+    m = max(1, round(_SCAN_SPACING / h))
+    return m, math.ceil(_SCAN_HALF_WIDTH / (m * h))
+
+
 def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     """Minimize ||u - c U_{lambda,0}|| in the gradient norm.
 
     For fixed lambda the optimal coefficient is closed-form,
     c(lambda) = p(lambda) / ||U||^2 with p(lambda) = <u, U_lambda>_{D^{1,2}},
     and ||U_lambda|| does not depend on lambda, so the minima of
-    d^2 = ||u||^2 - c^2 ||U||^2 are the maxima of |p|.  A 121-node scan of p
-    over log lambda picks the (at most 3) best interior maxima of |p|; on the
-    two scan cells around each, brentq solves the stationarity equation
+    d^2 = ||u||^2 - c^2 ||U||^2 are the maxima of |p|.  The form is linear in
+    U_lambda, so u is differentiated once: every overlap is rep @ U_lambda
+    with rep = `_overlap_representer(u)`, the same discrete form as h1_inner.
+    The scan of p runs over log lambda = log lam0 + k m h, multiples of the
+    grid step h nearest the spacing 2 log 100 / 120 (the step is h itself on
+    grids coarser than that), and spans at least lam0 * [1/100, 100].  On
+    those nodes U_lambda(r_i) = a lambda^e f(x_i + log lambda), with
+    f(y) = (1 + e^{2y})^{-e} and e = (N-2)/2, is a window of f sampled once on
+    the extended grid, so the scan is one strided correlation of f with rep.
+    It picks the (at most 3) best interior maxima of |p|; on the two scan
+    cells around each, brentq solves the stationarity equation
     <u, d/dlambda U_lambda> = 0, which, unlike d^2, does not cancel.  The root
     with the largest |p| wins.  A scan with no interior maximum, or with no
     candidate whose cells bracket a root, raises BracketingError.
@@ -128,17 +161,18 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
         raise ValidationError("distance to the manifold is undefined for the zero field")
     U1 = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
     EU = h1_inner(U1, U1, 0, p.N)
-
-    def overlap(loglam: float) -> float:
-        return h1_inner(u, bubble(p, BubbleParams(c=1.0, lam=math.exp(loglam)), grid), 0, p.N)
+    rep = _overlap_representer(u, p.N)
 
     def stationarity(loglam: float) -> float:
-        return h1_inner(u, _dlam_bubble(p, math.exp(loglam), grid), 0, p.N)
+        return float(rep @ _dlam_bubble(p, math.exp(loglam), grid).values)
 
-    lam0 = _half_height_scale(p, u)
-    lo, hi = math.log(lam0) - math.log(100.0), math.log(lam0) + math.log(100.0)
-    xs = np.linspace(lo, hi, 121)
-    absp = np.abs([overlap(x) for x in xs])
+    m, K = _scan_steps(grid.h)
+    xs = math.log(_half_height_scale(p, u)) + m * grid.h * np.arange(-K, K + 1)
+    e = (p.N - 2) / 2.0
+    y = grid.x[0] + xs[0] + grid.h * np.arange(grid.n + 2 * K * m)
+    f = np.exp(-e * np.logaddexp(0.0, 2.0 * y))
+    # |p| / a at the scan nodes; the window view materializes no scan x n block
+    absp = np.abs(np.exp(e * xs) * (sliding_window_view(f, grid.n)[::m] @ rep))
     interior = [j for j in range(1, len(xs) - 1)
                 if absp[j] >= absp[j - 1] and absp[j] >= absp[j + 1]]
     if not interior:
@@ -149,7 +183,7 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
         if stationarity(xs[j - 1]) * stationarity(xs[j + 1]) > 0:
             continue
         ll = brentq(stationarity, xs[j - 1], xs[j + 1], xtol=1e-14)
-        pl = overlap(ll)
+        pl = float(rep @ bubble(p, BubbleParams(c=1.0, lam=math.exp(ll)), grid).values)
         if best is None or abs(pl) > abs(best[0]):
             best = (pl, ll)
     if best is None:

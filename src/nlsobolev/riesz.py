@@ -18,7 +18,8 @@ geometrically toward xi = 0 (Schwab, Computing 53 (1994)).  Fields carrying
 jump markers are split into a continuous part plus exact exponential-step
 contributions so that ball indicators lose no accuracy.
 Both the smooth part and the step parts are one FFT convolution with a lag
-table (`_lag_convolve`); built kernels sit in a small LRU cache.
+table (`_lag_convolve`); the smooth part's table is transformed once per
+kernel, and built kernels sit in a small LRU cache.
 
 The normalization is c_ell = omega_{N-2} = |S^{N-2}| by the Funk-Hecke
 formula (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV): for
@@ -56,10 +57,18 @@ _LAGRANGE4 = np.array([[0.0, -1 / 3, 1 / 2, -1 / 6],
                        [0.0, -1 / 6, 0.0, 1 / 6]])
 
 
-def _lag_convolve(seq: np.ndarray, lags: np.ndarray, half: int) -> np.ndarray:
-    """out[i] = sum_j lags[half + i - j] seq[j] for i < len(seq), by one real FFT."""
-    L = next_fast_len(len(seq) + len(lags) - 1, True)
-    return irfft(rfft(seq, L) * rfft(lags, L), L)[half:half + len(seq)]
+def _fft_len(nseq: int, nlags: int) -> int:
+    return next_fast_len(nseq + nlags - 1, True)
+
+
+def _lag_convolve(seq: np.ndarray, lags: np.ndarray, half: int,
+                  lags_hat: np.ndarray | None = None) -> np.ndarray:
+    """out[i] = sum_j lags[half + i - j] seq[j] for i < len(seq), by one real FFT;
+    a caller that reuses `lags` passes lags_hat = rfft(lags, _fft_len(...))."""
+    L = _fft_len(len(seq), len(lags))
+    if lags_hat is None:
+        lags_hat = rfft(lags, L)
+    return irfft(rfft(seq, L) * lags_hat, L)[half:half + len(seq)]
 
 
 def _gegenbauer_coeffs(ell: int, N: int) -> np.ndarray:
@@ -203,9 +212,11 @@ class _ConvTables:
         w[:M + 2] += wpos[::-1]
         self.weights = w
         self.half = M
+        # every psi spans the nlag padded nodes, so the weights transform once
+        self._weights_hat = rfft(w, _fft_len(nlag, len(w)))
 
     def convolve(self, psi: np.ndarray) -> np.ndarray:
-        return _lag_convolve(psi, self.weights, self.half)
+        return _lag_convolve(psi, self.weights, self.half, self._weights_hat)
 
     def toeplitz(self, n: int) -> np.ndarray:
         """Dense weight matrix W[i, j] = w_{i-j} for grid-size n."""

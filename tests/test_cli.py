@@ -147,6 +147,34 @@ def test_sweep_bad_epsilon_exit_code(eps, capsys):
     assert "error: epsilons must be finite, positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--epsilons", "abc"], "error: --epsilons must be a comma-separated list"),
+    (["sweep", "--epsilons", "1e-2,"], "error: --epsilons must be a comma-separated list"),
+    (["sweep", "--seed", "-5"], "error: seed must be non-negative"),
+    (["bounded", "--lambdas", "1e2,x"], "error: --lambdas must be a comma-separated list"),
+    (["bounded", "--lambdas", "1e2,nan"], "error: lambdas must be finite"),
+    (["bounded", "--lambdas", "inf"], "error: lambdas must be finite"),
+], ids=["epsilons-abc", "epsilons-trailing-comma", "seed-negative", "lambdas-x",
+        "lambdas-nan", "lambdas-inf"])
+def test_bad_list_or_seed_exit_code(argv, message, capsys):
+    code = run_cli(argv + ["--dim", "6", "--alpha", "4", "--grid-n", "512"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["random-abc", "random--3", "random-", "random-1.5"])
+def test_sweep_bad_random_spec_is_row_note(spec, tmp_path):
+    code, _, env = run_to_json(
+        ["sweep", "--dim", "6", "--alpha", "4", "--grid-n", "512", "--seed", "1",
+         "--epsilons", "1e-2,1e-3", "--directions", spec], tmp_path, "bad.json")
+    assert code == 0
+    rows = env["payload"]["rows"]
+    assert len(rows) == 2
+    assert all(r["ratio"] is None and "non-negative integer k" in r["note"] for r in rows)
+
+
 def test_run_as_module_without_runtime_warning(tmp_path):
     # the package must not import nlsobolev.cli before runpy executes it
     out = os.path.join(tmp_path, "c.json")

@@ -121,8 +121,8 @@ def test_dist_raises_when_no_root_bracketed(p42, grid_default, monkeypatch):
 
 
 def test_dist_h1_inner_call_budget(p42, grid_default, monkeypatch):
-    # one scan plus one bracketed root per candidate; a second search stage
-    # (177 calls with a golden section in front of the root) would exceed this
+    # ||u||^2, ||U||^2 and the residual norm; every overlap goes through u's
+    # representer, so a scan of per-lambda h1_inner calls (~135) fails this
     import nlsobolev.manifold as manifold
     U = unit_bubble(p42, grid_default)
     w = nl.project_orthogonal(bump_field(grid_default, 0.4, 0.7), p42, 1.0, 0)
@@ -131,7 +131,88 @@ def test_dist_h1_inner_call_budget(p42, grid_default, monkeypatch):
     inner = manifold.h1_inner
     monkeypatch.setattr(manifold, "h1_inner", lambda *a: calls.append(1) or inner(*a))
     nl.dist_to_manifold(u, p42)
-    assert len(calls) <= 150
+    assert len(calls) <= 4
+
+
+def _oracle_dist(u, p):
+    """The per-lambda search the representer replaced: a 121-node linspace
+    scan of h1_inner overlaps over lam0 * [1/100, 100], then brentq on
+    h1_inner stationarity values."""
+    from scipy.optimize import brentq
+    import nlsobolev.manifold as manifold
+    grid, N = u.grid, p.N
+    U1 = unit_bubble(p, grid)
+    EU = nl.h1_inner(U1, U1, 0, N)
+
+    def overlap(s):
+        return nl.h1_inner(u, unit_bubble(p, grid, lam=math.exp(s)), 0, N)
+
+    def stationarity(s):
+        return nl.h1_inner(u, manifold._dlam_bubble(p, math.exp(s), grid), 0, N)
+
+    x0 = math.log(manifold._half_height_scale(p, u))
+    xs = np.linspace(x0 - math.log(100.0), x0 + math.log(100.0), 121)
+    absp = np.abs([overlap(x) for x in xs])
+    interior = sorted((j for j in range(1, 120)
+                       if absp[j] >= absp[j - 1] and absp[j] >= absp[j + 1]),
+                      key=lambda j: -absp[j])
+    best = None
+    for j in interior[:3]:
+        if stationarity(xs[j - 1]) * stationarity(xs[j + 1]) > 0:
+            continue
+        s = brentq(stationarity, xs[j - 1], xs[j + 1], xtol=1e-14)
+        if best is None or abs(overlap(s)) > abs(best[0]):
+            best = (overlap(s), s)
+    c, lam = best[0] / EU, math.exp(best[1])
+    Ub = unit_bubble(p, grid, lam=lam, c=c)
+    resid = _sum(u, Ub, -1.0)
+    return c, lam, math.sqrt(nl.h1_inner(resid, resid, 0, N))
+
+
+def _fields(p, grid):
+    """A bubble plus a bump (declared tail N - 2), a bump alone (infinite
+    tail) and a profile decaying slower than the bubble (tail N - 2.4)."""
+    U = unit_bubble(p, grid)
+    bump = bump_field(grid, 0.4, 0.7)
+    slow = nl.RadialField(grid=grid, values=(1.0 + grid.nodes ** 2) ** (-(p.N - 2.4) / 2),
+                          tail_exponent=p.N - 2.4, head_value=1.0)
+    return {"finite": _sum(U, bump, 0.05 * U.head_value), "infinite": bump, "slow": slow}
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 1.0), (4, 2.0), (5, 3.0), (6, 4.0)])
+@pytest.mark.parametrize("n", [2048, 256, 64])   # at n = 64 the grid step exceeds the scan's
+@pytest.mark.parametrize("tail", ["finite", "infinite"])
+def test_dist_matches_per_lambda_oracle(N, alpha, n, tail):
+    p = nl.make_params(N, alpha)
+    u = _fields(p, nl.make_log_grid(1e-3, 1e3, n))[tail]
+    dec = nl.dist_to_manifold(u, p)
+    got, want = (dec.best.c, dec.best.lam, dec.d), _oracle_dist(u, p)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-10)
+
+
+@pytest.mark.parametrize("tail", ["finite", "infinite", "slow"])
+def test_overlap_representer_is_h1_inner(p42, p31, grid_default, tail):
+    import nlsobolev.manifold as manifold
+    for p in (p31, p42):
+        u = _fields(p, grid_default)[tail]
+        rep = manifold._overlap_representer(u, p.N)
+        for lam in (0.03, 0.5, 1.0, 7.0, 60.0):
+            for v in (unit_bubble(p, grid_default, lam=lam),
+                      manifold._dlam_bubble(p, lam, grid_default)):
+                want = nl.h1_inner(u, v, 0, p.N)
+                assert rep @ v.values == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048, 8192])
+def test_dist_scan_spans_two_decades(n):
+    # the scan nodes log lam0 + k m h, k = -K..K, are grid multiples that
+    # reach lam0 / 100 and 100 lam0, no coarser than the 121-node linspace
+    import nlsobolev.manifold as manifold
+    h = nl.make_log_grid(1e-3, 1e3, n).h
+    m, K = manifold._scan_steps(h)
+    assert m >= 1 and K * m * h >= math.log(100.0)
+    assert m * h <= max(h, 1.5 * 2 * math.log(100.0) / 120)
 
 
 def test_dist_of_orthogonal_perturbation(p42, grid_default):

@@ -341,3 +341,24 @@ def test_kernel_cache_is_bounded_lru(monkeypatch):
     assert len(riesz._kernel_cache) == size
     assert nl.angular_kernel(p, 0, grids[0]) is not kernels[0]   # evicted, rebuilt
     assert len(riesz._kernel_cache) == size
+
+
+@pytest.mark.parametrize("N,alpha,ell", [(4, 2.0, 0), (5, 2.7, 1), (3, 2.5, 0)])
+def test_cached_weight_spectrum_is_bit_identical(N, alpha, ell, monkeypatch):
+    # the lag table's rfft is taken once per kernel; re-transforming it on
+    # every call, as before, must give the same bits
+    p, g = nl.make_params(N, alpha), nl.make_log_grid(1e-3, 1e3, 512)
+    f = bump_field(g, 0.2, 0.8)
+    U = nl.field_abs_pow(unit_bubble(p, g), p.two_star_alpha - 1.0)
+    ind = nl.indicator_field(g, float(g.nodes[300]))
+
+    def results():
+        return (nl.riesz_potential(f, p, ell).values, nl.riesz_potential(U, p, ell).values,
+                nl.riesz_potential(ind, p, ell).values,
+                nl.interaction_energy(f, U, p), nl.interaction_energy(U, U, p))
+
+    cached = results()
+    monkeypatch.setattr(riesz._ConvTables, "convolve",
+                        lambda self, psi: riesz._lag_convolve(psi, self.weights, self.half))
+    for a, b in zip(cached, results()):
+        assert np.array_equal(a, b)
