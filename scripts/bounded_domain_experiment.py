@@ -5,8 +5,10 @@ positive floor, while the strong-norm quotient decays like 1/log(R lambda):
 this is the numerical signature that the weak norm cannot be upgraded."""
 import argparse
 import math
+import sys
 
 import nlsobolev as nl
+from nlsobolev.cli import float_list, run_guarded
 
 
 def main():
@@ -17,7 +19,7 @@ def main():
     ap.add_argument("--lambdas", default="1e2,3e2,1e3,3e3,1e4")
     args = ap.parse_args()
     p = nl.make_params(args.dim, args.alpha)
-    lams = [float(s) for s in args.lambdas.split(",")]
+    lams = float_list("--lambdas", args.lambdas)
     rep = nl.bounded_domain_experiment(p, args.radius, lams)
     print(f"N={p.N} alpha={p.alpha} R={args.radius}  q = {p.q_weak:.4g}")
     head = (f"{'lambda':>9s} {'deficit':>12s} {'weak':>10s} {'strong':>10s} "
@@ -34,4 +36,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

@@ -5,8 +5,10 @@ Perturbs the bubble along the first radial eigenfunction above the degenerate
 eigenvalue and along seeded random directions, prints the ratio ladder as
 eps -> 0, and compares the limit with the second-order spectral prediction."""
 import argparse
+import sys
 
 import nlsobolev as nl
+from nlsobolev.cli import float_list, run_guarded
 
 
 def main():
@@ -19,7 +21,7 @@ def main():
     args = ap.parse_args()
     p = nl.make_params(args.dim, args.alpha)
     grid = nl.make_log_grid(1e-3, 1e3, args.grid_n)
-    eps = tuple(float(s) for s in args.epsilons.split(","))
+    eps = tuple(float_list("--epsilons", args.epsilons))
     cfg = nl.SweepConfig(params=p, epsilons=eps,
                          directions=("eigen-gap", "random-1", "random-2"),
                          grid=grid, seed=args.seed)
@@ -44,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

@@ -5,10 +5,12 @@ acceptance formula 2(mu_gap - 2*_a) (not a remainder constant whenever it
 exceeds 1, since deficit/dist^2 <= 1 + o(1)), and the mu_gap-only floor
 (mu_gap - 2*_a)/mu_gap of the second-order coefficient."""
 import argparse
+import sys
 
 import numpy as np
 
 import nlsobolev as nl
+from nlsobolev.cli import run_guarded
 
 
 def main():
@@ -18,9 +20,14 @@ def main():
     ap.add_argument("--grid-n", type=int, default=1024)
     ap.add_argument("--k", type=int, default=6)
     args = ap.parse_args()
-    for spec in args.pairs.split(","):
-        n_str, a_str = spec.split(":")
-        p = nl.make_params(int(n_str), float(a_str))
+    try:
+        pairs = [(int(n), float(a))
+                 for n, a in (spec.split(":") for spec in args.pairs.split(","))]
+    except ValueError:
+        raise nl.ValidationError(
+            f"--pairs must be a comma list of N:alpha, got {args.pairs!r}") from None
+    for n, a in pairs:
+        p = nl.make_params(n, a)
         rmin, rmax = (1e-4, 1e4) if p.N == 3 else (1e-3, 1e3)
         grid = nl.make_log_grid(rmin, rmax, args.grid_n)
         print(f"\nN={p.N} alpha={p.alpha}  (2*_alpha = {p.two_star_alpha:.6g})")
@@ -37,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

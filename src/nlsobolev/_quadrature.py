@@ -1,4 +1,4 @@
-"""Low-level quadrature, differentiation and line-search helpers on uniform grids.
+"""Low-level quadrature and differentiation helpers on uniform grids.
 
 Everything here works in the log-radius variable x = log r, where the grids
 are uniform.  The composite trapezoidal rule is corrected at both ends with
@@ -8,8 +8,6 @@ while the interior weights stay equal to h, which preserves the spectral
 accuracy of the plain trapezoidal rule for integrands decaying at both ends.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,21 +121,3 @@ def staggered_derivative_matrix(n: int, h: float, width: int = 8) -> sp.csr_arra
         raise ValueError(f"grid too small for staggered stencil: n={n}")
     return _stencil_matrix(n, h, 1, width, 0.5, n - 1)
 
-
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, float]:
-    """Golden-section search for a minimum of f on [a, b], stopped once the
-    bracket is narrower than tol.  Returns the final bracket (a, b) and the
-    smaller of its two probe values."""
-    phi = (math.sqrt(5) - 1) / 2
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return a, b, min(fc, fd)

@@ -19,7 +19,7 @@ from .manifold import BubbleParams, bubble, dist_to_manifold
 from .params import hls_sobolev_constant, make_params
 from .spectrum import assemble_sector, solve_generalized, spectral_gap
 
-__all__ = ["run_cli", "main"]
+__all__ = ["run_cli", "run_guarded", "float_list", "main"]
 
 
 class _UsageError(Exception):
@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _float_list(flag: str, text: str) -> list[float]:
+def float_list(flag: str, text: str) -> list[float]:
     try:
         return [float(s) for s in text.split(",")]
     except ValueError:
@@ -108,60 +108,71 @@ def run_cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
+    return run_guarded(lambda: _run(args))
+
+
+def _run(args) -> int:
+    """Run one parsed subcommand and return its exit code."""
+    p = make_params(args.dim, args.alpha)
+    grid = (make_log_grid(args.grid_min, args.grid_max, args.grid_n)
+            if hasattr(args, "grid_min") else None)
+    exit_code = 0
+    if args.command == "constants":
+        c = hls_sobolev_constant(p)
+        payload = {"c_hls": c.c_hls, "s_sob": c.s_sob, "s_hls": c.s_hls,
+                   "bubble_amp": c.bubble_amp,
+                   "two_star_alpha": p.two_star_alpha, "two_star": p.two_star,
+                   "q_weak": p.q_weak}
+    elif args.command == "verify-bubble":
+        U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
+        res = el_residual(U, p)
+        rep = deficit(U, p)
+        c = hls_sobolev_constant(p)
+        ident = c.s_hls ** ((2 * p.N - p.alpha) / (p.N + 2 - p.alpha))
+        payload = {"el_residual": res,
+                   "deficit_rel": rep.deficit / rep.grad_energy,
+                   "grad_energy": rep.grad_energy,
+                   "hls_energy": rep.hls_energy,
+                   "norm_identity_rel": abs(rep.grad_energy - ident) / ident}
+        if res >= 1e-4:
+            exit_code = 2
+    elif args.command == "spectrum":
+        if args.ell is not None:
+            rep = solve_generalized(assemble_sector(p, args.ell, grid), args.k)
+        else:
+            rep = spectral_gap(p, grid, args.k)
+        payload = rep.to_json_dict()
+    elif args.command == "deficit":
+        f = read_field_csv(args.input)
+        grid = f.grid
+        rep = deficit(f, p)
+        dec = dist_to_manifold(f, p)
+        rep.dist = dec.d
+        rep.ratio = rep.deficit / dec.d ** 2 if dec.d > 0 else None
+        payload = rep.to_json_dict()
+    elif args.command == "sweep":
+        eps = tuple(float_list("--epsilons", args.epsilons))
+        dirs = tuple(s.strip() for s in args.directions.split(","))
+        cfg = SweepConfig(params=p, epsilons=eps, directions=dirs,
+                          grid=grid, seed=args.seed)
+        rows = ratio_sweep(cfg)
+        payload = {"rows": [r.to_json_dict() for r in rows], **summarize_sweep(rows)}
+    elif args.command == "bounded":
+        lams = float_list("--lambdas", args.lambdas)
+        rep = bounded_domain_experiment(p, args.radius, lams, args.grid_n)
+        grid = rep.grid
+        payload = rep.to_json_dict()
+    else:  # pragma: no cover - argparse enforces the choices
+        raise ValidationError(f"unknown command {args.command!r}")
+    _emit(_envelope(p, grid, payload), args.out)
+    return exit_code
+
+
+def run_guarded(body):
+    """Return body(); a validation or file error instead prints an `error:` line
+    and returns 1, a numerical failure a `numerical failure:` line and 2."""
     try:
-        p = make_params(args.dim, args.alpha)
-        grid = (make_log_grid(args.grid_min, args.grid_max, args.grid_n)
-                if hasattr(args, "grid_min") else None)
-        exit_code = 0
-        if args.command == "constants":
-            c = hls_sobolev_constant(p)
-            payload = {"c_hls": c.c_hls, "s_sob": c.s_sob, "s_hls": c.s_hls,
-                       "bubble_amp": c.bubble_amp,
-                       "two_star_alpha": p.two_star_alpha, "two_star": p.two_star,
-                       "q_weak": p.q_weak}
-        elif args.command == "verify-bubble":
-            U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
-            res = el_residual(U, p)
-            rep = deficit(U, p)
-            c = hls_sobolev_constant(p)
-            ident = c.s_hls ** ((2 * p.N - p.alpha) / (p.N + 2 - p.alpha))
-            payload = {"el_residual": res,
-                       "deficit_rel": rep.deficit / rep.grad_energy,
-                       "grad_energy": rep.grad_energy,
-                       "hls_energy": rep.hls_energy,
-                       "norm_identity_rel": abs(rep.grad_energy - ident) / ident}
-            if res >= 1e-4:
-                exit_code = 2
-        elif args.command == "spectrum":
-            if args.ell is not None:
-                rep = solve_generalized(assemble_sector(p, args.ell, grid), args.k)
-            else:
-                rep = spectral_gap(p, grid, args.k)
-            payload = rep.to_json_dict()
-        elif args.command == "deficit":
-            f = read_field_csv(args.input)
-            grid = f.grid
-            rep = deficit(f, p)
-            dec = dist_to_manifold(f, p)
-            rep.dist = dec.d
-            rep.ratio = rep.deficit / dec.d ** 2 if dec.d > 0 else None
-            payload = rep.to_json_dict()
-        elif args.command == "sweep":
-            eps = tuple(_float_list("--epsilons", args.epsilons))
-            dirs = tuple(s.strip() for s in args.directions.split(","))
-            cfg = SweepConfig(params=p, epsilons=eps, directions=dirs,
-                              grid=grid, seed=args.seed)
-            rows = ratio_sweep(cfg)
-            payload = {"rows": [r.to_json_dict() for r in rows], **summarize_sweep(rows)}
-        elif args.command == "bounded":
-            lams = _float_list("--lambdas", args.lambdas)
-            rep = bounded_domain_experiment(p, args.radius, lams, args.grid_n)
-            grid = rep.grid
-            payload = rep.to_json_dict()
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValidationError(f"unknown command {args.command!r}")
-        _emit(_envelope(p, grid, payload), args.out)
-        return exit_code
+        return body()
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -122,11 +122,65 @@ def test_el_residual_wrong_multiple(p42, grid_default):
 
 
 def test_weak_norm_indicator():
-    # indicator of B_1, N = 3, q = 3 -> (4 pi / 3)^{1/3}
+    # indicator of B_1, N = 3, q = 3 -> (4 pi / 3)^{1/3} for every R >= 1: the
+    # refinement must not step across the jump into the zero region
     g = nl.make_log_grid(1e-3, 1e3, 2049)
     ind = nl.indicator_field(g, 1.0)
     exact = (4 * math.pi / 3) ** (1.0 / 3.0)
-    assert nl.weak_norm(ind, 1.0, 3.0) == pytest.approx(exact, rel=2e-3)
+    vals = [nl.weak_norm(ind, R, 3.0) for R in (1.0, 10.0, 100.0)]
+    assert vals[1] == pytest.approx(vals[0], rel=1e-12)
+    assert vals[2] == pytest.approx(vals[0], rel=1e-12)
+    assert vals[0] == pytest.approx(exact, rel=1e-4)
+
+
+@pytest.mark.parametrize("R,q,match", [
+    (math.nan, 3.0, "R must be finite"), (math.inf, 3.0, "R must be finite"),
+    (1.0, math.nan, "finite q"), (1.0, math.inf, "finite q"),
+    (1.0, 1e300, "maps to dimension N=2"),
+])
+def test_weak_norm_rejects_bad_R_or_q(R, q, match):
+    g = nl.make_log_grid(1e-3, 1.0, 256)
+    u = nl.RadialField(grid=g, values=np.ones(g.n), tail_exponent=np.inf, head_value=1.0)
+    with pytest.raises(ValidationError, match=match):
+        nl.weak_norm(u, R, q)
+
+
+def _weak_norm_oracle(u, R, q):
+    """The same trapezoid F, with the quotient's grid maximum refined by a
+    bounded scalar maximization of a PCHIP through five values of F."""
+    from scipy.interpolate import PchipInterpolator
+    from scipy.optimize import minimize_scalar
+    N, g = round(2 * q / (q - 1)), u.grid
+    n = int(np.sum(g.nodes <= R * (1 + 1e-12)))
+    integ = np.abs(u.values[:n]) * np.exp(N * g.x[:n])
+    cells = 0.5 * g.h * (integ[1:] + integ[:-1])
+    F = nl.sphere_area(N) * (np.concatenate([[0.0], np.cumsum(cells)])
+                             + abs(u.head_value) * g.nodes[0] ** N / N)
+    quot = lambda x, c: c / (nl.sphere_area(N) / N * np.exp(N * x)) ** (1 - 1 / q)
+    j = int(np.argmax(quot(g.x[:n], F)))
+    cub = PchipInterpolator(g.x[max(j - 2, 0):j + 3], F[max(j - 2, 0):j + 3])
+    res = minimize_scalar(lambda x: -quot(x, cub(x)), method="bounded",
+                          bounds=(g.x[max(j - 1, 0)], g.x[min(j + 1, n - 1)]),
+                          options={"xatol": 1e-12})
+    return max(quot(g.x[j], F[j]), -res.fun)
+
+
+def _truncated_bubble(N, lam, g):
+    U = unit_bubble(nl.make_params(N, 1.0), g, lam=lam)
+    aR = U.head_value * (1 + lam * lam) ** (-(N - 2) / 2)
+    return nl.RadialField(grid=g, values=np.maximum(U.values - aR, 0.0),
+                          tail_exponent=np.inf, head_value=U.head_value - aR)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_weak_norm_matches_pchip_oracle(N):
+    """Truncated bubbles on the bounded-domain grid, as `nlsob bounded` builds them."""
+    g = nl.make_log_grid(1e-7, 1.0, 2048)
+    q = N / (N - 2)
+    for lam in (1e2, 1e4):
+        u = _truncated_bubble(N, lam, g)
+        assert nl.weak_norm(u, 1.0, q) == pytest.approx(_weak_norm_oracle(u, 1.0, q),
+                                                        rel=2e-7)
 
 
 def test_weak_norm_below_strong_norm(p31):
@@ -159,6 +213,7 @@ def test_weak_norm_scaling_law(p31):
                            tail_exponent=float(p31.N - 2),
                            head_value=amp * lam ** e)
         vals.append(nl.weak_norm(u, 1.0, q))
+        assert vals[-1] == pytest.approx(_weak_norm_oracle(u, 1.0, q), rel=2e-7)
     slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
     assert abs(slope + e) < 0.01 * e
 

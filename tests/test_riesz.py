@@ -244,7 +244,8 @@ def test_hls_form_bounds(p42, grid_1024):
             assert t_form < 1.0 - 1e-3
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate",
+                                    "scipy.interpolate"])
 def test_import_skips_scipy_module(module):
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, nlsobolev; print({module!r} in sys.modules)"],

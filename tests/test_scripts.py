@@ -25,3 +25,20 @@ def test_script_runs(script, args, expect):
                           env=src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+@pytest.mark.parametrize("script,args,expect", [
+    pytest.param("bounded_domain_experiment.py", ["--lambdas", "1e2,x"],
+                 "error: --lambdas", id="bounded-bad-lambda"),
+    pytest.param("bounded_domain_experiment.py", ["--lambdas", "5"],
+                 "error: need lambda * R >= 10", id="bounded-small-lambda"),
+    pytest.param("spectrum_scan.py", ["--pairs", "4-2"], "error: --pairs", id="spectrum-bad-pair"),
+    pytest.param("ratio_sweep_experiment.py", ["--epsilons", "abc"],
+                 "error: --epsilons", id="sweep-bad-epsilons"),
+])
+def test_script_bad_input_is_one_error_line(script, args, expect):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          env=src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(expect)
+    assert "Traceback" not in proc.stderr
