@@ -3,16 +3,15 @@
 ball B_R.  The deficit controls the *weak* L^{N/(N-2)} norm squared with a
 positive floor, while the strong-norm quotient decays like 1/log(R lambda):
 this is the numerical signature that the weak norm cannot be upgraded."""
-import argparse
 import math
 import sys
 
 import nlsobolev as nl
-from nlsobolev.cli import float_list, run_guarded
+from nlsobolev.cli import ArgParser, float_list, run_guarded
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgParser(description=__doc__)
     ap.add_argument("--dim", type=int, default=3)
     ap.add_argument("--alpha", type=float, default=1.0)
     ap.add_argument("--radius", type=float, default=1.0)

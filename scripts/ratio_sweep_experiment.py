@@ -4,15 +4,14 @@
 Perturbs the bubble along the first radial eigenfunction above the degenerate
 eigenvalue and along seeded random directions, prints the ratio ladder as
 eps -> 0, and compares the limit with the second-order spectral prediction."""
-import argparse
 import sys
 
 import nlsobolev as nl
-from nlsobolev.cli import float_list, run_guarded
+from nlsobolev.cli import ArgParser, float_list, run_guarded
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgParser(description=__doc__)
     ap.add_argument("--dim", type=int, default=6)
     ap.add_argument("--alpha", type=float, default=4.0)
     ap.add_argument("--epsilons", default="3e-2,1e-2,3e-3,1e-3")

@@ -4,17 +4,16 @@ per-sector eigenvalues, the gap above the degenerate eigenvalue, the original
 acceptance formula 2(mu_gap - 2*_a) (not a remainder constant whenever it
 exceeds 1, since deficit/dist^2 <= 1 + o(1)), and the mu_gap-only floor
 (mu_gap - 2*_a)/mu_gap of the second-order coefficient."""
-import argparse
 import sys
 
 import numpy as np
 
 import nlsobolev as nl
-from nlsobolev.cli import run_guarded
+from nlsobolev.cli import ArgParser, run_guarded
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgParser(description=__doc__)
     ap.add_argument("--pairs", default="3:1,3:2,4:2,5:3,6:4",
                     help="comma list of N:alpha")
     ap.add_argument("--grid-n", type=int, default=1024)
@@ -26,10 +25,9 @@ def main():
     except ValueError:
         raise nl.ValidationError(
             f"--pairs must be a comma list of N:alpha, got {args.pairs!r}") from None
+    grid = nl.make_log_grid(1e-3, 1e3, args.grid_n)
     for n, a in pairs:
         p = nl.make_params(n, a)
-        rmin, rmax = (1e-4, 1e4) if p.N == 3 else (1e-3, 1e3)
-        grid = nl.make_log_grid(rmin, rmax, args.grid_n)
         print(f"\nN={p.N} alpha={p.alpha}  (2*_alpha = {p.two_star_alpha:.6g})")
         for ell in (0, 1, 2):
             rep = nl.solve_generalized(nl.assemble_sector(p, ell, grid), args.k)

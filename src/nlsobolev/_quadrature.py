@@ -35,43 +35,40 @@ def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
     return d[m, n - 1, :]
 
 
-def gregory_correction(p: int = 8) -> np.ndarray:
+def gregory_correction() -> np.ndarray:
     """End-correction weights (in units of h) added to the trapezoidal rule.
 
     Built from the Euler-Maclaurin boundary series with the odd derivatives
-    replaced by one-sided finite differences on the first p nodes.  p = 8 is
-    the largest stencil for which all resulting composite weights stay
-    positive.
+    replaced by one-sided finite differences on the first 8 nodes, the largest
+    stencil for which all resulting composite weights stay positive.
     """
-    xs = np.arange(p, dtype=float)
-    gam = np.zeros(p)
+    xs = np.arange(8, dtype=float)
+    gam = np.zeros(8)
     # B_{2k}/(2k)! for the (2k-1)-th derivative at the left endpoint
     for order, coef in ((1, 1.0 / 12), (3, -1.0 / 720), (5, 1.0 / 30240), (7, -1.0 / 1209600)):
         gam += coef * fornberg_weights(xs, 0.0, order)
     return gam
 
 
-_GREGORY = gregory_correction(8)
+_GREGORY = gregory_correction()
 
 
-def uniform_weights(n: int, h: float, i0: int = 0, i1: int | None = None) -> np.ndarray:
-    """Gregory-corrected trapezoidal weights on nodes [i0, i1] of an n-node grid.
+def uniform_weights(n: int, h: float, i0: int = 0) -> np.ndarray:
+    """Gregory-corrected trapezoidal weights on nodes [i0, n - 1] of an n-node grid.
 
-    Returns a length-n vector that is zero outside the requested node range,
-    so sub-range integrals (used by the tail-energy experiments) get the same
-    end-correction treatment as full-range ones.
+    Returns a length-n vector that is zero below node i0, so tail integrals
+    (used by the tail-energy experiments) get the same end-correction
+    treatment as full-range ones.
     """
-    if i1 is None:
-        i1 = n - 1
-    m = i1 - i0 + 1
+    m = n - i0
     p = len(_GREGORY)
     if m < 2 * p:
         raise ValueError(f"need at least {2 * p} nodes in the range, got {m}")
     w = np.zeros(n)
-    w[i0:i1 + 1] = h
-    w[i0] = w[i1] = 0.5 * h
+    w[i0:] = h
+    w[i0] = w[-1] = 0.5 * h
     w[i0:i0 + p] += h * _GREGORY
-    w[i1 - p + 1:i1 + 1] += h * _GREGORY[::-1]
+    w[n - p:] += h * _GREGORY[::-1]
     return w
 
 
@@ -93,31 +90,30 @@ def _stencil_matrix(n: int, h: float, order: int, width: int, shift: float,
                         shape=(rows, n))
 
 
-def derivative_matrix(n: int, h: float, order: int, half: int = 4) -> sp.csr_array:
+def derivative_matrix(n: int, h: float, order: int) -> sp.csr_array:
     """n x n sparse differentiation matrix of the given derivative order.
 
-    Centered (2*half+1)-point stencils in the interior, matching one-sided
-    stencils near the ends; half=4 gives 8th-order interior accuracy, which
-    keeps gradient energies below the quadrature error floor.  The CSR band
-    holds (2*half+1) n nonzeros, so a matvec costs O(n).
+    Centered 9-point stencils in the interior, matching one-sided stencils
+    near the ends; 9 points give 8th-order interior accuracy, which keeps
+    gradient energies below the quadrature error floor.  The CSR band holds
+    9n nonzeros, so a matvec costs O(n).
     """
-    st = 2 * half + 1
+    st = 9
     if n < st:
         raise ValueError(f"grid too small for stencil: n={n} < {st}")
     return _stencil_matrix(n, h, order, st, 0, n)
 
 
-def staggered_derivative_matrix(n: int, h: float, width: int = 8) -> sp.csr_array:
+def staggered_derivative_matrix(n: int, h: float) -> sp.csr_array:
     """(n-1) x n sparse first-derivative matrix evaluated at the cell midpoints.
 
     Used for assembling Dirichlet quadratic forms: a staggered stencil never
     annihilates the grid's Nyquist sawtooth, so the assembled form has no
     spurious low-energy modes (a wide centered stencil maps the sawtooth to
-    zero and fabricates eigenvalues for it).  Even `width` centered on the
-    cell gives 8th-order accuracy at width=8; D^T Q D then has bandwidth
-    width - 1.
+    zero and fabricates eigenvalues for it).  8 points centered on the cell
+    give 8th-order accuracy; the Dirichlet form D^T Q D then has bandwidth 7.
     """
-    if n < width + 1:
+    if n < 9:
         raise ValueError(f"grid too small for staggered stencil: n={n}")
-    return _stencil_matrix(n, h, 1, width, 0.5, n - 1)
+    return _stencil_matrix(n, h, 1, 8, 0.5, n - 1)
 

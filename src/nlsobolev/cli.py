@@ -19,20 +19,22 @@ from .manifold import BubbleParams, bubble, dist_to_manifold
 from .params import hls_sobolev_constant, make_params
 from .spectrum import assemble_sector, solve_generalized, spectral_gap
 
-__all__ = ["run_cli", "run_guarded", "float_list", "main"]
+__all__ = ["run_cli", "run_guarded", "float_list", "main", "ArgParser"]
 
 
-class _UsageError(Exception):
+class _UsageError(ValidationError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
+class ArgParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise a ValidationError (exit 1
+    under run_guarded) instead of exiting 2, the numerical-failure code."""
     def error(self, message):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nlsob", description=__doc__)
+def _build_parser() -> ArgParser:
+    parser = ArgParser(prog="nlsob", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, grid_default=(1e-3, 1e3, 2048)):

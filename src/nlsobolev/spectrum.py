@@ -4,11 +4,14 @@
     b(v,v) = int (|x|^{-alpha} * (U^{2*_a - 1} v)) U^{2*_a - 1} v + int W v^2,
 with W = (|x|^{-alpha} * U^{2*_a}) U^{2*_a - 2}, per angular-momentum sector.
 
-Both forms are assembled symmetric by construction: the Dirichlet part as
-D^T Q D with the quadrature weights folded in (a sparse band), the nonlocal
-part from the symmetric Toeplitz product-integration weights of the sector
-kernel (dense).  A Dirichlet condition at the outermost node removes
-constant-tail quasi-modes that do not belong to the energy space.  The solve
+Both forms are symmetric by construction, with no averaging pass: the
+Dirichlet part as G^T G, G = diag(sqrt(q)) D with the quadrature weights
+folded in (a sparse band), the nonlocal part as kappa T o (m m^T) from the
+exactly symmetric Toeplitz product-integration weights T of the sector kernel
+(dense).  Beyond r_max a sector-ell mode is harmonic and decays like
+(r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
+on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
+condition (Keller-Givoli 1989), so every node stays an unknown.  The solve
 factors A (positive definite here) once as a band and runs Lanczos for the
 largest 1/mu; factoring B instead, as one might first try, loses the low
 eigenvalues whenever B's small-eigenvalue tail carries weight of the
@@ -41,9 +44,10 @@ mu = 2*_a) fix w:
 
 The degree-j harmonics of S^N hold one radial mode of angular momentum ell
 for each j >= ell, so the k-th eigenvalue (k = 0, 1, ...) of sector ell is
-mu_{k+ell}.  The discrete spectra match this to ~1e-7 relative at n = 1024;
-at N = 4 sector 0 is off by ~1e-5, from the bubble's slow tail on a finite
-grid.
+mu_{k+ell}.  On [1e-3, 1e3] at n = 1024 the discrete spectra match this to
+~1e-7 relative, except sector 0 at low N: 1.2e-6 at N = 4 and 5.9e-5 at
+N = 3, where the error is ~4.3 h / r_max (first order in the discrete end
+condition; the bubble's quotient a(U,U)/b(U,U) is 1 to 1e-8).
 """
 from __future__ import annotations
 
@@ -137,27 +141,26 @@ def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
     potF = riesz_potential(field_abs_pow(U, ts), p, 0)
     W = potF.values * U.values ** (ts - 2.0)
-    # Dirichlet form D^T Q D on the staggered grid (no spurious Nyquist modes),
-    # 7 diagonals on each side, plus the diagonal centrifugal and potential terms
-    D1 = staggered_derivative_matrix(grid.n, grid.h)
+    # Dirichlet form G^T G, G = diag(sqrt(q)) D on the staggered grid (no
+    # spurious Nyquist modes), 7 diagonals on each side, plus the diagonal
+    # centrifugal and potential terms and, on the last node, the exact energy
+    # of the decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max
     x_mid = 0.5 * (x[:-1] + x[1:])
     q_mid = grid.h * np.exp((N - 2) * x_mid)
-    A = om * (D1.T @ sp.diags_array(q_mid) @ D1)
+    G = sp.diags_array(np.sqrt(q_mid)) @ staggered_derivative_matrix(grid.n, grid.h)
     mw = om * (wl * np.exp(N * x) * W)
-    A = A + sp.diags_array(om * ell * (ell + N - 2) * wl * np.exp((N - 2) * x) + mw)
-    A = 0.5 * (A + A.T)
-    # nonlocal form through the sector kernel's Toeplitz weights
+    diag = om * ell * (ell + N - 2) * wl * np.exp((N - 2) * x) + mw
+    diag[-1] += om * (ell + N - 2) * grid.r_max ** (N - 2)
+    A = om * (G.T @ G) + sp.diags_array(diag)
+    # nonlocal form kappa T o (m m^T) + M_W from the sector kernel's Toeplitz
+    # weights; T and m m^T are exactly symmetric, so B is too.  The outer
+    # product is the one n x n temporary.
     kern = angular_kernel(p, ell, grid)
     mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
-    kappa = om * kern.c_norm * 2.0 ** (-al / 2)
-    # kappa m_i T_ij m_j + M_W, symmetrized, built in place: no n x n temporaries
     B = kern.tables.toeplitz(grid.n)
-    B *= mvec[:, None]
-    B *= mvec[None, :]
-    B *= kappa
+    B *= om * kern.c_norm * 2.0 ** (-al / 2)
+    B *= np.outer(mvec, mvec)
     B[np.diag_indices_from(B)] += mw
-    B += B.T
-    B *= 0.5
     return SectorOperator(ell=ell, A=A, B=B, grid=grid, params=p, w_potential=W)
 
 
@@ -181,20 +184,19 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors.
 
     B is validated positive semidefinite to tolerance by one shifted Cholesky
-    factorization.  After a Dirichlet restriction at the outer node and the
-    diagonal scaling d = diag(A)^{-1/2}, implicitly restarted Lanczos (ARPACK,
-    generalized mode 2) finds the k largest nu = 1/mu of dBd x = nu dAd x,
-    with the banded Cholesky factor of dAd as the inverse of the mass form.
-    Without the scaling ARPACK's A-norm tolerance would leave the inner nodes
+    factorization.  On all n nodes, after the diagonal scaling
+    d = diag(A)^{-1/2}, implicitly restarted Lanczos (ARPACK, generalized
+    mode 2) finds the k largest nu = 1/mu of dBd x = nu dAd x, with the
+    banded Cholesky factor of dAd as the inverse of the mass form.  Without
+    the scaling ARPACK's A-norm tolerance would leave the inner nodes
     unpinned.  B's numerical kernel (far-field nodes where the weights
     underflow) lands at nu = 0 and is cut at 1e-13 nu_max.  k is clamped to
-    n - 2, ARPACK's limit for the n - 1 unknowns.  Each eigenvector's
-    largest-magnitude entry is positive.
+    n - 1, ARPACK's limit.  Each eigenvector's largest-magnitude entry is
+    positive.
     """
     if k < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
-    A = op.A[:-1, :-1]
-    B = op.B[:-1, :-1]
+    A, B = op.A, op.B
     m = B.shape[0]
     # a fixed start vector keeps the Krylov spaces, hence the output digits,
     # the same from call to call
@@ -228,14 +230,12 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     nu, Q = nu[order], Q[:, order]
     k = int(np.sum(nu > 1e-13 * nu[0]))
     mu = 1.0 / nu[:k]
-    vecs_in = d[:, None] * Q[:, :k]
-    vecs_in *= np.sign(vecs_in[np.argmax(np.abs(vecs_in), axis=0), np.arange(k)])
-    vecs = np.zeros((op.grid.n, k))
-    vecs[:-1, :] = vecs_in
+    vecs = d[:, None] * Q[:, :k]
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
     # normalize in the B-form; reject grid-frequency (sawtooth) eigenvectors,
     # which would indicate a defective Dirichlet discretization
     for j in range(k):
-        nrm = math.sqrt(abs(vecs_in[:, j] @ B @ vecs_in[:, j]))
+        nrm = math.sqrt(abs(vecs[:, j] @ B @ vecs[:, j]))
         if nrm > 0:
             vecs[:, j] /= nrm
         rough = np.linalg.norm(np.diff(vecs[:, j], 2)) / max(np.linalg.norm(vecs[:, j]), 1e-300)
@@ -251,8 +251,8 @@ def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> Spec
     Sectors ell >= 3 are omitted: their lowest eigenvalues lie strictly above
     the ell = 2 ones (larger centrifugal barrier), so they cannot carry the
     gap.  Eigenvalues are listed once per sector, without the angular
-    multiplicities.  For N = 3 the slowly decaying bubble tail makes a wider
-    grid (say [1e-4, 1e4]) advisable; the default span costs ~1e-3 there.
+    multiplicities.  The default grid serves every N: its worst error,
+    sector 0 at N = 3, is 5.9e-5 relative.
     """
     if grid is None:
         grid = make_log_grid(1e-3, 1e3, 1024)

@@ -158,7 +158,7 @@ def test_criterion_5_spectrum():
 def _sharp_local_constant(p, grid):
     """c* = 1 - 1/nu_gap from sector 0 of the pencil
     (A - M_W) v = nu (2*_a B - M_W) v, with M_W the W-mass diagonal of
-    assemble_sector and the Dirichlet restriction of solve_generalized.
+    assemble_sector, restricted by a Dirichlet condition at the outer node.
     Returns (c*, nu_gap, Dirichlet form / h1_inner for the gap eigenvector)."""
     N, ts = p.N, p.two_star_alpha
     op = nl.assemble_sector(p, 0, grid)

@@ -35,6 +35,12 @@ def test_script_runs(script, args, expect):
     pytest.param("spectrum_scan.py", ["--pairs", "4-2"], "error: --pairs", id="spectrum-bad-pair"),
     pytest.param("ratio_sweep_experiment.py", ["--epsilons", "abc"],
                  "error: --epsilons", id="sweep-bad-epsilons"),
+    pytest.param("spectrum_scan.py", ["--grid-n", "x"], "error: argument --grid-n",
+                 id="spectrum-bad-grid-n"),
+    pytest.param("ratio_sweep_experiment.py", ["--seed", "x"], "error: argument --seed",
+                 id="sweep-bad-seed"),
+    pytest.param("bounded_domain_experiment.py", ["--dim", "x"], "error: argument --dim",
+                 id="bounded-bad-dim"),
 ])
 def test_script_bad_input_is_one_error_line(script, args, expect):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
