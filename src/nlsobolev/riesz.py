@@ -218,11 +218,6 @@ class _ConvTables:
     def convolve(self, psi: np.ndarray) -> np.ndarray:
         return _lag_convolve(psi, self.weights, self.half, self._weights_hat)
 
-    def toeplitz(self, n: int) -> np.ndarray:
-        """Dense weight matrix W[i, j] = w_{i-j} for grid-size n."""
-        idx = np.arange(n)
-        return self.weights[idx[:, None] - idx[None, :] + self.half]
-
     def cell_exp(self, gam: float) -> np.ndarray:
         """CE(m) = int_0^1 phi((m+eta)h) e^{gam eta h} deta for m >= 0."""
         D = self.P.shape[0]

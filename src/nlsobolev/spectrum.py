@@ -6,9 +6,11 @@ with W = (|x|^{-alpha} * U^{2*_a}) U^{2*_a - 2}, per angular-momentum sector.
 
 Both forms are symmetric by construction, with no averaging pass: the
 Dirichlet part as G^T G, G = diag(sqrt(q)) D with the quadrature weights
-folded in (a sparse band), the nonlocal part as kappa T o (m m^T) from the
-exactly symmetric Toeplitz product-integration weights T of the sector kernel
-(dense).  Beyond r_max a sector-ell mode is harmonic and decays like
+folded in (a sparse band), the nonlocal part as diag(m) kappa T diag(m) from
+the Toeplitz product-integration weights T of the sector kernel, kept as
+their exactly palindromic lag table, so that B x is one FFT convolution and
+B is built densely only for the positive-semidefiniteness certificate.
+Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
 condition (Keller-Givoli 1989), so every node stays an unknown.  The solve
@@ -58,13 +60,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import rfft
 
 from ._quadrature import staggered_derivative_matrix
 from .errors import IndefiniteOperatorError, NumericsError, ValidationError
 from .grid import RadialGrid, field_abs_pow, make_log_grid
 from .manifold import BubbleParams, bubble
 from .params import Params, sphere_area
-from .riesz import angular_kernel, riesz_potential
+from .riesz import _fft_len, _lag_convolve, angular_kernel, riesz_potential
 
 __all__ = ["SectorOperator", "SpectrumReport", "assemble_sector",
            "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
@@ -76,18 +79,50 @@ _MATCH_TOL = 1e-3      # identification tolerance against {1, 2*_alpha}
 @dataclass(eq=False)
 class SectorOperator:
     """Discretized quadratic forms of one angular-momentum sector: A as a
-    sparse band, B dense."""
+    sparse band, B by its factors
+
+        B = diag(b_scale) T diag(b_scale) + diag(b_diag),
+        T[i, j] = b_lags[n - 1 + i - j],
+
+    with b_lags, over lags -(n-1)..(n-1), exactly palindromic, so that T and
+    every materialization of B are exactly symmetric.  `apply_b` multiplies by
+    B with one FFT convolution; the property `B` builds the dense matrix
+    afresh on each access, and nothing keeps it."""
     ell: int
     A: sp.csr_array
-    B: np.ndarray
+    b_scale: np.ndarray
+    b_lags: np.ndarray
+    b_diag: np.ndarray
     grid: RadialGrid
     params: Params
     w_potential: np.ndarray = dc_field(repr=False, default=None)
+    _b_lags_hat: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, M in (("A", self.A), ("B", self.B)):
-            if abs(M - M.T).max() > 1e-12 * abs(M).max():
-                raise IndefiniteOperatorError(f"{name} is not symmetric to tolerance")
+        for name, a in (("A", self.A.data), ("b_scale", self.b_scale),
+                        ("b_lags", self.b_lags), ("b_diag", self.b_diag)):
+            if not np.all(np.isfinite(a)):
+                raise NumericsError(f"sector form {name} has non-finite entries")
+        if abs(self.A - self.A.T).max() > 1e-12 * abs(self.A).max():
+            raise IndefiniteOperatorError("A is not symmetric to tolerance")
+        if not np.array_equal(self.b_lags, self.b_lags[::-1]):
+            raise IndefiniteOperatorError("B is not symmetric: b_lags is not palindromic")
+        self._b_lags_hat = rfft(self.b_lags, _fft_len(len(self.b_scale), len(self.b_lags)))
+
+    @property
+    def B(self) -> np.ndarray:
+        """The dense n x n matrix B, built anew."""
+        n = len(self.b_scale)
+        B = sla.toeplitz(self.b_lags[n - 1:])
+        B *= np.outer(self.b_scale, self.b_scale)
+        B[np.diag_indices(n)] += self.b_diag
+        return B
+
+    def apply_b(self, x: np.ndarray) -> np.ndarray:
+        """B x for a vector x, by one FFT convolution with the lag table."""
+        m = self.b_scale
+        return m * _lag_convolve(m * x, self.b_lags, len(m) - 1, self._b_lags_hat) \
+            + self.b_diag * x
 
 
 @dataclass(eq=False)
@@ -144,34 +179,40 @@ def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
     # Dirichlet form G^T G, G = diag(sqrt(q)) D on the staggered grid (no
     # spurious Nyquist modes), 7 diagonals on each side, plus the diagonal
     # centrifugal and potential terms and, on the last node, the exact energy
-    # of the decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max
-    x_mid = 0.5 * (x[:-1] + x[1:])
-    q_mid = grid.h * np.exp((N - 2) * x_mid)
-    G = sp.diags_array(np.sqrt(q_mid)) @ staggered_derivative_matrix(grid.n, grid.h)
-    mw = om * (wl * np.exp(N * x) * W)
-    diag = om * ell * (ell + N - 2) * wl * np.exp((N - 2) * x) + mw
-    diag[-1] += om * (ell + N - 2) * grid.r_max ** (N - 2)
-    A = om * (G.T @ G) + sp.diags_array(diag)
-    # nonlocal form kappa T o (m m^T) + M_W from the sector kernel's Toeplitz
-    # weights; T and m m^T are exactly symmetric, so B is too.  The outer
-    # product is the one n x n temporary.
+    # of the decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max.
+    # On extreme grids these weights overflow to inf, which SectorOperator
+    # rejects with a NumericsError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mid = 0.5 * (x[:-1] + x[1:])
+        q_mid = grid.h * np.exp((N - 2) * x_mid)
+        G = sp.diags_array(np.sqrt(q_mid)) @ staggered_derivative_matrix(grid.n, grid.h)
+        mw = om * (wl * np.exp(N * x) * W)
+        diag = om * ell * (ell + N - 2) * wl * np.exp((N - 2) * x) + mw
+        diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
+        A = om * (G.T @ G) + sp.diags_array(diag)
+        mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
+    # nonlocal form diag(m) kappa T diag(m) + M_W from the sector kernel's
+    # Toeplitz weights, kept as the lags -(n-1)..(n-1) of its palindromic table
     kern = angular_kernel(p, ell, grid)
-    mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
-    B = kern.tables.toeplitz(grid.n)
-    B *= om * kern.c_norm * 2.0 ** (-al / 2)
-    B *= np.outer(mvec, mvec)
-    B[np.diag_indices_from(B)] += mw
-    return SectorOperator(ell=ell, A=A, B=B, grid=grid, params=p, w_potential=W)
+    half = kern.tables.half
+    lags = kern.tables.weights[half - grid.n + 1:half + grid.n] \
+        * (om * kern.c_norm * 2.0 ** (-al / 2))
+    return SectorOperator(ell=ell, A=A, b_scale=mvec, b_lags=lags, b_diag=mw,
+                          grid=grid, params=p, w_potential=W)
 
 
-def _psd_to_tolerance(B: np.ndarray, v0: np.ndarray) -> None:
+def _psd_to_tolerance(op: SectorOperator, v0: np.ndarray) -> None:
     """Raise unless B's smallest eigenvalue is at least -1e-10 times its largest.
 
     One Cholesky factorization of B + 1e-10 lambda_max I decides it: it exists
     exactly when lambda_min > -1e-10 lambda_max, up to a backward error of about
-    n eps lambda_max, far below the tolerance."""
-    shift = 1e-10 * spla.eigsh(B, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-    Bs = B.copy()
+    n eps lambda_max, far below the tolerance.  lambda_max comes from FFT
+    matvecs; the dense B is built once, into the buffer the factorization
+    overwrites."""
+    n = len(v0)
+    b_op = spla.LinearOperator((n, n), matvec=op.apply_b, dtype=float)
+    shift = 1e-10 * spla.eigsh(b_op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    Bs = op.B
     Bs[np.diag_indices_from(Bs)] += shift
     try:
         sla.cholesky(Bs, lower=True, overwrite_a=True, check_finite=False)
@@ -184,10 +225,12 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors.
 
     B is validated positive semidefinite to tolerance by one shifted Cholesky
-    factorization.  On all n nodes, after the diagonal scaling
-    d = diag(A)^{-1/2}, implicitly restarted Lanczos (ARPACK, generalized
-    mode 2) finds the k largest nu = 1/mu of dBd x = nu dAd x, with the
-    banded Cholesky factor of dAd as the inverse of the mass form.  Without
+    factorization, the only place its dense matrix is built; everywhere else
+    B acts by FFT matvecs (`SectorOperator.apply_b`).  On all n nodes, after
+    the diagonal scaling d = diag(A)^{-1/2}, implicitly restarted Lanczos
+    (ARPACK, generalized mode 2) finds the k largest nu = 1/mu of
+    dBd x = nu dAd x, with dBd applied as y -> d o B(d o y) and the banded
+    Cholesky factor of dAd as the inverse of the mass form.  Without
     the scaling ARPACK's A-norm tolerance would leave the inner nodes
     unpinned.  B's numerical kernel (far-field nodes where the weights
     underflow) lands at nu = 0 and is cut at 1e-13 nu_max.  k is clamped to
@@ -196,12 +239,12 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     """
     if k < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
-    A, B = op.A, op.B
-    m = B.shape[0]
+    A = op.A
+    m = A.shape[0]
     # a fixed start vector keeps the Krylov spaces, hence the output digits,
     # the same from call to call
     v0 = np.random.default_rng(0).standard_normal(m)
-    _psd_to_tolerance(B, v0)
+    _psd_to_tolerance(op, v0)
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise IndefiniteOperatorError("A is not positive definite")
@@ -220,10 +263,10 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     minv = spla.LinearOperator(
         (m, m), dtype=float,
         matvec=lambda y: sla.cho_solve_banded((cb, False), y, check_finite=False))
+    dBd = spla.LinearOperator((m, m), dtype=float, matvec=lambda y: d * op.apply_b(d * y))
     k = min(k, m - 1)
     try:
-        nu, Q = spla.eigsh(d[:, None] * B * d[None, :], k, M=dA, Minv=minv,
-                           which="LA", tol=0, v0=v0)
+        nu, Q = spla.eigsh(dBd, k, M=dA, Minv=minv, which="LA", tol=0, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise NumericsError(f"Lanczos did not converge for k={k}: {exc}") from exc
     order = np.argsort(nu)[::-1]
@@ -235,7 +278,7 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     # normalize in the B-form; reject grid-frequency (sawtooth) eigenvectors,
     # which would indicate a defective Dirichlet discretization
     for j in range(k):
-        nrm = math.sqrt(abs(vecs[:, j] @ B @ vecs[:, j]))
+        nrm = math.sqrt(abs(vecs[:, j] @ op.apply_b(vecs[:, j])))
         if nrm > 0:
             vecs[:, j] /= nrm
         rough = np.linalg.norm(np.diff(vecs[:, j], 2)) / max(np.linalg.norm(vecs[:, j]), 1e-300)

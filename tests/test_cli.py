@@ -186,6 +186,18 @@ def test_run_as_module_without_runtime_warning(tmp_path):
     assert json.load(open(out))["payload"]["two_star_alpha"] == 3.0
 
 
+def test_overflowing_grid_is_numerical_failure(tmp_path):
+    # at r_max = 1e80 the N = 6 weights r^{N-2} overflow: one typed error line,
+    # no traceback and no overflow warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlsobolev.cli", "spectrum", "--dim", "6", "--alpha", "5",
+         "--grid-max", "1e80", "--grid-n", "4096"],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+
+
 def test_run_cli_reexported():
     from nlsobolev import run_cli as from_package
     assert from_package is run_cli and nl.run_cli is run_cli

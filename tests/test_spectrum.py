@@ -52,6 +52,44 @@ def test_forms_symmetric(op64_s0, op64_s1, op64_s2):
             assert np.array_equal(M, M.T)
 
 
+@pytest.mark.parametrize("N, alpha", [(3, 1.0), (4, 2.0), (6, 4.0)])
+def test_apply_b_matches_materialized_b(N, alpha, grid64):
+    rng = np.random.default_rng(17)
+    p = nl.make_params(N, alpha)
+    for ell in nl.spectrum.SECTOR_ELLS:
+        op = nl.assemble_sector(p, ell, grid64)
+        B = op.B
+        for _ in range(3):
+            x = rng.standard_normal(grid64.n)
+            bx = B @ x
+            assert np.linalg.norm(op.apply_b(x) - bx) <= 1e-14 * np.linalg.norm(bx)
+
+
+def test_non_palindromic_b_lags_rejected(op64_s0):
+    n = len(op64_s0.b_scale)
+    lags = op64_s0.b_lags.copy()
+    lags[n] = np.nextafter(lags[n], np.inf)     # lag +1 no longer equals lag -1
+    with pytest.raises(IndefiniteOperatorError, match="not palindromic"):
+        dataclasses.replace(op64_s0, b_lags=lags)
+
+
+@pytest.mark.parametrize("name", ["b_scale", "b_lags", "b_diag", "A"])
+def test_non_finite_factor_rejected(op64_s0, name):
+    if name == "A":
+        bad = op64_s0.A.copy()
+        bad.data[0] = np.inf
+    else:
+        bad = getattr(op64_s0, name).copy()
+        bad[len(bad) // 2] = np.nan
+    with pytest.raises(NumericsError, match=f"{name} has non-finite entries"):
+        dataclasses.replace(op64_s0, **{name: bad})
+
+
+def test_operator_holds_no_dense_matrix(op64_s0, op64_s1, op64_s2):
+    for op in (op64_s0, op64_s1, op64_s2):
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(op).values())
+
+
 def test_b_positive_semidefinite(op64_s0):
     ev = np.linalg.eigvalsh(op64_s0.B)
     assert ev[0] >= -1e-10 * ev[-1]
@@ -134,16 +172,22 @@ def test_subset_solve_matches_full_reduction(sector, request):
 
 
 def _dip_b(op, frac):
-    """op with B lowered along the eigenvector of its smallest eigenvalue, so
-    that this eigenvalue becomes -frac * lambda_max."""
-    ev, V = np.linalg.eigh(op.B)
-    v = V[:, 0]
-    return dataclasses.replace(op, B=op.B - (ev[0] + frac * ev[-1]) * np.outer(v, v))
+    """op with b_diag lowered at node 0 by B_00 + frac * lambda_max.  B_00 and
+    B's first row are below 1e-16 lambda_max there, so B's smallest eigenvalue
+    becomes -frac * lambda_max, along e_0, whatever the round-off in B's
+    near-null space."""
+    B = op.B
+    b_diag = op.b_diag.copy()
+    b_diag[0] -= B[0, 0] + frac * np.linalg.eigvalsh(B)[-1]
+    return dataclasses.replace(op, b_diag=b_diag)
 
 
 def test_b_dip_beyond_tolerance_rejected(op64_s0):
+    op = _dip_b(op64_s0, 1e-8)
+    ev = np.linalg.eigvalsh(op.B)
+    assert ev[0] / ev[-1] == pytest.approx(-1e-8, rel=1e-6)
     with pytest.raises(IndefiniteOperatorError):
-        nl.solve_generalized(_dip_b(op64_s0, 1e-8), 8)
+        nl.solve_generalized(op, 8)
 
 
 def test_b_dip_within_tolerance_solves(op64_s0, rep64_s0):
