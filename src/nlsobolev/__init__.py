@@ -11,7 +11,7 @@ from .params import (Params, SharpConstants, gamma_fn, hls_sharp_constant,
                      hls_sobolev_constant, make_params, sobolev_constant, sphere_area)
 from .grid import (RadialField, RadialGrid, differentiate, dilate, field_abs_pow,
                    field_signed_pow, h1_inner, indicator_field, integrate,
-                   integrate_from, make_log_grid, read_field_csv, write_field_csv)
+                   make_log_grid, read_field_csv, write_field_csv)
 from .riesz import (AngularKernel, angular_kernel, interaction_energy,
                     riesz_potential)
 from .functional import DeficitReport, deficit, el_residual, hls_energy, weak_norm
@@ -41,7 +41,7 @@ __all__ = [
     "hls_sobolev_constant", "make_params", "sobolev_constant", "sphere_area",
     "RadialField", "RadialGrid", "differentiate", "dilate", "field_abs_pow",
     "field_signed_pow", "h1_inner", "indicator_field", "integrate",
-    "integrate_from", "make_log_grid", "read_field_csv", "write_field_csv",
+    "make_log_grid", "read_field_csv", "write_field_csv",
     "AngularKernel", "angular_kernel", "interaction_energy", "riesz_potential",
     "DeficitReport", "deficit", "el_residual", "hls_energy", "weak_norm",
     "BubbleParams", "Decomposition", "bubble", "dist_to_manifold",

@@ -53,21 +53,14 @@ def gregory_correction() -> np.ndarray:
 _GREGORY = gregory_correction()
 
 
-def uniform_weights(n: int, h: float, i0: int = 0) -> np.ndarray:
-    """Gregory-corrected trapezoidal weights on nodes [i0, n - 1] of an n-node grid.
-
-    Returns a length-n vector that is zero below node i0, so tail integrals
-    (used by the tail-energy experiments) get the same end-correction
-    treatment as full-range ones.
-    """
-    m = n - i0
+def uniform_weights(n: int, h: float) -> np.ndarray:
+    """Gregory-corrected trapezoidal weights on an n-node grid of step h."""
     p = len(_GREGORY)
-    if m < 2 * p:
-        raise ValueError(f"need at least {2 * p} nodes in the range, got {m}")
-    w = np.zeros(n)
-    w[i0:] = h
-    w[i0] = w[-1] = 0.5 * h
-    w[i0:i0 + p] += h * _GREGORY
+    if n < 2 * p:
+        raise ValueError(f"need at least {2 * p} nodes, got {n}")
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    w[:p] += h * _GREGORY
     w[n - p:] += h * _GREGORY[::-1]
     return w
 

@@ -11,11 +11,10 @@ from scipy.special import beta as beta_fn, betainc
 
 from .errors import NumericsError, ValidationError
 from .functional import deficit, weak_norm
-from .grid import (RadialField, RadialGrid, differentiate, field_abs_pow, integrate,
-                   integrate_from, make_log_grid)
+from .grid import (RadialField, RadialGrid, differentiate, field_abs_pow, h1_inner,
+                   integrate, make_log_grid)
 from .manifold import BubbleParams, bubble, dist_to_manifold, project_orthogonal
 from .params import Params, hls_sobolev_constant, sphere_area
-from .spectrum import assemble_sector, solve_generalized
 
 __all__ = ["SweepConfig", "SweepRow", "BoundedDomainReport", "ratio_sweep",
            "summarize_sweep", "tail_energy", "bounded_domain_experiment"]
@@ -25,12 +24,14 @@ __all__ = ["SweepConfig", "SweepRow", "BoundedDomainReport", "ratio_sweep",
 class SweepConfig:
     """One ratio-sweep run: perturbation sizes, direction specs, grid, seed.
 
-    Direction specs: "eigen-gap" takes the first radial eigenfunction above
-    the degenerate eigenvalue; "random-<k>" takes a seeded bump in t =
-    (log r - x0) / (3 sigma), exp(1 - 1/(1 - t^2)) for |t| < 1 and exactly 0
-    elsewhere (x0 uniform in [-2, 2], sigma in [0.4, 1.2], drawn from
-    seed + k, both non-negative integers), projected orthogonal to the
-    tangent space.  The bump is C-infinity with compact support, so after
+    Direction specs, each projected orthogonal to the tangent space:
+    "eigen-gap" is the first radial eigenfunction above the degenerate
+    eigenvalue in closed form (`spectrum` docstring), (1 + r^2)^{-(N-2)/2}
+    ((N+1) s^2 - 1), s = (1 - r^2)/(1 + r^2), with exact r^{-(N-2)} tail and
+    head value N; "random-<k>" is a seeded bump in t = (log r - x0)/(3 sigma),
+    exp(1 - 1/(1 - t^2)) for |t| < 1 and exactly 0 elsewhere (x0 uniform in
+    [-2, 2], sigma in [0.4, 1.2], drawn from seed + k, both non-negative
+    integers).  The bump is C-infinity with compact support, so after
     projection its far field is exactly the tangent directions' r^{-(N-2)}
     tail that the field declares; a malformed spec, or a support that does
     not lie strictly inside the grid, is a validation error, recorded as the
@@ -67,12 +68,11 @@ class SweepRow:
 def _direction_field(spec: str, cfg: SweepConfig, grid: RadialGrid) -> RadialField:
     p = cfg.params
     if spec == "eigen-gap":
-        rep = solve_generalized(assemble_sector(p, 0, grid), k=10)
-        if rep.mu_gap is None:
-            raise NumericsError("no radial eigenvalue above the degenerate one")
-        vec = rep.eigenvectors[:, rep.eigenvalues.index(rep.mu_gap)]
-        w = RadialField(grid=grid, values=vec, tail_exponent=float(p.N - 2),
-                        head_value=float(vec[0]))
+        r2 = grid.nodes ** 2
+        s = (1.0 - r2) / (1.0 + r2)
+        vals = (1.0 + r2) ** (-(p.N - 2) / 2.0) * ((p.N + 1) * s * s - 1.0)
+        w = RadialField(grid=grid, values=vals, tail_exponent=float(p.N - 2),
+                        head_value=float(p.N))
     elif spec.startswith("random-"):
         k = spec[len("random-"):]
         if not (k.isascii() and k.isdigit()):
@@ -96,10 +96,12 @@ def _direction_field(spec: str, cfg: SweepConfig, grid: RadialGrid) -> RadialFie
 
 def ratio_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """deficit and manifold distance of u = U + eps * w along each direction;
-    failed rows are recorded with a note instead of aborting the sweep."""
+    failed rows are recorded with a note instead of aborting the sweep, but a
+    grid on which the bubble's own energy is not finite raises NumericsError."""
     p = cfg.params
     grid = cfg.grid if cfg.grid is not None else make_log_grid(1e-3, 1e3, 2048)
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
+    h1_inner(U, U, 0, p.N)
     rows: list[SweepRow] = []
     for spec in cfg.directions:
         try:
@@ -147,12 +149,12 @@ def tail_energy(p: Params, R: float, lam: float) -> float:
     reduction = 0.5 * betainc((N - 2) / 2.0, N / 2.0 + 1.0, tau) \
         * beta_fn((N - 2) / 2.0, N / 2.0 + 1.0)
     closed = (N - 2) ** 2 * a * a * sphere_area(N) * reduction
-    # independent route: differentiate the sampled bubble and integrate r >= R
-    grid = make_log_grid(R * 1e-3, R * 1e3, 2049)
+    # independent route: |U'|^2 sampled on [R, 1e3 R], with its r^{-2(N-1)} tail beyond
+    grid = make_log_grid(R, R * 1e3, 1025)
     du = differentiate(bubble(p, BubbleParams(c=1.0, lam=lam), grid))
     f2 = RadialField(grid=grid, values=du.values ** 2,
                      tail_exponent=2.0 * (N - 1), head_value=0.0)
-    by_field = integrate_from(f2, N, grid.index_of(R))
+    by_field = integrate(f2, N)
     if abs(by_field - closed) > 1e-6 * abs(closed):
         raise NumericsError(
             f"tail energy routes disagree: field {by_field:.12e} vs closed {closed:.12e}")

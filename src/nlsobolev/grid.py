@@ -23,13 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._quadrature import derivative_matrix, uniform_weights
-from .errors import DivergentTailError, ValidationError
+from .errors import DivergentTailError, NumericsError, ValidationError
 from .params import sphere_area
 
 __all__ = [
-    "RadialGrid", "RadialField", "make_log_grid", "integrate", "integrate_from",
-    "differentiate", "h1_inner", "field_abs_pow", "field_signed_pow", "dilate",
-    "indicator_field", "write_field_csv", "read_field_csv",
+    "RadialGrid", "RadialField", "make_log_grid", "integrate", "differentiate", "h1_inner",
+    "field_abs_pow", "field_signed_pow", "dilate", "indicator_field", "write_field_csv",
+    "read_field_csv",
 ]
 
 
@@ -134,14 +134,6 @@ def integrate(f: RadialField, N: int) -> float:
     return sphere_area(N) * (core + head + tail)
 
 
-def integrate_from(f: RadialField, N: int, i0: int) -> float:
-    """Same as integrate but over [nodes[i0], infinity) only."""
-    g = f.grid
-    w = uniform_weights(g.n, g.h, i0=i0) * g.nodes ** N
-    tail = _tail_correction(f.values[-1], f.tail_exponent, N, g.r_max)
-    return sphere_area(N) * (float(w @ f.values) + tail)
-
-
 @lru_cache(maxsize=32)
 def _dmat(n: int, h: float, order: int) -> sp.csr_array:
     return derivative_matrix(n, h, order)
@@ -159,7 +151,8 @@ def differentiate(f: RadialField) -> RadialField:
 
 def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
     """Dirichlet form of degree-ell modes:
-    omega_{N-1} * int (u'v' + ell(ell+N-2) u v / r^2) r^{N-1} dr."""
+    omega_{N-1} * int (u'v' + ell(ell+N-2) u v / r^2) r^{N-1} dr;
+    a non-finite result (r^{N-2} overflowing on the grid) is a NumericsError."""
     g = u.grid
     if v.grid is not g and v.grid.key() != g.key():
         raise ValidationError("h1_inner requires both fields on the same grid")
@@ -167,18 +160,21 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
         raise ValidationError("ell must be nonnegative")
     D = _dmat(g.n, g.h, 1)
     ux, vx = D @ u.values, D @ v.values
-    ew = g.log_weights * np.exp((N - 2) * g.x)
-    total = float(ew @ (ux * vx))
-    # gradient tail: u' ~ u'(r_max) (r/r_max)^{-(tail_exponent+1)}, likewise v'
-    du_end, dv_end = ux[-1] / g.r_max, vx[-1] / g.r_max
-    total += _tail_correction(du_end * dv_end, (u.tail_exponent + 1) + (v.tail_exponent + 1),
-                              N, g.r_max)
-    if ell > 0:
-        cf = ell * (ell + N - 2)
-        total += cf * float(ew @ (u.values * v.values))
-        total += cf * u.head_value * v.head_value * g.r_min ** (N - 2) / (N - 2)
-        total += _tail_correction(cf * u.values[-1] * v.values[-1],
-                                  u.tail_exponent + v.tail_exponent, N - 2, g.r_max)
+    with np.errstate(over="ignore", invalid="ignore"):   # r^{N-2} may overflow
+        ew = g.log_weights * np.exp((N - 2) * g.x)
+        total = float(ew @ (ux * vx))
+        # gradient tail: u' ~ u'(r_max) (r/r_max)^{-(tail_exponent+1)}, likewise v'
+        du_end, dv_end = ux[-1] / g.r_max, vx[-1] / g.r_max
+        total += _tail_correction(du_end * dv_end, (u.tail_exponent + 1) + (v.tail_exponent + 1),
+                                  N, g.r_max)
+        if ell > 0:
+            cf = ell * (ell + N - 2)
+            total += cf * float(ew @ (u.values * v.values))
+            total += cf * u.head_value * v.head_value * g.r_min ** (N - 2) / (N - 2)
+            total += _tail_correction(cf * u.values[-1] * v.values[-1],
+                                      u.tail_exponent + v.tail_exponent, N - 2, g.r_max)
+    if not math.isfinite(total):
+        raise NumericsError(f"h1_inner is not finite ({total}) on this grid")
     return sphere_area(N) * total
 
 

@@ -266,19 +266,21 @@ class AngularKernel:
         gam = p.N - p.alpha / 2
         xe = self.x_extended()
         psi = np.empty(len(xe))
-        psi[:self.npad] = head * np.exp(gam * xe[:self.npad])
-        psi[self.npad:self.npad + g.n] = np.exp(gam * g.x) * values
-        vend = values[-1]
-        if vend == 0.0 or np.isinf(f.tail_exponent):
-            psi[self.npad + g.n:] = 0.0
-        else:
-            margin = f.tail_exponent + p.alpha - p.N
-            if margin <= 0:
-                raise DivergentTailError(
-                    f"Riesz potential diverges: tail exponent {f.tail_exponent} "
-                    f"needs tail_exponent + alpha - N > 0")
-            xt = xe[self.npad + g.n:]
-            psi[self.npad + g.n:] = vend * np.exp(gam * xt - f.tail_exponent * (xt - g.x[-1]))
+        # e^{gam x} may overflow on a wide grid; the callers reject non-finite results
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi[:self.npad] = head * np.exp(gam * xe[:self.npad])
+            psi[self.npad:self.npad + g.n] = np.exp(gam * g.x) * values
+            vend = values[-1]
+            if vend == 0.0 or np.isinf(f.tail_exponent):
+                psi[self.npad + g.n:] = 0.0
+            else:
+                margin = f.tail_exponent + p.alpha - p.N
+                if margin <= 0:
+                    raise DivergentTailError(
+                        f"Riesz potential diverges: tail exponent {f.tail_exponent} "
+                        f"needs tail_exponent + alpha - N > 0")
+                xt = xe[self.npad + g.n:]
+                psi[self.npad + g.n:] = vend * np.exp(gam * xt - f.tail_exponent * (xt - g.x[-1]))
         return psi
 
     def apply(self, f: RadialField) -> np.ndarray:
@@ -351,7 +353,8 @@ def riesz_potential(f: RadialField, p: Params, ell: int = 0) -> RadialField:
 
 def interaction_energy(f: RadialField, g: RadialField, p: Params) -> float:
     """Double Riesz integral int int f(x) g(y) |x-y|^{-alpha} dy dx for radial
-    densities, evaluated as a symmetric discrete quadratic form in log space."""
+    densities, as a symmetric discrete quadratic form in log space (NumericsError
+    if not finite)."""
     if f.jumps or g.jumps:
         raise ValidationError("interaction_energy does not support jump-marked fields")
     gr = f.grid
@@ -362,5 +365,7 @@ def interaction_energy(f: RadialField, g: RadialField, p: Params) -> float:
     psi_g = kernel.extend_psi(g, g.values, g.head_value)
     kappa = kernel.c_norm * 2.0 ** (-p.alpha / 2)
     val = float(psi_f @ kernel.tables.convolve(psi_g))
+    if not math.isfinite(val):
+        raise NumericsError(f"interaction energy is not finite ({val}) on this grid")
     return sphere_area(p.N) * kappa * gr.h * val
 

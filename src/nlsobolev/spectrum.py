@@ -49,7 +49,9 @@ for each j >= ell, so the k-th eigenvalue (k = 0, 1, ...) of sector ell is
 mu_{k+ell}.  On [1e-3, 1e3] at n = 1024 the discrete spectra match this to
 ~1e-7 relative, except sector 0 at low N: 1.2e-6 at N = 4 and 5.9e-5 at
 N = 3, where the error is ~4.3 h / r_max (first order in the discrete end
-condition; the bubble's quotient a(U,U)/b(U,U) is 1 to 1e-8).
+condition; the bubble's quotient a(U,U)/b(U,U) is 1 to 1e-8).  The radial
+eigenfunction of mu_2, J^{(N-2)/(2N)} C_2^{((N-1)/2)}(xi_{N+1}), is the ratio
+sweep's "eigen-gap" direction (`experiments`), taken in this closed form.
 """
 from __future__ import annotations
 

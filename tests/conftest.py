@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -53,3 +54,35 @@ def src_env():
     src = os.path.dirname(os.path.dirname(nl.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def _degree_forms(N, alpha, j):
+    """(E_j, E_0 rho_j, w, 2*_a) of the stereographic diagonalization derived
+    in the spectrum module docstring: on degree-j harmonics the two forms of
+    the pencil are a = E_j + w and b = E_0 rho_j + w."""
+    ts = (2 * N - alpha) / (N - 2)
+    a = (N - 2) / 2
+
+    def E(i):
+        return (i + a) * (i + a + 1)
+
+    def rho(i):
+        return math.exp(math.lgamma(i + alpha / 2) + math.lgamma(N - alpha / 2)
+                        - math.lgamma(alpha / 2) - math.lgamma(i + N - alpha / 2))
+
+    w = (E(1) - ts * E(0) * rho(1)) / (ts - 1)
+    return E(j), E(0) * rho(j), w, ts
+
+
+def closed_form_mu(N, alpha, j):
+    """mu_j = (E_j + w) / (E_0 rho_j + w), the j-th eigenvalue of A v = mu B v."""
+    e, b, w, _ = _degree_forms(N, alpha, j)
+    return (e + w) / (b + w)
+
+
+def closed_form_c_star(N, alpha):
+    """Sharp local constant c* = 1 - 1/nu_2 of deficit/dist^2 near the
+    manifold, with nu_j = E_j / (2*_a E_0 rho_j + (2*_a - 1) w) the eigenvalues
+    of (A - M_W) v = nu (2*_a B - M_W) v (criterion 6 of the acceptance suite)."""
+    e, b, w, ts = _degree_forms(N, alpha, 2)
+    return 1.0 - (ts * b + (ts - 1) * w) / e

@@ -186,12 +186,19 @@ def test_run_as_module_without_runtime_warning(tmp_path):
     assert json.load(open(out))["payload"]["two_star_alpha"] == 3.0
 
 
-def test_overflowing_grid_is_numerical_failure(tmp_path):
-    # at r_max = 1e80 the N = 6 weights r^{N-2} overflow: one typed error line,
-    # no traceback and no overflow warning
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--dim", "6", "--alpha", "5"],
+    ["spectrum", "--dim", "6", "--alpha", "4", "--ell", "2"],
+    ["verify-bubble", "--dim", "6", "--alpha", "4"],
+    ["sweep", "--dim", "6", "--alpha", "4"],
+], ids=["spectrum-alpha5", "spectrum-ell2", "verify-bubble", "sweep"])
+def test_overflowing_grid_is_numerical_failure(argv):
+    # at r_max = 1e80 the N = 6 weights r^{N-2} and the Riesz factors
+    # r^{N-alpha/2} overflow: one typed error line, no traceback, no numpy
+    # warning, and the sweep fails instead of writing null rows
     proc = subprocess.run(
-        [sys.executable, "-m", "nlsobolev.cli", "spectrum", "--dim", "6", "--alpha", "5",
-         "--grid-max", "1e80", "--grid-n", "4096"],
+        [sys.executable, "-m", "nlsobolev.cli", *argv, "--grid-max", "1e80",
+         "--grid-n", "4096"],
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()

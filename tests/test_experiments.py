@@ -8,6 +8,7 @@ from scipy.integrate import quad
 import nlsobolev as nl
 from nlsobolev.errors import ValidationError
 from nlsobolev.experiments import _direction_field
+from conftest import closed_form_c_star, unit_bubble
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,23 @@ def test_sweep_deterministic(p64, sweep_rows):
     j1 = json.dumps([r.to_json_dict() for r in sweep_rows], sort_keys=True)
     j2 = json.dumps([r.to_json_dict() for r in rows2], sort_keys=True)
     assert j1 == j2
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 1.0), (4, 2.0), (5, 3.0), (6, 4.0)])
+def test_eigen_gap_rows_converge_to_c_star(grid_1024, N, alpha):
+    # the closed-form direction carries its exact r^{-(N-2)} tail, so no
+    # first-order far-field term enters the deficit: every row stays in the
+    # bracket, and the ratio corrected for the bubble's own discretized
+    # deficit tends to c* as eps shrinks
+    p = nl.make_params(N, alpha)
+    rows = nl.ratio_sweep(nl.SweepConfig(params=p, directions=("eigen-gap",),
+                                         grid=grid_1024))
+    assert [r.eps for r in rows] == [1e-2, 3e-3, 1e-3]
+    for r in rows:
+        assert r.ratio is not None and 0 < r.ratio <= 1.05
+    delta_U = nl.deficit(unit_bubble(p, grid_1024), p).deficit
+    corrected = (rows[-1].deficit - delta_U) / rows[-1].dist ** 2
+    assert corrected == pytest.approx(closed_form_c_star(N, alpha), abs=5e-4)
 
 
 def test_sweep_unknown_direction_recorded(p64):

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import nlsobolev as nl
 from nlsobolev.errors import IndefiniteOperatorError, NumericsError, ValidationError
+from nlsobolev.experiments import _direction_field
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
-from conftest import bump_field, unit_bubble
+from conftest import bump_field, closed_form_mu, unit_bubble
 
 
 @pytest.fixture(scope="module")
@@ -213,23 +214,6 @@ def test_lanczos_no_convergence_is_numerics_error(op64_s0, monkeypatch):
         nl.solve_generalized(op64_s0, 8)
 
 
-def _closed_form_mu(N, alpha, j):
-    """mu_j = (E_j + w) / (E_0 rho_j + w), the stereographic diagonalization
-    derived in the spectrum module docstring."""
-    ts = (2 * N - alpha) / (N - 2)
-    a = (N - 2) / 2
-
-    def E(i):
-        return (i + a) * (i + a + 1)
-
-    def rho(i):
-        return math.exp(math.lgamma(i + alpha / 2) + math.lgamma(N - alpha / 2)
-                        - math.lgamma(alpha / 2) - math.lgamma(i + N - alpha / 2))
-
-    w = (E(1) - ts * E(0) * rho(1)) / (ts - 1)
-    return (E(j) + w) / (E(0) * rho(j) + w)
-
-
 @given(case=st.sampled_from([3, 4, 5, 6]).flatmap(
     lambda N: st.tuples(st.just(N), st.floats(min_value=0.5, max_value=N - 2.0))))
 @example(case=(5, 3.0))    # the derandomized draws above take no N = 5
@@ -243,9 +227,21 @@ def test_eigenvalues_match_closed_form(case):
         # sector 0 at N = 3, 4 carries the first-order error of the discrete
         # end condition at r_max (~4.3 h / r_max at N = 3)
         rtol = {3: 1e-4, 4: 5e-6}.get(N, 1e-6) if ell == 0 else 1e-6
-        exact = [_closed_form_mu(N, alpha, k + ell) for k in range(len(mu))]
+        exact = [closed_form_mu(N, alpha, k + ell) for k in range(len(mu))]
         assert len(mu) == 6
         np.testing.assert_allclose(mu, exact, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("N, alpha", [(6, 4.0), (4, 2.0), (3, 1.0)])
+def test_eigen_gap_direction_is_gap_eigenvector(grid64, N, alpha):
+    # the sweep's closed-form eigen-gap direction, the pulled-back degree-2
+    # zonal harmonic, against the eigensolver's sector-0 gap eigenvector
+    p = nl.make_params(N, alpha)
+    op = nl.assemble_sector(p, 0, grid64)
+    rep = nl.solve_generalized(op, 10)
+    vec = rep.eigenvectors[:, rep.eigenvalues.index(rep.mu_gap)]
+    w = _direction_field("eigen-gap", nl.SweepConfig(params=p, grid=grid64), grid64)
+    assert b_cosine(op, w.values, vec) >= 1.0 - 1e-6
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -253,7 +249,7 @@ def test_spectral_gap_low_dimension(alpha):
     # at N = 3 the gap is mu_2 (12.2941, 35/3, 9.5), well above the dilation
     # eigenvalue 2*_a, from the default grid
     rep = nl.spectral_gap(nl.make_params(3, alpha))
-    assert rep.mu_gap == pytest.approx(_closed_form_mu(3, alpha, 2), rel=1e-3)
+    assert rep.mu_gap == pytest.approx(closed_form_mu(3, alpha, 2), rel=1e-3)
 
 
 def test_quotient_at_least_one(p64, grid64, op64_s0):
