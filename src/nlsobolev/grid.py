@@ -122,16 +122,25 @@ def _tail_correction(v_end: float, exponent: float, moment: float, r_max: float)
     if margin <= 0:
         raise DivergentTailError(
             f"tail exponent {exponent} too small for the r^{moment - 1} moment")
-    return v_end * r_max ** moment / margin
+    try:
+        return v_end * r_max ** moment / margin
+    except OverflowError:
+        raise NumericsError(f"tail correction overflows: r_max^{moment} "
+                            f"with r_max = {r_max:g}") from None
 
 
 def integrate(f: RadialField, N: int) -> float:
-    """omega_{N-1} * int_0^inf f(r) r^{N-1} dr with head/tail extensions."""
+    """omega_{N-1} * int_0^inf f(r) r^{N-1} dr with head/tail extensions;
+    a non-finite result (r^N overflowing on the grid) is a NumericsError."""
     g = f.grid
-    core = float(g.weights(N) @ f.values)
+    with np.errstate(over="ignore", invalid="ignore"):   # r^N may overflow
+        core = float(g.weights(N) @ f.values)
     head = f.head_value * g.r_min ** N / N
     tail = _tail_correction(f.values[-1], f.tail_exponent, N, g.r_max)
-    return sphere_area(N) * (core + head + tail)
+    total = core + head + tail
+    if not math.isfinite(total):
+        raise NumericsError(f"integral is not finite ({total}) on this grid")
+    return sphere_area(N) * total
 
 
 @lru_cache(maxsize=32)

@@ -128,7 +128,10 @@ class KernelProfile:
         for hi, (t, w) in zip(self._FAR_EDGES[1:], self._far_rules):
             m = (xi >= lo) & (xi < hi)
             if np.any(m):
-                chi = np.cosh(xi[m])
+                # cosh overflows past xi ~ 710, where the kernel, ~ e^{-355 alpha},
+                # is negligible; inf ** (-alpha/2) then gives 0
+                with np.errstate(over="ignore"):
+                    chi = np.cosh(xi[m])
                 out[m] = (chi[:, None] - t) ** (-self.alpha / 2) @ w
             lo = hi
         return out
@@ -295,11 +298,13 @@ class AngularKernel:
                 vals[:b + 1] -= drop
             head = head - sum(drop for _, drop in f.jumps)
         psi = self.extend_psi(f, vals, head)
-        out = self.tables.convolve(psi)[self.npad:self.npad + g.n]
-        for b, drop in f.jumps:
-            out = out + drop * self._step_values(b)
         kappa = self.c_norm * 2.0 ** (-p.alpha / 2)
-        res = kappa * np.exp(-p.alpha / 2 * g.x) * out
+        # psi overflows on a wide grid; the non-finite result is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.tables.convolve(psi)[self.npad:self.npad + g.n]
+            for b, drop in f.jumps:
+                out = out + drop * self._step_values(b)
+            res = kappa * np.exp(-p.alpha / 2 * g.x) * out
         if not np.all(np.isfinite(res)):
             raise NumericsError("Riesz potential quadrature produced non-finite values")
         return res
@@ -364,7 +369,8 @@ def interaction_energy(f: RadialField, g: RadialField, p: Params) -> float:
     psi_f = kernel.extend_psi(f, f.values, f.head_value)
     psi_g = kernel.extend_psi(g, g.values, g.head_value)
     kappa = kernel.c_norm * 2.0 ** (-p.alpha / 2)
-    val = float(psi_f @ kernel.tables.convolve(psi_g))
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        val = float(psi_f @ kernel.tables.convolve(psi_g))
     if not math.isfinite(val):
         raise NumericsError(f"interaction energy is not finite ({val}) on this grid")
     return sphere_area(p.N) * kappa * gr.h * val

@@ -9,7 +9,8 @@ Dirichlet part as G^T G, G = diag(sqrt(q)) D with the quadrature weights
 folded in (a sparse band), the nonlocal part as diag(m) kappa T diag(m) from
 the Toeplitz product-integration weights T of the sector kernel, kept as
 their exactly palindromic lag table, so that B x is one FFT convolution and
-B is built densely only for the positive-semidefiniteness certificate.
+B is certified positive semidefinite from T alone by an O(n^2) Schur
+recursion: no n x n array is ever formed.
 Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
@@ -87,9 +88,8 @@ class SectorOperator:
         T[i, j] = b_lags[n - 1 + i - j],
 
     with b_lags, over lags -(n-1)..(n-1), exactly palindromic, so that T and
-    every materialization of B are exactly symmetric.  `apply_b` multiplies by
-    B with one FFT convolution; the property `B` builds the dense matrix
-    afresh on each access, and nothing keeps it."""
+    B are exactly symmetric.  `apply_b` multiplies by B with one FFT
+    convolution; B is never materialized."""
     ell: int
     A: sp.csr_array
     b_scale: np.ndarray
@@ -110,15 +110,6 @@ class SectorOperator:
         if not np.array_equal(self.b_lags, self.b_lags[::-1]):
             raise IndefiniteOperatorError("B is not symmetric: b_lags is not palindromic")
         self._b_lags_hat = rfft(self.b_lags, _fft_len(len(self.b_scale), len(self.b_lags)))
-
-    @property
-    def B(self) -> np.ndarray:
-        """The dense n x n matrix B, built anew."""
-        n = len(self.b_scale)
-        B = sla.toeplitz(self.b_lags[n - 1:])
-        B *= np.outer(self.b_scale, self.b_scale)
-        B[np.diag_indices(n)] += self.b_diag
-        return B
 
     def apply_b(self, x: np.ndarray) -> np.ndarray:
         """B x for a vector x, by one FFT convolution with the lag table."""
@@ -203,32 +194,60 @@ def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
                           grid=grid, params=p, w_potential=W)
 
 
+def _toeplitz_pd(col: np.ndarray) -> bool:
+    """Whether the symmetric Toeplitz matrix with first column col is positive
+    definite: the Schur algorithm, the O(n^2) Cholesky of a Toeplitz matrix,
+    runs without breakdown (every pivot positive, every reflection coefficient
+    inside (-1, 1)).  It propagates the generators u, v of T - Z T Z^T in the
+    mixed form of Bojanczyk, Brent, de Hoog and Sweet (SIAM J. Matrix Anal.
+    Appl. 16 (1995)), stable for positive definite T; u is kept shifted so
+    that step k reads u[:n-k] against v[k:], both updated in place by BLAS."""
+    daxpy, dscal = sla.blas.daxpy, sla.blas.dscal
+    n = len(col)
+    u, v = col.copy(), col.copy()
+    v[0] = 0.0
+    for k in range(1, n):
+        U, V = u[:n - k], v[k:]
+        if not U[0] > 0:
+            return False
+        rho = V[0] / U[0]
+        if not abs(rho) < 1.0:
+            return False
+        daxpy(U, V, a=-rho)             # v <- v - rho u, then
+        dscal(1.0 - rho * rho, U)       # u <- (1 - rho^2) u - rho v
+        daxpy(V, U, a=-rho)             # with the new v
+    return bool(u[0] > 0)
+
+
 def _psd_to_tolerance(op: SectorOperator, v0: np.ndarray) -> None:
     """Raise unless B's smallest eigenvalue is at least -1e-10 times its largest.
 
-    One Cholesky factorization of B + 1e-10 lambda_max I decides it: it exists
-    exactly when lambda_min > -1e-10 lambda_max, up to a backward error of about
-    n eps lambda_max, far below the tolerance.  lambda_max comes from FFT
-    matvecs; the dense B is built once, into the buffer the factorization
-    overwrites."""
+    A sufficient test on the Toeplitz factor T, with m = b_scale: if
+    T + delta I is positive semidefinite, B - (-delta max m^2 + min(b_diag, 0)) I
+    is too, and that bound is -1e-10 lambda_max for
+    delta = (1e-10 lambda_max + min(b_diag, 0)) / max m^2.  So B passes when
+    this delta is nonnegative and the Schur algorithm factors T + delta I;
+    lambda_max comes from FFT matvecs.  Up to the Schur algorithm's backward
+    error, of order n eps ||T||, the test never passes a B below the bound;
+    it may reject one whose indefinite T the scaling m masks."""
     n = len(v0)
     b_op = spla.LinearOperator((n, n), matvec=op.apply_b, dtype=float)
-    shift = 1e-10 * spla.eigsh(b_op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-    Bs = op.B
-    Bs[np.diag_indices_from(Bs)] += shift
-    try:
-        sla.cholesky(Bs, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    lam_max = spla.eigsh(b_op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    floor = -1e-10 * lam_max
+    delta = (min(op.b_diag.min(), 0.0) - floor) / np.max(op.b_scale ** 2)
+    col = op.b_lags[n - 1:].copy()
+    col[0] += delta
+    if not (delta >= 0 and _toeplitz_pd(col)):
         raise IndefiniteOperatorError(
-            f"B has an eigenvalue below -1e-10 * max = {-shift:.3e}") from exc
+            f"B is not certified positive semidefinite to -1e-10 * max = {floor:.3e}")
 
 
 def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors.
 
-    B is validated positive semidefinite to tolerance by one shifted Cholesky
-    factorization, the only place its dense matrix is built; everywhere else
-    B acts by FFT matvecs (`SectorOperator.apply_b`).  On all n nodes, after
+    B is certified positive semidefinite to tolerance from its Toeplitz
+    factor (`_psd_to_tolerance`) and acts only by FFT matvecs
+    (`SectorOperator.apply_b`); no n x n array is formed.  On all n nodes, after
     the diagonal scaling d = diag(A)^{-1/2}, implicitly restarted Lanczos
     (ARPACK, generalized mode 2) finds the k largest nu = 1/mu of
     dBd x = nu dAd x, with dBd applied as y -> d o B(d o y) and the banded

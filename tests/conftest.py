@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import nlsobolev as nl
 
@@ -46,6 +47,16 @@ def bump_field(grid, center=0.0, width=1.0, amp=1.0):
 
 def unit_bubble(p, grid, lam=1.0, c=1.0):
     return nl.bubble(p, nl.BubbleParams(c=c, lam=lam), grid)
+
+
+def dense_b(op):
+    """The dense n x n matrix B of a SectorOperator, built from its factors
+    diag(b_scale) T diag(b_scale) + diag(b_diag), T[i, j] = b_lags[n-1+i-j]."""
+    n = len(op.b_scale)
+    B = sla.toeplitz(op.b_lags[n - 1:])
+    B *= np.outer(op.b_scale, op.b_scale)
+    B[np.diag_indices(n)] += op.b_diag
+    return B
 
 
 def src_env():

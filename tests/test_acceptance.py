@@ -28,6 +28,7 @@ import scipy.linalg as sla
 import nlsobolev as nl
 from nlsobolev.cli import run_cli
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
+from conftest import closed_form_c_star, dense_b
 
 EL_PAIRS = [(3, 1.0), (3, 2.0), (4, 2.0), (5, 3.0), (6, 4.0)]
 SPECTRUM_PAIRS = [(6, 4.0), (4, 2.0)]
@@ -125,17 +126,17 @@ def test_criterion_5_spectrum():
         U = nl.bubble(p, nl.BubbleParams(c=1.0, lam=1.0), g)
         if abs(mu0[0] - 1.0) > 1e-3:
             failures.append(f"({N},{al}) mu_1 = {mu0[0]:.5f}")
-        if _b_cos(op0.B, rep0.eigenvectors[:, 0], U.values) <= 0.999:
+        if _b_cos(dense_b(op0), rep0.eigenvectors[:, 0], U.values) <= 0.999:
             failures.append(f"({N},{al}) ground eigenvector does not match U")
         j0 = int(np.argmin(np.abs(mu0 - ts)))
         if abs(mu0[j0] - ts) > 1e-2:
             failures.append(f"({N},{al}) sector-0 misses {ts}")
-        if _b_cos(op0.B, rep0.eigenvectors[:, j0],
+        if _b_cos(dense_b(op0), rep0.eigenvectors[:, j0],
                   _dlam_bubble(p, 1.0, g).values) <= 0.99:
             failures.append(f"({N},{al}) dilation eigenvector mismatch")
         if abs(rep1.eigenvalues[0] - ts) > 1e-2:
             failures.append(f"({N},{al}) sector-1 lowest {rep1.eigenvalues[0]:.5f} != {ts}")
-        if _b_cos(op1.B, rep1.eigenvectors[:, 0],
+        if _b_cos(dense_b(op1), rep1.eigenvectors[:, 0],
                   _dr_bubble(p, 1.0, g).values) <= 0.99:
             failures.append(f"({N},{al}) translation eigenvector mismatch")
         if N == 6:
@@ -165,7 +166,7 @@ def _sharp_local_constant(p, grid):
     MW = nl.sphere_area(N) * np.diag(grid.log_weights * np.exp(N * grid.x)
                                      * op.w_potential)
     dirichlet = (op.A.toarray() - MW)[:-1, :-1]
-    sigma, vecs = sla.eigh((ts * op.B - MW)[:-1, :-1], dirichlet)
+    sigma, vecs = sla.eigh((ts * dense_b(op) - MW)[:-1, :-1], dirichlet)
     nu = 1.0 / sigma[::-1][:6]
     j = int(np.argmax(nu > 1.0 + 1e-3))
     v = np.zeros(grid.n)
@@ -204,6 +205,10 @@ def test_criterion_6_ratio_bracket():
     failures = []
     if not 0.0 < c_star < 1.0:
         failures.append(f"c* = {c_star:.4f} outside (0, 1)")
+    c_closed = closed_form_c_star(6, 4.0)
+    if abs(c_star - c_closed) > 1e-6:
+        failures.append(f"c* = {c_star:.8f} differs from the closed form "
+                        f"{c_closed:.8f} by {c_star - c_closed:.2e}")
     if abs(form_ratio - 1.0) > 1e-5:
         failures.append(f"Dirichlet form of the gap eigenvector drifts from "
                         f"h1_inner by {form_ratio - 1.0:.2e}")

@@ -83,6 +83,22 @@ def test_deficit_numerical_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_deficit_wide_grid_prints_one_stderr_line(tmp_path):
+    # on [1e-3, 1e150] r^N and the kernel's cosh overflow; the run ends with
+    # exactly one `numerical failure:` line on stderr and no warnings
+    grid = nl.make_log_grid(1e-3, 1e150, 2048)
+    f = nl.RadialField(grid=grid, values=(1 + grid.nodes) ** -0.1,
+                       tail_exponent=2.5, head_value=1.0)
+    path = os.path.join(tmp_path, "wide.csv")
+    nl.write_field_csv(f, path)
+    proc = subprocess.run([sys.executable, "-m", "nlsobolev.cli", "deficit", "--dim", "3",
+                           "--alpha", "1", "--input", path],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     args = ["sweep", "--dim", "6", "--alpha", "4", "--grid-n", "512",
             "--epsilons", "1e-2", "--directions", "random-1", "--seed", "7"]

@@ -1,12 +1,13 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlsobolev as nl
-from nlsobolev.errors import DivergentTailError, ValidationError
+from nlsobolev.errors import DivergentTailError, NumericsError, ValidationError
 from conftest import bump_field
 
 
@@ -64,6 +65,18 @@ def test_integrate_divergent_tail_signaled():
                        tail_exponent=2.0, head_value=0.0)
     with pytest.raises(DivergentTailError):
         nl.integrate(f, 3)
+
+
+def test_integrate_overflow_on_wide_grid_is_numerics_error():
+    # r_max^3 = 1e450 overflows a float: a typed error, and no warning leaks
+    g = nl.make_log_grid(1e-3, 1e150, 2048)
+    vals = (1 + g.nodes ** 2) ** -2.0
+    vals[-1] = 1e-300
+    f = nl.RadialField(grid=g, values=vals, tail_exponent=4.0, head_value=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError):
+            nl.integrate(f, 3)
 
 
 def test_integrate_on_grid_from_one_matches_closed_form():

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import gegenbauer as scipy_gegenbauer
 
 import nlsobolev as nl
 from nlsobolev import riesz
-from nlsobolev.errors import DivergentTailError, ValidationError
+from nlsobolev.errors import DivergentTailError, NumericsError, ValidationError
 from conftest import bump_field, src_env, unit_bubble
 
 
@@ -363,3 +364,19 @@ def test_cached_weight_spectrum_is_bit_identical(N, alpha, ell, monkeypatch):
                         lambda self, psi: riesz._lag_convolve(psi, self.weights, self.half))
     for a, b in zip(cached, results()):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("op", ["potential", "energy"])
+def test_wide_grid_overflow_is_numerics_error_without_warnings(p31, op):
+    # on [1e-3, 1e150] psi overflows, and the kernel's cosh with it (to the
+    # right value, 0); the caller's finiteness check raises, nothing warns
+    g = nl.make_log_grid(1e-3, 1e150, 2048)
+    f = nl.RadialField(grid=g, values=(1 + g.nodes) ** -0.1, tail_exponent=2.5,
+                       head_value=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite|not finite"):
+            if op == "potential":
+                nl.riesz_potential(f, p31)
+            else:
+                nl.interaction_energy(f, f, p31)

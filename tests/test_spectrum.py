@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import nlsobolev as nl
 from nlsobolev.errors import IndefiniteOperatorError, NumericsError, ValidationError
 from nlsobolev.experiments import _direction_field
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
-from conftest import bump_field, closed_form_mu, unit_bubble
+from conftest import bump_field, closed_form_mu, dense_b, unit_bubble
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +41,14 @@ def rep64_s0(op64_s0):
 
 
 def b_cosine(op, v1, v2):
-    B = op.B
+    B = dense_b(op)
     num = abs(v1 @ B @ v2)
     return num / math.sqrt((v1 @ B @ v1) * (v2 @ B @ v2))
 
 
 def test_forms_symmetric(op64_s0, op64_s1, op64_s2):
     for op in (op64_s0, op64_s1, op64_s2):
-        for M in (op.A.toarray(), op.B):
+        for M in (op.A.toarray(), dense_b(op)):
             assert np.max(np.abs(M - M.T)) <= 1e-12 * np.max(np.abs(M))
             # symmetric by construction, not by an averaging pass
             assert np.array_equal(M, M.T)
@@ -59,7 +60,7 @@ def test_apply_b_matches_materialized_b(N, alpha, grid64):
     p = nl.make_params(N, alpha)
     for ell in nl.spectrum.SECTOR_ELLS:
         op = nl.assemble_sector(p, ell, grid64)
-        B = op.B
+        B = dense_b(op)
         for _ in range(3):
             x = rng.standard_normal(grid64.n)
             bx = B @ x
@@ -92,24 +93,24 @@ def test_operator_holds_no_dense_matrix(op64_s0, op64_s1, op64_s2):
 
 
 def test_b_positive_semidefinite(op64_s0):
-    ev = np.linalg.eigvalsh(op64_s0.B)
+    ev = np.linalg.eigvalsh(dense_b(op64_s0))
     assert ev[0] >= -1e-10 * ev[-1]
 
 
 def test_forms_agree_at_bubble(p64, grid64, op64_s0):
     # a(U, U) = b(U, U), the identity behind mu_1 = 1
     u = unit_bubble(p64, grid64).values
-    assert u @ op64_s0.A @ u == pytest.approx(u @ op64_s0.B @ u, rel=1e-4)
+    assert u @ op64_s0.A @ u == pytest.approx(u @ dense_b(op64_s0) @ u, rel=1e-4)
 
 
 def test_rayleigh_quotients_of_known_eigenfunctions(p64, grid64, op64_s0, op64_s1):
     ts = p64.two_star_alpha
     u = unit_bubble(p64, grid64).values
-    assert (u @ op64_s0.A @ u) / (u @ op64_s0.B @ u) == pytest.approx(1.0, abs=1e-4)
+    assert (u @ op64_s0.A @ u) / (u @ dense_b(op64_s0) @ u) == pytest.approx(1.0, abs=1e-4)
     dl = _dlam_bubble(p64, 1.0, grid64).values
-    assert (dl @ op64_s0.A @ dl) / (dl @ op64_s0.B @ dl) == pytest.approx(ts, abs=1e-3)
+    assert (dl @ op64_s0.A @ dl) / (dl @ dense_b(op64_s0) @ dl) == pytest.approx(ts, abs=1e-3)
     dr = _dr_bubble(p64, 1.0, grid64).values
-    assert (dr @ op64_s1.A @ dr) / (dr @ op64_s1.B @ dr) == pytest.approx(ts, abs=1e-3)
+    assert (dr @ op64_s1.A @ dr) / (dr @ dense_b(op64_s1) @ dr) == pytest.approx(ts, abs=1e-3)
 
 
 def test_first_eigenvalue_simple_with_bubble_eigenvector(p64, grid64, op64_s0, rep64_s0):
@@ -141,7 +142,7 @@ def test_eigenvalues_ascending_and_consistent(op64_s0, rep64_s0):
     # returned eigenvectors reproduce the eigenvalues through the Rayleigh quotient
     for j in range(len(mu)):
         v = rep64_s0.eigenvectors[:, j]
-        quot = (v @ op64_s0.A @ v) / (v @ op64_s0.B @ v)
+        quot = (v @ op64_s0.A @ v) / (v @ dense_b(op64_s0) @ v)
         assert quot == pytest.approx(mu[j], rel=1e-10)
 
 
@@ -149,7 +150,7 @@ def _full_reduction(op, k):
     """Oracle: the k smallest mu of A v = mu B v by a Cholesky reduction of the
     scaled pencil and a full symmetric eigensolve, with B-normalized
     eigenvectors whose largest-magnitude entry is positive."""
-    A, B = op.A.toarray(), op.B
+    A, B = op.A.toarray(), dense_b(op)
     d = 1.0 / np.sqrt(np.diag(A))
     L = np.linalg.cholesky(d[:, None] * A * d[None, :])
     C = sla.solve_triangular(L, sla.solve_triangular(L, d[:, None] * B * d[None, :],
@@ -177,7 +178,7 @@ def _dip_b(op, frac):
     B's first row are below 1e-16 lambda_max there, so B's smallest eigenvalue
     becomes -frac * lambda_max, along e_0, whatever the round-off in B's
     near-null space."""
-    B = op.B
+    B = dense_b(op)
     b_diag = op.b_diag.copy()
     b_diag[0] -= B[0, 0] + frac * np.linalg.eigvalsh(B)[-1]
     return dataclasses.replace(op, b_diag=b_diag)
@@ -185,7 +186,7 @@ def _dip_b(op, frac):
 
 def test_b_dip_beyond_tolerance_rejected(op64_s0):
     op = _dip_b(op64_s0, 1e-8)
-    ev = np.linalg.eigvalsh(op.B)
+    ev = np.linalg.eigvalsh(dense_b(op))
     assert ev[0] / ev[-1] == pytest.approx(-1e-8, rel=1e-6)
     with pytest.raises(IndefiniteOperatorError):
         nl.solve_generalized(op, 8)
@@ -194,6 +195,60 @@ def test_b_dip_beyond_tolerance_rejected(op64_s0):
 def test_b_dip_within_tolerance_solves(op64_s0, rep64_s0):
     rep = nl.solve_generalized(_dip_b(op64_s0, 1e-12), 8)
     np.testing.assert_allclose(rep.eigenvalues, rep64_s0.eigenvalues, rtol=1e-8)
+
+
+def _start_vector(op):
+    return np.random.default_rng(0).standard_normal(len(op.b_scale))
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 1.0), (3, 2.9), (5, 4.5), (6, 0.25), (6, 4.0)])
+def test_toeplitz_certificate_agrees_with_dense_cholesky(N, alpha, grid64):
+    # both accept every real operator (each raises on rejection): the oracle,
+    # a dense Cholesky of B + 1e-10 lambda_max I, and the Toeplitz certificate
+    p = nl.make_params(N, alpha)
+    for ell in nl.spectrum.SECTOR_ELLS:
+        op = nl.assemble_sector(p, ell, grid64)
+        B = dense_b(op)
+        n = len(B)
+        lam_max = sla.eigvalsh(B, subset_by_index=[n - 1, n - 1])[0]
+        B[np.diag_indices(n)] += 1e-10 * lam_max
+        sla.cholesky(B, lower=True, overwrite_a=True)
+        nl.spectrum._psd_to_tolerance(op, _start_vector(op))
+
+
+def _toeplitz_delta(op):
+    """lambda_min(T) and the certificate's shift delta, from dense matrices."""
+    n = len(op.b_scale)
+    lam_max = np.linalg.eigvalsh(dense_b(op))[-1]
+    delta = (1e-10 * lam_max + min(op.b_diag.min(), 0.0)) / np.max(op.b_scale ** 2)
+    return np.linalg.eigvalsh(sla.toeplitz(op.b_lags[n - 1:]))[0], delta
+
+
+@pytest.mark.parametrize("depth, indefinite", [(2.0, True), (0.5, False)])
+def test_indefinite_toeplitz_factor(op64_s0, depth, indefinite):
+    # lag 0 lowered (a palindromic change) so that lambda_min(T) = -depth * delta
+    lam_min, delta = _toeplitz_delta(op64_s0)
+    lags = op64_s0.b_lags.copy()
+    lags[len(lags) // 2] -= lam_min + depth * delta
+    op = dataclasses.replace(op64_s0, b_lags=lags)
+    if indefinite:
+        with pytest.raises(IndefiniteOperatorError, match="not certified"):
+            nl.solve_generalized(op, 8)
+    else:
+        nl.spectrum._psd_to_tolerance(op, _start_vector(op))
+        ev = np.linalg.eigvalsh(dense_b(op))     # what the pass certifies
+        assert ev[0] >= -1e-10 * ev[-1]
+
+
+def test_solve_forms_no_dense_matrix(op64_s0):
+    # one n x n float64 array is 8 MiB at n = 1024
+    tracemalloc.start()
+    try:
+        nl.solve_generalized(op64_s0, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_negative_a_rejected(op64_s0):
@@ -256,7 +311,7 @@ def test_quotient_at_least_one(p64, grid64, op64_s0):
     rng = np.random.default_rng(9)
     for _ in range(5):
         v = bump_field(grid64, rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.2)).values
-        assert (v @ op64_s0.A @ v) / (v @ op64_s0.B @ v) >= 1.0 - 1e-6
+        assert (v @ op64_s0.A @ v) / (v @ dense_b(op64_s0) @ v) >= 1.0 - 1e-6
 
 
 def test_nonlocal_form_positive(p64, grid64):
