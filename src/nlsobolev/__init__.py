@@ -12,7 +12,7 @@ from .params import (Params, SharpConstants, gamma_fn, hls_sharp_constant,
 from .grid import (RadialField, RadialGrid, differentiate, dilate, field_abs_pow,
                    field_signed_pow, h1_inner, indicator_field, integrate,
                    make_log_grid, read_field_csv, write_field_csv)
-from .riesz import (AngularKernel, angular_kernel, interaction_energy,
+from .riesz import (AngularKernel, angular_kernel, angular_kernels, interaction_energy,
                     riesz_potential)
 from .functional import DeficitReport, deficit, el_residual, hls_energy, weak_norm
 from .manifold import (BubbleParams, Decomposition, bubble, dist_to_manifold,
@@ -42,7 +42,8 @@ __all__ = [
     "RadialField", "RadialGrid", "differentiate", "dilate", "field_abs_pow",
     "field_signed_pow", "h1_inner", "indicator_field", "integrate",
     "make_log_grid", "read_field_csv", "write_field_csv",
-    "AngularKernel", "angular_kernel", "interaction_energy", "riesz_potential",
+    "AngularKernel", "angular_kernel", "angular_kernels", "interaction_energy",
+    "riesz_potential",
     "DeficitReport", "deficit", "el_residual", "hls_energy", "weak_norm",
     "BubbleParams", "Decomposition", "bubble", "dist_to_manifold",
     "project_orthogonal", "tangent_basis",

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from ._quadrature import derivative_matrix, uniform_weights
 from .errors import DivergentTailError, NumericsError, ValidationError
-from .params import sphere_area
+from .params import _as_int, sphere_area
 
 __all__ = [
     "RadialGrid", "RadialField", "make_log_grid", "integrate", "differentiate", "h1_inner",
@@ -106,12 +106,13 @@ def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     """Log-spaced grid with composite quadrature weights in the log variable."""
     if not (0 < r_min < r_max):
         raise ValidationError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    n = _as_int("n", n)
     if n < 16:
         raise ValidationError(f"need n >= 16 nodes, got {n}")
-    x = np.linspace(math.log(r_min), math.log(r_max), int(n))
+    x = np.linspace(math.log(r_min), math.log(r_max), n)
     h = x[1] - x[0]
     return RadialGrid(r_min=float(r_min), r_max=float(r_max),
-                      nodes=np.exp(x), log_weights=uniform_weights(int(n), h))
+                      nodes=np.exp(x), log_weights=uniform_weights(n, h))
 
 
 def _tail_correction(v_end: float, exponent: float, moment: float, r_max: float) -> float:

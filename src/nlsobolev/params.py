@@ -48,11 +48,16 @@ class SharpConstants:
             raise ValidationError("sharp constants must be strictly positive")
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int; ValidationError unless it is an integer (bools excluded)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_params(N: int, alpha: float) -> Params:
     """Validate (N, alpha) and populate the derived exponents."""
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise ValidationError(f"dimension must be an integer, got {N!r}")
-    N = int(N)
+    N = _as_int("dimension", N)
     alpha = float(alpha)
     if N < 3:
         raise ValidationError(f"dimension must satisfy N >= 3, got {N}")

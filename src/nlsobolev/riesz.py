@@ -19,7 +19,10 @@ jump markers are split into a continuous part plus exact exponential-step
 contributions so that ball indicators lose no accuracy.
 Both the smooth part and the step parts are one FFT convolution with a lag
 table (`_lag_convolve`); the smooth part's table is transformed once per
-kernel, and built kernels sit in a small LRU cache.
+kernel, and built kernels sit in a small LRU cache.  Since ell enters
+phi_ell only through G_ell, sectors requested together (`angular_kernels`)
+share one profile evaluation: every power of (cosh xi - t) and every
+singular moment is formed once, and each sector adds only its weighted sums.
 
 The normalization is c_ell = omega_{N-2} = |S^{N-2}| by the Funk-Hecke
 formula (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV): for
@@ -39,9 +42,9 @@ from scipy.special import beta, hyp2f1, roots_jacobi
 
 from .errors import DivergentTailError, NumericsError, ValidationError
 from .grid import RadialField, RadialGrid
-from .params import Params, sphere_area
+from .params import Params, _as_int, sphere_area
 
-__all__ = ["AngularKernel", "angular_kernel", "riesz_potential",
+__all__ = ["AngularKernel", "angular_kernel", "angular_kernels", "riesz_potential",
            "interaction_energy", "MAX_ELL"]
 
 MAX_ELL = 3
@@ -85,54 +88,64 @@ def _gegenbauer_coeffs(ell: int, N: int) -> np.ndarray:
 
 
 class KernelProfile:
-    """Evaluator for phi_ell(xi); far branch by Gauss-Jacobi in t, near branch
-    by a subtracted scheme: a [1,2] Gauss-Jacobi piece plus a Taylor series
-    whose singular moments int_0^1 u^a (c+u)^{-alpha/2} du obey a stable
-    upward recurrence (c = cosh xi - 1)."""
+    """Evaluator for phi_ell(xi) of several sectors at once; far branch by
+    Gauss-Jacobi in t, near branch by a subtracted scheme: a [1,2]
+    Gauss-Jacobi piece plus a Taylor series whose singular moments
+    int_0^1 u^a (c+u)^{-alpha/2} du obey a stable upward recurrence
+    (c = cosh xi - 1).  By Funk-Hecke, ell enters only through the Gegenbauer
+    weights, so the sectors share every power matrix, every moment and the
+    recurrence; each sector adds one weight vector per rule and its own
+    Taylor coefficients.  Row j of a call's result is sector ells[j]."""
 
     _FAR_EDGES = (_NEAR_XI, 0.5, 0.8, 1.3, 2.2, 4.0, np.inf)
     _FAR_ORDERS = (96, 72, 48, 32, 24, 16)
 
-    def __init__(self, N: int, alpha: float, ell: int):
-        self.N, self.alpha, self.ell = N, float(alpha), ell
+    def __init__(self, N: int, alpha: float, ells: tuple[int, ...]):
+        self.N, self.alpha, self.ells = N, float(alpha), tuple(ells)
         self.beta = (N - 1) / 2.0
         self.a0 = self.beta - 1.0
-        self.gcoef = _gegenbauer_coeffs(ell, N)
+        gcoefs = [_gegenbauer_coeffs(ell, N) for ell in self.ells]
         rules = [roots_jacobi(q, self.a0, self.a0) for q in self._FAR_ORDERS]
-        self._far_rules = [(t, w * np.polyval(self.gcoef[::-1], t)) for t, w in rules]
-        # Taylor coefficients of rho(u) = G_ell(1-u)(2-u)^{beta-1} about u = 0
+        self._far_rules = [(t, [w * np.polyval(g[::-1], t) for g in gcoefs]) for t, w in rules]
+        # Taylor coefficients of rho(u) = G_ell(1-u)(2-u)^{beta-1} about u = 0,
+        # one row per sector
         J = 60
         binom = np.zeros(J)
         binom[0] = 1.0
         for k in range(1, J):
             binom[k] = binom[k - 1] * (self.beta - 1 - (k - 1)) / k * (-0.5)
         binom *= 2.0 ** (self.beta - 1)
-        g_u = np.zeros(J)
-        for i, gc in enumerate(self.gcoef):            # expand G_ell(1-u)
-            for k in range(i + 1):
-                g_u[k] += gc * math.comb(i, k) * (-1.0) ** k
-        self.rho = np.convolve(g_u, binom)[:J]
+        self.rho = np.empty((len(gcoefs), J))
+        for row, gcoef in zip(self.rho, gcoefs):
+            g_u = np.zeros(J)
+            for i, gc in enumerate(gcoef):              # expand G_ell(1-u)
+                for k in range(i + 1):
+                    g_u[k] += gc * math.comb(i, k) * (-1.0) ** k
+            row[:] = np.convolve(g_u, binom)[:J]
         # rule for the [1, 2] piece, weight (2-u)^{beta-1}, with the fixed
         # factor G_ell(1-u) u^{a0} of the integrand folded in
         xj, wj = roots_jacobi(24, self.a0, 0.0)
         self._i2_u = (xj + 3.0) / 2.0
-        self._i2_w = (wj * 2.0 ** (-self.beta) * np.polyval(self.gcoef[::-1], 1 - self._i2_u)
-                      * self._i2_u ** self.a0)
+        self._i2_w = [wj * 2.0 ** (-self.beta) * np.polyval(g[::-1], 1 - self._i2_u)
+                      * self._i2_u ** self.a0 for g in gcoefs]
         # A0 = int_0^1 v^{a0} (1+v)^{-alpha/2} dv, in closed form
         self._A0 = hyp2f1(self.alpha / 2, self.a0 + 1, self.a0 + 2, -1.0) / (self.a0 + 1)
 
     # -- far branch ---------------------------------------------------------
     def _far(self, xi: np.ndarray) -> np.ndarray:
-        out = np.empty_like(xi)
+        out = np.empty((len(self.ells), len(xi)))
         lo = self._FAR_EDGES[0]
-        for hi, (t, w) in zip(self._FAR_EDGES[1:], self._far_rules):
+        for hi, (t, ws) in zip(self._FAR_EDGES[1:], self._far_rules):
             m = (xi >= lo) & (xi < hi)
             if np.any(m):
                 # cosh overflows past xi ~ 710, where the kernel, ~ e^{-355 alpha},
                 # is negligible; inf ** (-alpha/2) then gives 0
                 with np.errstate(over="ignore"):
                     chi = np.cosh(xi[m])
-                out[m] = (chi[:, None] - t) ** (-self.alpha / 2) @ w
+                powm = (chi[:, None] - t) ** (-self.alpha / 2)
+                for row, w in zip(out, ws):
+                    row[m] = powm @ w
+                del powm       # free before the next band's matrix is formed
             lo = hi
         return out
 
@@ -154,57 +167,84 @@ class KernelProfile:
     def _near(self, xi: np.ndarray) -> np.ndarray:
         al = self.alpha
         c = np.maximum(2.0 * np.sinh(xi / 2.0) ** 2, _C_FLOOR)
-        i2 = (c[:, None] + self._i2_u) ** (-al / 2) @ self._i2_w
+        powm = (c[:, None] + self._i2_u) ** (-al / 2)
+        i2 = np.array([powm @ w for w in self._i2_w])
         Ma = self._m_start(c)
-        acc = self.rho[0] * Ma
+        acc = self.rho[:, :1] * Ma
         one_c = (1 + c) ** (1 - al / 2)
-        for j in range(1, len(self.rho)):
+        for j in range(1, self.rho.shape[1]):
             a = self.a0 + j
             Ma = (one_c - a * c * Ma) / (a + 1 - al / 2)
-            acc += self.rho[j] * Ma
+            acc += self.rho[:, j:j + 1] * Ma
         return acc + i2
 
     def __call__(self, xi) -> np.ndarray:
         xi = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
-        out = np.empty_like(xi)
+        out = np.empty((len(self.ells),) + xi.shape)
         near = xi < _NEAR_XI
+        far = ~near
+        # rows are written one at a time through the 1-D mask
         if np.any(near):
-            out[near] = self._near(xi[near])
-        if np.any(~near):
-            out[~near] = self._far(xi[~near])
+            for row, v in zip(out, self._near(xi[near])):
+                row[near] = v
+        if np.any(far):
+            for row, v in zip(out, self._far(xi[far])):
+                row[far] = v
         return out
 
 
-class _ConvTables:
-    """Product-integration data for one (profile, h, nlag): monomial moment
-    tables P[d, m] = int_0^1 phi((m+eta)h) eta^d deta, the symmetric Toeplitz
-    weight sequence exact for piecewise-cubic psi, and exponential cell
-    integrals used for step (jump) fields."""
+@dataclass(frozen=True)
+class _SectorProfile:
+    """phi_ell of one sector of a shared KernelProfile, as a 1-D evaluator."""
+    shared: KernelProfile
+    row: int
 
-    def __init__(self, profile: KernelProfile, h: float, nlag: int):
-        self.profile, self.h, self.nlag = profile, h, nlag
-        D = _MOMENT_DEGREE + 1
-        P = np.zeros((D, nlag))
-        eta = (_GL_X + 1) / 2
-        wtab = np.array([_GL_W / 2 * eta ** d for d in range(D)])   # (D, 12)
-        ms = np.arange(1, nlag)
-        vals = profile(((ms[:, None] + eta) * h).ravel()).reshape(len(ms), -1)
-        P[:, 1:] = wtab @ vals.T
-        # singular cell m = 0: eta = e^t, t in [t_lo, 0] on equal 12-node panels no
-        # wider than 0.75 (so e^{9t} to round-off).  phi ~ xi^pw + const, pw = N-1-alpha,
-        # leaves < e^{-37} below -T; where `_near`'s c-floor stops the rule short of -T,
-        # the rest is exact for phi's leading term 2^{a0} B(a0+1, -pw/2) (xi^2/2)^{pw/2}.
-        a0, pw = profile.a0, profile.N - 1 - profile.alpha
-        T = 37.0 / min(1.0, pw + 1)
-        t_lo = max(-T, math.log(math.sqrt(2 * _C_FLOOR) / h))
-        K = math.ceil(-t_lo / 0.75)
-        t = (t_lo / K * (np.arange(K)[:, None] + eta)).ravel()   # counted down from 0
-        wt = np.tile(_GL_W, K) * (-t_lo / (2 * K)) * profile(h * np.exp(t))
-        P[:, 0] = np.exp(np.outer(np.arange(1, D + 1), t)) @ wt
-        if t_lo > -T:   # only for N - alpha < 0.12, where pw < -0.88
-            q = pw + 1 + np.arange(D)
-            P[:, 0] += 2 ** (a0 - pw / 2) * beta(a0 + 1, -pw / 2) * h ** pw * np.exp(q * t_lo) / q
-        self.P = P
+    def __call__(self, xi) -> np.ndarray:
+        return self.shared(xi)[self.row]
+
+
+def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
+    """Monomial moment tables P[j, d, m] = int_0^1 phi((m+eta)h) eta^d deta for
+    every sector j of the profile and cells m < nlag, from two profile calls
+    that the sectors share: one over the regular cells m >= 1 and one over the
+    singular cell's graded rule."""
+    D = _MOMENT_DEGREE + 1
+    P = np.zeros((len(profile.ells), D, nlag))
+    eta = (_GL_X + 1) / 2
+    wtab = np.array([_GL_W / 2 * eta ** d for d in range(D)])   # (D, 12)
+    ms = np.arange(1, nlag)
+    vals = profile(((ms[:, None] + eta) * h).ravel())
+    for Pj, v in zip(P, vals):
+        Pj[:, 1:] = wtab @ v.reshape(len(ms), -1).T
+    # singular cell m = 0: eta = e^t, t in [t_lo, 0] on equal 12-node panels no
+    # wider than 0.75 (so e^{9t} to round-off).  phi ~ xi^pw + const, pw = N-1-alpha,
+    # leaves < e^{-37} below -T; where `_near`'s c-floor stops the rule short of -T,
+    # the rest is exact for phi's leading term 2^{a0} B(a0+1, -pw/2) (xi^2/2)^{pw/2},
+    # the same in every sector since G_ell(1) = 1.
+    a0, pw = profile.a0, profile.N - 1 - profile.alpha
+    T = 37.0 / min(1.0, pw + 1)
+    t_lo = max(-T, math.log(math.sqrt(2 * _C_FLOOR) / h))
+    K = math.ceil(-t_lo / 0.75)
+    t = (t_lo / K * (np.arange(K)[:, None] + eta)).ravel()   # counted down from 0
+    wt = np.tile(_GL_W, K) * (-t_lo / (2 * K)) * profile(h * np.exp(t))
+    powers = np.exp(np.outer(np.arange(1, D + 1), t))
+    for Pj, w in zip(P, wt):
+        Pj[:, 0] = powers @ w
+    if t_lo > -T:   # only for N - alpha < 0.12, where pw < -0.88
+        q = pw + 1 + np.arange(D)
+        P[:, :, 0] += 2 ** (a0 - pw / 2) * beta(a0 + 1, -pw / 2) * h ** pw * np.exp(q * t_lo) / q
+    return P
+
+
+class _ConvTables:
+    """Product-integration data for one sector's moment table P (see
+    `_moment_tables`) on cells of width h: the symmetric Toeplitz weight
+    sequence exact for piecewise-cubic psi, and exponential cell integrals
+    used for step (jump) fields."""
+
+    def __init__(self, P: np.ndarray, h: float):
+        self.P, self.h = P, h
+        self.nlag = nlag = P.shape[1]
         wpos = np.zeros(nlag + 3)                 # lags -1 .. nlag+1
         contrib = h * (_LAGRANGE4 @ P[:4])        # (4, nlag): weight vs (nu, cell)
         for j, nu in enumerate((-1, 0, 1, 2)):
@@ -252,7 +292,7 @@ class AngularKernel:
     ell: int
     params: Params
     grid: RadialGrid
-    profile: KernelProfile
+    profile: _SectorProfile
     tables: _ConvTables
     c_norm: float
     npad: int
@@ -323,25 +363,42 @@ class AngularKernel:
         return out[self.npad:self.npad + g.n] * g.h
 
 
-def angular_kernel(p: Params, ell: int, grid: RadialGrid) -> AngularKernel:
-    """Build (or fetch from the LRU cache of the last _KERNEL_CACHE_SIZE
-    kernels) the sector-ell kernel on this grid."""
-    if not (0 <= ell <= MAX_ELL):
-        raise ValidationError(f"ell must lie in 0..{MAX_ELL}, got {ell}")
-    key = (p.N, p.alpha, ell, grid.key())
-    if key in _kernel_cache:
+def angular_kernels(p: Params, ells, grid: RadialGrid) -> list[AngularKernel]:
+    """The sector kernels for each ell in ells on this grid, in request order.
+    Those not in the LRU cache of the last _KERNEL_CACHE_SIZE kernels are
+    built together from one profile evaluation; every returned kernel is
+    filed as most recent."""
+    ells = [_as_int("ell", ell) for ell in ells]
+    for ell in ells:
+        if not (0 <= ell <= MAX_ELL):
+            raise ValidationError(f"ell must lie in 0..{MAX_ELL}, got {ell}")
+    keys = [(p.N, p.alpha, ell, grid.key()) for ell in ells]
+    missing = tuple(dict.fromkeys(ell for ell, key in zip(ells, keys)
+                                  if key not in _kernel_cache))
+    built = {}
+    if missing:
+        profile = KernelProfile(p.N, p.alpha, missing)
+        span = grid.x[-1] - grid.x[0]
+        npad = int(math.ceil(span / grid.h)) + 8
+        moments = _moment_tables(profile, grid.h, grid.n + 2 * npad)
+        for j, ell in enumerate(missing):
+            built[ell] = AngularKernel(ell=ell, params=p, grid=grid,
+                                       profile=_SectorProfile(profile, j),
+                                       tables=_ConvTables(moments[j], grid.h),
+                                       c_norm=sphere_area(p.N - 1), npad=npad)
+    kernels = []
+    for ell, key in zip(ells, keys):
+        kernel = _kernel_cache.setdefault(key, built.get(ell))
         _kernel_cache.move_to_end(key)
-        return _kernel_cache[key]
-    profile = KernelProfile(p.N, p.alpha, ell)
-    span = grid.x[-1] - grid.x[0]
-    npad = int(math.ceil(span / grid.h)) + 8
-    tables = _ConvTables(profile, grid.h, grid.n + 2 * npad)
-    kernel = AngularKernel(ell=ell, params=p, grid=grid, profile=profile, tables=tables,
-                           c_norm=sphere_area(p.N - 1), npad=npad)
-    _kernel_cache[key] = kernel
-    if len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+        kernels.append(kernel)
+    while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
         _kernel_cache.popitem(last=False)
-    return kernel
+    return kernels
+
+
+def angular_kernel(p: Params, ell: int, grid: RadialGrid) -> AngularKernel:
+    """The sector-ell kernel on this grid: `angular_kernels` for one sector."""
+    return angular_kernels(p, (ell,), grid)[0]
 
 
 def riesz_potential(f: RadialField, p: Params, ell: int = 0) -> RadialField:

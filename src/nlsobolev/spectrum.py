@@ -69,8 +69,9 @@ from ._quadrature import staggered_derivative_matrix
 from .errors import IndefiniteOperatorError, NumericsError, ValidationError
 from .grid import RadialGrid, field_abs_pow, make_log_grid
 from .manifold import BubbleParams, bubble
-from .params import Params, sphere_area
-from .riesz import _fft_len, _lag_convolve, angular_kernel, riesz_potential
+from .params import Params, _as_int, sphere_area
+from .riesz import (_fft_len, _lag_convolve, angular_kernel, angular_kernels,
+                    riesz_potential)
 
 __all__ = ["SectorOperator", "SpectrumReport", "assemble_sector",
            "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
@@ -155,13 +156,17 @@ def _report(p: Params, ell: int | None, mu, vecs=None) -> SpectrumReport:
                           eigenvectors=vecs)
 
 
+def _check_resolution(grid: RadialGrid) -> None:
+    if grid.n / math.log10(grid.r_max / grid.r_min) < 32:
+        raise ValidationError("grid too coarse: need >= 32 nodes per decade")
+
+
 def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
     """Build the symmetric (A, B) pair for sector ell on the given grid."""
+    ell = _as_int("ell", ell)
     if ell not in SECTOR_ELLS:
         raise ValidationError(f"supported sectors are {SECTOR_ELLS}, got ell={ell}")
-    decades = math.log10(grid.r_max / grid.r_min)
-    if grid.n / decades < 32:
-        raise ValidationError("grid too coarse: need >= 32 nodes per decade")
+    _check_resolution(grid)
     N, al, ts = p.N, p.alpha, p.two_star_alpha
     om = sphere_area(N)
     x = grid.x
@@ -258,7 +263,7 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     n - 1, ARPACK's limit.  Each eigenvector's largest-magnitude entry is
     positive.
     """
-    if k < 1:
+    if _as_int("k", k) < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
     A = op.A
     m = A.shape[0]
@@ -316,10 +321,14 @@ def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> Spec
     the ell = 2 ones (larger centrifugal barrier), so they cannot carry the
     gap.  Eigenvalues are listed once per sector, without the angular
     multiplicities.  The default grid serves every N: its worst error,
-    sector 0 at N = 3, is 5.9e-5 relative.
+    sector 0 at N = 3, is 5.9e-5 relative.  The three sector kernels not
+    already cached are built together, from one profile evaluation, before
+    the sectors are assembled.
     """
     if grid is None:
         grid = make_log_grid(1e-3, 1e3, 1024)
+    _check_resolution(grid)   # before the kernel builds it would waste
+    angular_kernels(p, SECTOR_ELLS, grid)
     merged: list[float] = []
     for ell in SECTOR_ELLS:
         rep = solve_generalized(assemble_sector(p, ell, grid), k)

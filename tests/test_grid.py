@@ -21,7 +21,7 @@ def test_make_log_grid_construction():
 
 
 @pytest.mark.parametrize("args", [(1.0, 1.0, 64), (2.0, 1.0, 64), (0.0, 1.0, 64),
-                                  (1e-3, 1e3, 8)])
+                                  (1e-3, 1e3, 8), (1e-2, 1e2, 20.5), (1e-2, 1e2, 20.0)])
 def test_make_log_grid_rejects(args):
     with pytest.raises(ValidationError):
         nl.make_log_grid(*args)

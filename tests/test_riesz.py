@@ -159,6 +159,19 @@ def test_ell_out_of_range(p32, grid_default):
         nl.angular_kernel(p32, 4, grid_default)
 
 
+@pytest.mark.parametrize("ell", [1.0, 2.5, True])
+@pytest.mark.parametrize("call", ["kernel", "kernels", "potential"])
+def test_non_integer_ell_rejected(p32, grid_default, call, ell):
+    # a float sector used to fail with a raw TypeError, and True passed as sector 1
+    with pytest.raises(ValidationError, match="ell must be an integer"):
+        if call == "kernel":
+            nl.angular_kernel(p32, ell, grid_default)
+        elif call == "kernels":
+            nl.angular_kernels(p32, (0, ell), grid_default)
+        else:
+            nl.riesz_potential(bump_field(grid_default, 0.0, 1.0), p32, ell)
+
+
 def test_interaction_energy_symmetric(p42, grid_1024):
     g = grid_1024
     f = bump_field(g, -0.4, 0.8, 1.3)
@@ -343,6 +356,56 @@ def test_kernel_cache_is_bounded_lru(monkeypatch):
     assert len(riesz._kernel_cache) == size
     assert nl.angular_kernel(p, 0, grids[0]) is not kernels[0]   # evicted, rebuilt
     assert len(riesz._kernel_cache) == size
+
+
+@pytest.mark.parametrize("N,alpha", [(4, 1.5), (6, 4.0), (3, 2.0), (5, 4.03), (4, 3.02),
+                                     (3, 2.99)])
+def test_batch_build_is_bit_identical(N, alpha, monkeypatch):
+    """Sectors built together from one profile pass give exactly the tables
+    and profile values of one-at-a-time builds; (3, 2.99) takes the
+    closed-form finish of the singular cell."""
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    p, g = nl.make_params(N, alpha), nl.make_log_grid(1e-2, 1e2, 129)
+    ells = (0, 1, 2, 3)
+    xi = np.concatenate([[0.0], np.logspace(-12, 1.5, 60), [riesz._NEAR_XI, 800.0]])
+    batch = nl.angular_kernels(p, ells, g)
+    assert [k.ell for k in batch] == list(ells)
+    for ell, kb in zip(ells, batch):
+        riesz._kernel_cache.clear()
+        ks = nl.angular_kernel(p, ell, g)
+        assert ks is not kb
+        assert np.array_equal(kb.tables.P, ks.tables.P)
+        assert np.array_equal(kb.tables.weights, ks.tables.weights)
+        assert np.array_equal(kb.profile(xi), ks.profile(xi))
+
+
+def test_batch_builds_only_missing_sectors(monkeypatch):
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    built = []
+
+    class Recording(riesz.KernelProfile):
+        def __init__(self, N, alpha, ells):
+            built.append(tuple(ells))
+            super().__init__(N, alpha, ells)
+
+    monkeypatch.setattr(riesz, "KernelProfile", Recording)
+    size = riesz._KERNEL_CACHE_SIZE
+    p, g = nl.make_params(4, 1.0), nl.make_log_grid(1e-1, 1e1, 40)
+    cached = nl.angular_kernels(p, (1, 3), g)
+    for k in range(size - 2):   # fill the cache, the two sectors oldest
+        nl.angular_kernel(p, 0, nl.make_log_grid(1e-1, 1e1, 16 + k))
+    assert len(riesz._kernel_cache) == size
+    built.clear()
+    got = nl.angular_kernels(p, (3, 0, 1, 2), g)
+    assert built == [(0, 2)]
+    assert got[0] is cached[1] and got[2] is cached[0]
+    assert [k.ell for k in got] == [3, 0, 1, 2]
+    assert len(riesz._kernel_cache) == size
+    # the request is the most recent part of the cache, in request order
+    assert list(riesz._kernel_cache.values())[-4:] == got
+    built.clear()
+    assert nl.angular_kernels(p, (2, 1), g) == [got[3], got[2]]
+    assert built == []
 
 
 @pytest.mark.parametrize("N,alpha,ell", [(4, 2.0, 0), (5, 2.7, 1), (3, 2.5, 0)])

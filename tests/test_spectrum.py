@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 import nlsobolev as nl
+from nlsobolev import riesz
 from nlsobolev.errors import IndefiniteOperatorError, NumericsError, ValidationError
 from nlsobolev.experiments import _direction_field
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
@@ -349,6 +351,43 @@ def test_spectral_gap_merged(p64, grid64):
     assert np.min(np.abs(arr - ts)) < 1e-2
     d = rep.to_json_dict()
     assert set(d) == {"ell", "eigenvalues", "mu_gap", "k_count", "b1_candidate"}
+
+
+def test_spectral_gap_builds_sectors_in_one_profile_pass(monkeypatch):
+    """A cold spectral_gap evaluates the kernel profile once for the regular
+    cells and once for the singular cell, shared by the three sectors."""
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    calls = []
+    call = riesz.KernelProfile.__call__
+
+    def counted(self, xi):
+        calls.append(len(np.atleast_1d(xi)))
+        return call(self, xi)
+
+    monkeypatch.setattr(riesz.KernelProfile, "__call__", counted)
+    nl.spectral_gap(nl.make_params(5, 2.5), nl.make_log_grid(1e-3, 1e3, 1024), k=4)
+    assert 1 <= len(calls) <= 2
+
+
+def test_spectral_gap_rejects_coarse_grid_before_building(p64, monkeypatch):
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    with pytest.raises(ValidationError, match="too coarse"):
+        nl.spectral_gap(p64, nl.make_log_grid(1e-3, 1e3, 64))
+    assert not riesz._kernel_cache
+
+
+@pytest.mark.parametrize("ell", [1.0, 2.5, True])
+def test_non_integer_sector_rejected(p64, grid64, ell):
+    with pytest.raises(ValidationError, match="ell must be an integer"):
+        nl.assemble_sector(p64, ell, grid64)
+
+
+def test_non_integer_k_rejected(p64, grid64, op64_s0):
+    # ARPACK used to fail with SystemError on a float k
+    with pytest.raises(ValidationError, match="k must be an integer"):
+        nl.solve_generalized(op64_s0, 2.5)
+    with pytest.raises(ValidationError, match="k must be an integer"):
+        nl.spectral_gap(p64, grid64, k=2.5)
 
 
 def test_sector_validation(p64, grid64, op64_s0):
