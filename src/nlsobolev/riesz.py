@@ -14,9 +14,14 @@ is weakly singular at xi = 0 (like |xi|^{N-1-alpha}, divergent for
 alpha >= N-1), so the convolution is discretized by product integration:
 Toeplitz weights exact for piecewise-cubic psi, built from moment tables of
 phi over grid cells; the singular cell uses one fixed Gauss rule graded
-geometrically toward xi = 0 (Schwab, Computing 53 (1994)).  Fields carrying
-jump markers are split into a continuous part plus exact exponential-step
-contributions so that ball indicators lose no accuracy.
+geometrically toward xi = 0 (Schwab, Computing 53 (1994)).  From
+xi_0 = _SERIES_XI = 4 on, the Gegenbauer generating function (DLMF 18.12.4)
+turns phi_ell into the exponential sum 2^{alpha/2} sum_{k<K} d_k
+e^{-(alpha/2+k) xi}, so those cells (about nine in ten) have moments in
+closed form, one matrix product for the whole far block; K follows from the
+bound |C_k^{(a)}| <= (2a)_k/k! (DLMF 18.14.4) at xi_0, for every N and alpha.
+Fields carrying jump markers are split into a continuous part plus exact
+exponential-step contributions so that ball indicators lose no accuracy.
 Both the smooth part and the step parts are one FFT convolution with a lag
 table (`_lag_convolve`); the smooth part's table is transformed once per
 kernel, and built kernels sit in a small LRU cache.  Since ell enters
@@ -35,10 +40,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import beta, hyp2f1, roots_jacobi
+from scipy.special import beta, hyp1f1, hyp2f1, roots_jacobi
 
 from .errors import DivergentTailError, NumericsError, ValidationError
 from .grid import RadialField, RadialGrid
@@ -49,6 +55,7 @@ __all__ = ["AngularKernel", "angular_kernel", "angular_kernels", "riesz_potentia
 
 MAX_ELL = 3
 _NEAR_XI = 0.33
+_SERIES_XI = 4.0     # far-field exponential sum from here on (see KernelProfile)
 _MOMENT_DEGREE = 8
 _KERNEL_CACHE_SIZE = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
@@ -74,6 +81,14 @@ def _lag_convolve(seq: np.ndarray, lags: np.ndarray, half: int,
     return irfft(rfft(seq, L) * lags_hat, L)[half:half + len(seq)]
 
 
+@lru_cache(maxsize=64)
+def _gauss_jacobi(q: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """roots_jacobi(q, a, b), computed once per rule and read-only."""
+    t, w = roots_jacobi(q, a, b)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _gegenbauer_coeffs(ell: int, N: int) -> np.ndarray:
     """Ascending power coefficients of C_ell^{(N-2)/2}(t) / C_ell^{(N-2)/2}(1)."""
     lam = (N - 2) / 2.0
@@ -88,25 +103,31 @@ def _gegenbauer_coeffs(ell: int, N: int) -> np.ndarray:
 
 
 class KernelProfile:
-    """Evaluator for phi_ell(xi) of several sectors at once; far branch by
-    Gauss-Jacobi in t, near branch by a subtracted scheme: a [1,2]
-    Gauss-Jacobi piece plus a Taylor series whose singular moments
-    int_0^1 u^a (c+u)^{-alpha/2} du obey a stable upward recurrence
-    (c = cosh xi - 1).  By Funk-Hecke, ell enters only through the Gegenbauer
-    weights, so the sectors share every power matrix, every moment and the
-    recurrence; each sector adds one weight vector per rule and its own
-    Taylor coefficients.  Row j of a call's result is sector ells[j]."""
+    """Evaluator for phi_ell(xi) of several sectors at once.  Below
+    _SERIES_XI the far branch is Gauss-Jacobi in t, and the near branch a
+    subtracted scheme: a [1,2] Gauss-Jacobi piece plus a Taylor series whose
+    singular moments int_0^1 u^a (c+u)^{-alpha/2} du obey a stable upward
+    recurrence (c = cosh xi - 1).  From _SERIES_XI on, phi_ell is the
+    exponential sum 2^{alpha/2} sum_{k<K} d_k e^{-(alpha/2+k) xi} of the
+    Gegenbauer generating function, with K set per alpha from the bound
+    |C_k^{(alpha/2)}| <= (alpha)_k / k! (`_init_series`); `series_moments`
+    integrates it over grid cells in closed form.  By Funk-Hecke, ell enters
+    only through the Gegenbauer weights, so the sectors share every power
+    matrix, every moment, the recurrence and the exponentials; each sector
+    adds one weight vector per rule, its own Taylor coefficients and its own
+    d_k.  Row j of a call's result is sector ells[j]."""
 
-    _FAR_EDGES = (_NEAR_XI, 0.5, 0.8, 1.3, 2.2, 4.0, np.inf)
-    _FAR_ORDERS = (96, 72, 48, 32, 24, 16)
+    _FAR_EDGES = (_NEAR_XI, 0.5, 0.8, 1.3, 2.2, _SERIES_XI)
+    _FAR_ORDERS = (96, 72, 48, 32, 24)
 
     def __init__(self, N: int, alpha: float, ells: tuple[int, ...]):
         self.N, self.alpha, self.ells = N, float(alpha), tuple(ells)
         self.beta = (N - 1) / 2.0
         self.a0 = self.beta - 1.0
         gcoefs = [_gegenbauer_coeffs(ell, N) for ell in self.ells]
-        rules = [roots_jacobi(q, self.a0, self.a0) for q in self._FAR_ORDERS]
+        rules = [_gauss_jacobi(q, self.a0, self.a0) for q in self._FAR_ORDERS]
         self._far_rules = [(t, [w * np.polyval(g[::-1], t) for g in gcoefs]) for t, w in rules]
+        self._init_series()
         # Taylor coefficients of rho(u) = G_ell(1-u)(2-u)^{beta-1} about u = 0,
         # one row per sector
         J = 60
@@ -124,12 +145,59 @@ class KernelProfile:
             row[:] = np.convolve(g_u, binom)[:J]
         # rule for the [1, 2] piece, weight (2-u)^{beta-1}, with the fixed
         # factor G_ell(1-u) u^{a0} of the integrand folded in
-        xj, wj = roots_jacobi(24, self.a0, 0.0)
+        xj, wj = _gauss_jacobi(24, self.a0, 0.0)
         self._i2_u = (xj + 3.0) / 2.0
         self._i2_w = [wj * 2.0 ** (-self.beta) * np.polyval(g[::-1], 1 - self._i2_u)
                       * self._i2_u ** self.a0 for g in gcoefs]
         # A0 = int_0^1 v^{a0} (1+v)^{-alpha/2} dv, in closed form
         self._A0 = hyp2f1(self.alpha / 2, self.a0 + 1, self.a0 + 2, -1.0) / (self.a0 + 1)
+
+    # -- far field: exponential sum -------------------------------------------
+    def _init_series(self) -> None:
+        """With z = e^{-xi}, cosh xi - t = (1 - 2tz + z^2) / (2z), so the
+        generating function (1 - 2tz + z^2)^{-a} = sum_k C_k^{(a)}(t) z^k
+        (DLMF 18.12.4), a = alpha/2, gives phi_ell(xi) = 2^a sum_k d_k
+        e^{-(a+k) xi} with d_k = int C_k^{(a)} G_ell (1-t^2)^{(N-3)/2} dt,
+        zero unless k >= ell and k - ell is even.  |C_k^{(a)}| <= (2a)_k / k!
+        (DLMF 18.14.4) bounds the terms by those of (1 - z)^{-2a}; K is the
+        first count whose tail at xi = _SERIES_XI is below eps/16 of the k = 0
+        bound.  The ratio of consecutive bounds, (2a+k) z / (k+1), tends to z
+        monotonically, so the tail is at most term_K / (1 - max(ratio_K, z)).
+        The d_k come from the 96-node rule, exact while k + ell <= 191."""
+        a = self.alpha / 2
+        t, ws = self._far_rules[0]
+        z = math.exp(-_SERIES_XI)
+        term = 1.0
+        for K in range(2 * len(t) - max(self.ells)):
+            ratio = (2 * a + K) / (K + 1) * z
+            sup = max(ratio, z)
+            if sup < 1 and term / (1 - sup) <= np.finfo(float).eps / 16:
+                break
+            term *= ratio
+        else:
+            raise NumericsError(f"far-field series of alpha = {self.alpha} needs more "
+                                f"than {K} terms")
+        C = [np.ones_like(t), 2 * a * t]               # C_k^{(a)}(t) by recurrence
+        for k in range(1, K - 1):
+            C.append((2 * (k + a) * t * C[k] - (k + 2 * a - 1) * C[k - 1]) / (k + 1))
+        C = np.array(C[:K])
+        k, ell = np.arange(K), np.array(self.ells)[:, None]
+        self._coef = 2.0 ** a * np.array([C @ w for w in ws])   # (sectors, K)
+        self._coef[(k < ell) | ((k - ell) % 2 == 1)] = 0.0      # zero, not round-off
+        self._rates = a + k
+
+    def series_moments(self, h: float, ms: np.ndarray) -> np.ndarray:
+        """int_0^1 phi((m+eta)h) eta^d deta of every sector for cells m (mh >=
+        _SERIES_XI), as an array (sectors, _MOMENT_DEGREE + 1, len(ms)): each
+        exponential term integrates in closed form, int_0^1 e^{-c eta} eta^d
+        deta = 1F1(d+1; d+2; -c) / (d+1), so the cells are one matrix product
+        of the d_k-weighted cell integrals with the geometric sequences
+        e^{-(a+k) mh}, one per sector so that a sector's bits do not depend
+        on the batch it was built in."""
+        d = np.arange(_MOMENT_DEGREE + 1)
+        E = hyp1f1(d + 1, d + 2, -h * self._rates[:, None]) / (d + 1)      # (K, D)
+        geo = np.exp(-np.outer(self._rates, ms * h))
+        return np.array([(c * E.T) @ geo for c in self._coef])
 
     # -- far branch ---------------------------------------------------------
     def _far(self, xi: np.ndarray) -> np.ndarray:
@@ -138,31 +206,38 @@ class KernelProfile:
         for hi, (t, ws) in zip(self._FAR_EDGES[1:], self._far_rules):
             m = (xi >= lo) & (xi < hi)
             if np.any(m):
-                # cosh overflows past xi ~ 710, where the kernel, ~ e^{-355 alpha},
-                # is negligible; inf ** (-alpha/2) then gives 0
-                with np.errstate(over="ignore"):
-                    chi = np.cosh(xi[m])
-                powm = (chi[:, None] - t) ** (-self.alpha / 2)
+                powm = (np.cosh(xi[m])[:, None] - t) ** (-self.alpha / 2)
                 for row, w in zip(out, ws):
                     row[m] = powm @ w
                 del powm       # free before the next band's matrix is formed
             lo = hi
+        m = xi >= lo
+        if np.any(m):
+            geo = np.exp(-np.outer(self._rates, xi[m]))
+            for row, c in zip(out, self._coef):
+                row[m] = c @ geo
         return out
 
     # -- near branch --------------------------------------------------------
     def _m_start(self, c: np.ndarray) -> np.ndarray:
-        """M_{a0}(c) = int_0^1 u^{a0} (c+u)^{-alpha/2} du by split quadrature."""
+        """M_{a0}(c) = int_0^1 u^{a0} (c+u)^{-alpha/2} du by split quadrature:
+        [0, c] in closed form, [c, 1] on max(4, ceil(-log(c) / 1.5)) equal
+        panels in log u, a count of each node's own.  With the nodes sorted by
+        count, panel p runs over the prefix of nodes that have one."""
         al, a0 = self.alpha, self.a0
-        out = c ** (a0 + 1 - al / 2) * self._A0          # [0, c] piece
-        K = max(4, int(np.ceil(np.max(-np.log(c)) / 1.5)))
+        order = np.argsort(c, kind="stable")             # deepest (most panels) first
+        c = c[order]
         lnc = np.log(c)
-        for p in range(K):                                # [c, 1] piece, log panels
-            t0 = lnc * (1 - p / K)
-            t1 = lnc * (1 - (p + 1) / K)
+        K = np.maximum(4, np.ceil(-lnc / 1.5))
+        out = c ** (a0 + 1 - al / 2) * self._A0          # [0, c] piece
+        for p in range(int(K[0])):                       # [c, 1] piece, log panels
+            n = np.searchsorted(-K, -p)                  # the nodes with K > p
+            t0 = lnc[:n] * (1 - p / K[:n])
+            t1 = lnc[:n] * (1 - (p + 1) / K[:n])
             mid = 0.5 * (t0[:, None] + t1[:, None]) + 0.5 * (t1 - t0)[:, None] * _GL_X
-            vals = np.exp((a0 + 1 - al / 2) * mid) * (1 + c[:, None] * np.exp(-mid)) ** (-al / 2)
-            out += (vals @ _GL_W) * 0.5 * (t1 - t0)
-        return out
+            vals = np.exp((a0 + 1 - al / 2) * mid) * (1 + c[:n, None] * np.exp(-mid)) ** (-al / 2)
+            out[:n] += (vals @ _GL_W) * 0.5 * (t1 - t0)
+        return out[np.argsort(order)]
 
     def _near(self, xi: np.ndarray) -> np.ndarray:
         al = self.alpha
@@ -206,16 +281,19 @@ class _SectorProfile:
 def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     """Monomial moment tables P[j, d, m] = int_0^1 phi((m+eta)h) eta^d deta for
     every sector j of the profile and cells m < nlag, from two profile calls
-    that the sectors share: one over the regular cells m >= 1 and one over the
-    singular cell's graded rule."""
+    that the sectors share: one over the regular cells 1 <= m < ceil(_SERIES_XI / h)
+    and one over the singular cell's graded rule.  The cells beyond take the
+    exponential sum in closed form (`KernelProfile.series_moments`)."""
     D = _MOMENT_DEGREE + 1
     P = np.zeros((len(profile.ells), D, nlag))
     eta = (_GL_X + 1) / 2
     wtab = np.array([_GL_W / 2 * eta ** d for d in range(D)])   # (D, 12)
-    ms = np.arange(1, nlag)
+    m_far = min(max(1, math.ceil(_SERIES_XI / h)), nlag)
+    ms = np.arange(1, m_far)
     vals = profile(((ms[:, None] + eta) * h).ravel())
     for Pj, v in zip(P, vals):
-        Pj[:, 1:] = wtab @ v.reshape(len(ms), -1).T
+        Pj[:, 1:m_far] = wtab @ v.reshape(len(ms), len(eta)).T
+    P[:, :, m_far:] = profile.series_moments(h, np.arange(m_far, nlag))
     # singular cell m = 0: eta = e^t, t in [t_lo, 0] on equal 12-node panels no
     # wider than 0.75 (so e^{9t} to round-off).  phi ~ xi^pw + const, pw = N-1-alpha,
     # leaves < e^{-37} below -T; where `_near`'s c-floor stops the rule short of -T,

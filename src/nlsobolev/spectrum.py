@@ -161,12 +161,12 @@ def _check_resolution(grid: RadialGrid) -> None:
         raise ValidationError("grid too coarse: need >= 32 nodes per decade")
 
 
-def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
-    """Build the symmetric (A, B) pair for sector ell on the given grid."""
-    ell = _as_int("ell", ell)
-    if ell not in SECTOR_ELLS:
-        raise ValidationError(f"supported sectors are {SECTOR_ELLS}, got ell={ell}")
-    _check_resolution(grid)
+def _sector_common(p: Params, grid: RadialGrid) -> tuple:
+    """The ell-independent part of every sector's forms: the Dirichlet form
+    om G^T G, G = diag(sqrt(q)) D on the staggered grid (no spurious Nyquist
+    modes), 7 diagonals on each side; the potential W and its mass weights;
+    the nonlocal scaling m; and the centrifugal weights.  On extreme grids
+    these overflow to inf, which SectorOperator rejects with a NumericsError."""
     N, al, ts = p.N, p.alpha, p.two_star_alpha
     om = sphere_area(N)
     x = grid.x
@@ -174,21 +174,37 @@ def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
     potF = riesz_potential(field_abs_pow(U, ts), p, 0)
     W = potF.values * U.values ** (ts - 2.0)
-    # Dirichlet form G^T G, G = diag(sqrt(q)) D on the staggered grid (no
-    # spurious Nyquist modes), 7 diagonals on each side, plus the diagonal
-    # centrifugal and potential terms and, on the last node, the exact energy
-    # of the decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max.
-    # On extreme grids these weights overflow to inf, which SectorOperator
-    # rejects with a NumericsError.
     with np.errstate(over="ignore", invalid="ignore"):
         x_mid = 0.5 * (x[:-1] + x[1:])
         q_mid = grid.h * np.exp((N - 2) * x_mid)
         G = sp.diags_array(np.sqrt(q_mid)) @ staggered_derivative_matrix(grid.n, grid.h)
+        dirichlet = om * (G.T @ G)
         mw = om * (wl * np.exp(N * x) * W)
-        diag = om * ell * (ell + N - 2) * wl * np.exp((N - 2) * x) + mw
-        diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
-        A = om * (G.T @ G) + sp.diags_array(diag)
+        centrifugal = wl * np.exp((N - 2) * x)
         mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
+    return dirichlet, W, mw, centrifugal, mvec
+
+
+def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
+    """Build the symmetric (A, B) pair for sector ell on the given grid."""
+    ell = _as_int("ell", ell)
+    if ell not in SECTOR_ELLS:
+        raise ValidationError(f"supported sectors are {SECTOR_ELLS}, got ell={ell}")
+    _check_resolution(grid)
+    return _assemble(p, ell, grid, _sector_common(p, grid))
+
+
+def _assemble(p: Params, ell: int, grid: RadialGrid, common: tuple) -> SectorOperator:
+    """assemble_sector from the ell-independent part `_sector_common`: A adds
+    the diagonal centrifugal term and, on the last node, the exact energy of
+    the decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max."""
+    dirichlet, W, mw, centrifugal, mvec = common
+    N, al = p.N, p.alpha
+    om = sphere_area(N)
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected by SectorOperator
+        diag = om * ell * (ell + N - 2) * centrifugal + mw
+        diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
+        A = dirichlet + sp.diags_array(diag)
     # nonlocal form diag(m) kappa T diag(m) + M_W from the sector kernel's
     # Toeplitz weights, kept as the lags -(n-1)..(n-1) of its palindromic table
     kern = angular_kernel(p, ell, grid)
@@ -322,15 +338,16 @@ def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> Spec
     gap.  Eigenvalues are listed once per sector, without the angular
     multiplicities.  The default grid serves every N: its worst error,
     sector 0 at N = 3, is 5.9e-5 relative.  The three sector kernels not
-    already cached are built together, from one profile evaluation, before
-    the sectors are assembled.
+    already cached are built together, from one profile evaluation, and the
+    ell-independent part of the forms once, before the sectors are assembled.
     """
     if grid is None:
         grid = make_log_grid(1e-3, 1e3, 1024)
     _check_resolution(grid)   # before the kernel builds it would waste
     angular_kernels(p, SECTOR_ELLS, grid)
+    common = _sector_common(p, grid)
     merged: list[float] = []
     for ell in SECTOR_ELLS:
-        rep = solve_generalized(assemble_sector(p, ell, grid), k)
+        rep = solve_generalized(_assemble(p, ell, grid, common), k)
         merged.extend(rep.eigenvalues)
     return _report(p, None, sorted(merged))

@@ -308,8 +308,43 @@ def test_singular_cell_near_alpha_N_closed_form(alpha):
     assert np.max(np.abs(P0 / ref - 1)) <= 1e-12
 
 
+@pytest.mark.parametrize("N,alpha", [(3, 0.5), (4, 3.02), (6, 5.04), (12, 7.0)])
+def test_regular_cells_match_funk_hecke_oracle(N, alpha):
+    """Moments P[d, m] = int_0^1 phi_ell((m+eta)h) eta^d deta of cells m >= 1
+    in sectors 0-3 against nested adaptive quadrature of the Funk-Hecke
+    t-integral (QAWS in t, Gegenbauer polynomials from scipy): cells on both
+    sides of the exponential-sum cut and a deep cell where the sum's higher
+    terms e^{-(alpha/2+k) mh} underflow.  N = 12 needs the most terms."""
+    g = nl.make_log_grid(1e-3, 1e60, 512)
+    ells = (0, 1, 2, 3)
+    kerns = nl.angular_kernels(nl.make_params(N, alpha), ells, g)
+    h, a0, a = g.h, (N - 3) / 2, alpha / 2
+    gegs = [scipy_gegenbauer(ell, (N - 2) / 2.0) for ell in ells]
+    powers = np.arange(kerns[0].tables.P.shape[0])
+
+    def phi(xi):
+        chi = math.cosh(xi)
+        out = []
+        for G in gegs:
+            scale = abs(out[0]) * 1e-14 if out else 0.0
+            out.append(quad(lambda t: (chi - t) ** -a * G(t) / G(1.0), -1, 1, weight="alg",
+                            wvar=(a0, a0), epsabs=scale, epsrel=2e-14, limit=200)[0])
+        return np.array(out)
+
+    m_cut = math.ceil(riesz._SERIES_XI / h)
+    m_deep = round(720 / (a + 1.5) / h)   # e^{-a mh} normal, e^{-(a+2) mh} underflows
+    assert m_deep < kerns[0].tables.nlag
+    for m in (1, m_cut - 1, m_cut, m_cut + 1, m_deep):
+        ref = quad_vec(lambda eta: np.outer(phi((m + eta) * h), eta ** powers), 0.0, 1.0,
+                       epsabs=0.0, epsrel=2e-14, norm="max", quadrature="gk21")[0]
+        got = np.array([k.tables.P[:, m] for k in kerns])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * abs(ref[0, 0]), m
+
+
 def test_cold_build_makes_few_profile_calls(monkeypatch):
-    """One vector call for the regular cells and one for the singular cell."""
+    """One vector call for the regular cells below the exponential-sum cut and
+    one for the singular cell: 12 nodes per regular cell up to the cut, plus
+    the graded rule's 12-node panels, and not 12 per cell of the whole table."""
     monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     calls = []
     call = riesz.KernelProfile.__call__
@@ -319,8 +354,11 @@ def test_cold_build_makes_few_profile_calls(monkeypatch):
         return call(self, xi)
 
     monkeypatch.setattr(riesz.KernelProfile, "__call__", counted)
-    nl.angular_kernel(nl.make_params(5, 4.02), 0, nl.make_log_grid(1e-3, 1e3, 2048))
+    N, alpha, g = 5, 4.02, nl.make_log_grid(1e-3, 1e3, 2048)
+    nl.angular_kernel(nl.make_params(N, alpha), 0, g)
     assert 1 <= len(calls) <= 4
+    singular = 12 * math.ceil(37.0 / min(1.0, N - alpha) / 0.75)
+    assert sum(calls) <= 12 * math.ceil(riesz._SERIES_XI / g.h) + singular
 
 
 @pytest.mark.parametrize("n,m,half", [(1, 1, 0), (7, 15, 7), (40, 17, 3), (64, 129, 64),
