@@ -6,6 +6,7 @@ validation and file errors, 2 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,7 +34,9 @@ class ArgParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> ArgParser:
+    """The `nlsob` parser, built on first use and shared by every later call."""
     parser = ArgParser(prog="nlsob", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

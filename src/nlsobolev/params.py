@@ -5,11 +5,14 @@ closed Gamma-function form; the best Sobolev constant is *not* taken from a
 formula but fixed by a quadrature Rayleigh quotient of the Talenti profile
 V(x) = [N(N-2)]^{(N-2)/4} (1+|x|^2)^{-(N-2)/2}, for which V is the exact
 minimizer.  All derived constants are computed eagerly and cached per
-(N, alpha).
+(N, alpha), in log space (log-Gamma), so that a large N neither overflows
+on the way nor passes NaN through: a constant that itself lies outside the
+normal double range raises NumericsError.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,12 +20,14 @@ import numpy as np
 import scipy.special as sp
 
 from ._quadrature import uniform_weights
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 __all__ = [
     "Params", "SharpConstants", "make_params", "gamma_fn", "sphere_area",
     "hls_sharp_constant", "sobolev_constant", "hls_sobolev_constant",
 ]
+
+_LOG_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -88,54 +93,61 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / gamma_fn(N / 2.0)
 
 
+def _exp(name: str, log_value: float) -> float:
+    """e^log_value, or NumericsError if it leaves the normal double range."""
+    if not _LOG_RANGE[0] < log_value < _LOG_RANGE[1]:
+        raise NumericsError(f"{name} = e^{log_value:.6g} is outside double precision")
+    return math.exp(log_value)
+
+
 def hls_sharp_constant(p: Params) -> float:
-    """Sharp constant of the diagonal HLS inequality."""
-    N, alpha = p.N, p.alpha
-    return (gamma_fn((N - alpha) / 2.0) * math.pi ** (alpha / 2.0)
-            / gamma_fn(N - alpha / 2.0)
-            * (gamma_fn(float(N)) / gamma_fn(N / 2.0)) ** ((N - alpha) / N))
+    """Sharp constant of the diagonal HLS inequality,
+    pi^{alpha/2} Gamma((N-alpha)/2) / Gamma(N-alpha/2) (Gamma(N)/Gamma(N/2))^{(N-alpha)/N}."""
+    N, alpha, lg = p.N, p.alpha, math.lgamma
+    return _exp("the HLS constant",
+                lg((N - alpha) / 2.0) + alpha / 2.0 * math.log(math.pi) - lg(N - alpha / 2.0)
+                + (N - alpha) / N * (lg(float(N)) - lg(N / 2.0)))
 
 
 @lru_cache(maxsize=None)
 def sobolev_constant(N: int, grid_n: int = 4096) -> float:
-    """Best Sobolev constant from the Rayleigh quotient of the Talenti profile.
+    """Best Sobolev constant from the Rayleigh quotient |grad V|_2^2 / |V|_{2*}^2
+    of the Talenti profile, by log-grid quadrature with closed-form head and
+    tail corrections; stable to far better than 1e-6 under grid refinement.
 
-    Evaluated by log-grid quadrature with the analytic gradient of
-    V(r) = [N(N-2)]^{(N-2)/4} (1+r^2)^{-(N-2)/2} and closed-form corrections
-    for the truncated head and power-law tail.  Stable to far better than
-    1e-6 under grid refinement.
+    The amplitude a = [N(N-2)]^{(N-2)/4} cancels from the quotient (a^2
+    against (a^{2*})^{2/2*}), and in x = log r the integrands r^N |V'|^2 / a^2
+    and r^N V^{2*} / a^{2*} are 2^{-N} times (N-2)^2 e^{2x} q and q, with
+    q = cosh(x)^{-N} formed from its logarithm: no power of r or of 2 is
+    formed, so a large N neither overflows nor loses the integrals.
     """
     if N < 3:
         raise ValidationError(f"sobolev_constant requires N >= 3, got {N}")
     if grid_n < 64:
         raise ValidationError("grid_n too small for a stable quotient")
     x = np.linspace(math.log(1e-4), math.log(1e4), grid_n)
-    h = x[1] - x[0]
-    r = np.exp(x)
-    w = uniform_weights(grid_n, h)
-    two_star = 2.0 * N / (N - 2.0)
-    amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
-    grad_sq = (amp * (N - 2.0)) ** 2 * r * r * (1 + r * r) ** (-N)          # |V'(r)|^2
-    v_pow = amp ** two_star * (1 + r * r) ** (-N)                           # V^{2*}
-    # int g dx = omega_{N-1} int g(r) r^{N-1} dr, plus head/tail closed forms
-    jac = np.exp(N * x)
-    om = sphere_area(N)
-    grad_int = float(w @ (grad_sq * jac))
-    grad_int += grad_sq[-1] * r[-1] ** N / ((2 * N - 2) - N)    # tail ~ r^{-(2N-2)}
-    v_int = float(w @ (v_pow * jac))
-    v_int += v_pow[0] * r[0] ** N / N                           # head ~ const
-    v_int += v_pow[-1] * r[-1] ** N / (2 * N - N)               # tail ~ r^{-2N}
-    return om * grad_int / (om * v_int) ** (2.0 / two_star)
+    w = uniform_weights(grid_n, x[1] - x[0])
+    q = np.exp(-N * (np.logaddexp(x, -x) - math.log(2.0)))
+    grad = (N - 2.0) ** 2 * np.exp(2 * x) * q
+    grad_int = float(w @ grad) + grad[-1] / (N - 2)     # tail ~ e^{-(N-2) x}
+    v_int = float(w @ q) + (q[0] + q[-1]) / N           # head and tail ~ e^{-N |x|}
+    # S = omega^{1-2/2*} grad_int / v_int^{2/2*}, 2/2* = (N-2)/N; 2^{-N} cancels to 1/4
+    log_omega = math.log(2.0) + N / 2.0 * math.log(math.pi) - math.lgamma(N / 2.0)
+    return _exp("the Sobolev constant", 2.0 / N * log_omega + math.log(grad_int / 4.0)
+                - (N - 2.0) / N * math.log(v_int))
 
 
 @lru_cache(maxsize=None)
 def hls_sobolev_constant(p: Params) -> SharpConstants:
-    """All sharp constants for one (N, alpha), cached."""
+    """All sharp constants for one (N, alpha), cached; NumericsError if one of
+    them is outside the normal double range."""
     N, alpha = p.N, p.alpha
-    c = hls_sharp_constant(p)
-    s = sobolev_constant(N)
-    s_hls = s / c ** ((N - 2.0) / (2.0 * N - alpha))
-    amp = (s ** ((N - alpha) * (2.0 - N) / (4.0 * (N - alpha + 2.0)))
-           * c ** ((2.0 - N) / (2.0 * (N - alpha + 2.0)))
-           * (N * (N - 2.0)) ** ((N - 2.0) / 4.0))
-    return SharpConstants(c_hls=c, s_sob=s, s_hls=s_hls, bubble_amp=amp)
+    c, s = hls_sharp_constant(p), sobolev_constant(N)
+    log_c, log_s = math.log(c), math.log(s)
+    log_amp = ((N - alpha) * (2.0 - N) / (4.0 * (N - alpha + 2.0)) * log_s
+               + (2.0 - N) / (2.0 * (N - alpha + 2.0)) * log_c
+               + (N - 2.0) / 4.0 * math.log(N * (N - 2.0)))
+    return SharpConstants(c_hls=c, s_sob=s,
+                          s_hls=_exp("the nonlocal Sobolev constant",
+                                     log_s - (N - 2.0) / (2.0 * N - alpha) * log_c),
+                          bubble_amp=_exp("the bubble amplitude", log_amp))

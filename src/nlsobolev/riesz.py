@@ -14,7 +14,10 @@ is weakly singular at xi = 0 (like |xi|^{N-1-alpha}, divergent for
 alpha >= N-1), so the convolution is discretized by product integration:
 Toeplitz weights exact for piecewise-cubic psi, built from moment tables of
 phi over grid cells; the singular cell uses one fixed Gauss rule graded
-geometrically toward xi = 0 (Schwab, Computing 53 (1994)).  From
+geometrically toward xi = 0 (Schwab, Computing 53 (1994)).  Below
+_NEAR_XI the profile is a Taylor series in singular moments; the first of
+them takes, after w = c/u, log-panel sums of one integral free of c that
+every node of the profile shares, so a node costs one 12-point rule.  From
 xi_0 = _SERIES_XI = 4 on, the Gegenbauer generating function (DLMF 18.12.4)
 turns phi_ell into the exponential sum 2^{alpha/2} sum_{k<K} d_k
 e^{-(alpha/2+k) xi}, so those cells (about nine in ten) have moments in
@@ -60,6 +63,8 @@ _MOMENT_DEGREE = 8
 _KERNEL_CACHE_SIZE = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _C_FLOOR = 1e-280        # near-branch floor on c = cosh xi - 1, reached at xi ~ sqrt(2 c)
+_M_PANEL = 1.5           # log-panel width of `_m_start`'s shared sums, exact in binary
+_M_PANELS = math.ceil(-math.log(_C_FLOOR) / _M_PANEL)   # panels down to the c-floor
 # cubic Lagrange basis on eta-nodes {-1, 0, 1, 2}, ascending monomial coefficients
 _LAGRANGE4 = np.array([[0.0, -1 / 3, 1 / 2, -1 / 6],
                        [1.0, -1 / 2, -1.0, 1 / 2],
@@ -67,15 +72,19 @@ _LAGRANGE4 = np.array([[0.0, -1 / 3, 1 / 2, -1 / 6],
                        [0.0, -1 / 6, 0.0, 1 / 6]])
 
 
-def _fft_len(nseq: int, nlags: int) -> int:
-    return next_fast_len(nseq + nlags - 1, True)
+def _fft_len(nseq: int, nlags: int, half: int) -> int:
+    """The shortest fast circular length that keeps `_lag_convolve`'s outputs,
+    the linear indices half .. half + nseq - 1, clear of wrap-around: the
+    linear ones above them (up to nseq + nlags - 2) must not fold back onto
+    them, nor may they wrap onto the linear ones below."""
+    return next_fast_len(max(nseq + nlags - 1 - half, half + nseq), True)
 
 
 def _lag_convolve(seq: np.ndarray, lags: np.ndarray, half: int,
                   lags_hat: np.ndarray | None = None) -> np.ndarray:
     """out[i] = sum_j lags[half + i - j] seq[j] for i < len(seq), by one real FFT;
     a caller that reuses `lags` passes lags_hat = rfft(lags, _fft_len(...))."""
-    L = _fft_len(len(seq), len(lags))
+    L = _fft_len(len(seq), len(lags), half)
     if lags_hat is None:
         lags_hat = rfft(lags, L)
     return irfft(rfft(seq, L) * lags_hat, L)[half:half + len(seq)]
@@ -107,7 +116,8 @@ class KernelProfile:
     _SERIES_XI the far branch is Gauss-Jacobi in t, and the near branch a
     subtracted scheme: a [1,2] Gauss-Jacobi piece plus a Taylor series whose
     singular moments int_0^1 u^a (c+u)^{-alpha/2} du obey a stable upward
-    recurrence (c = cosh xi - 1).  From _SERIES_XI on, phi_ell is the
+    recurrence (c = cosh xi - 1) from a first moment on panel sums that all
+    nodes share (`_init_m_start`).  From _SERIES_XI on, phi_ell is the
     exponential sum 2^{alpha/2} sum_{k<K} d_k e^{-(alpha/2+k) xi} of the
     Gegenbauer generating function, with K set per alpha from the bound
     |C_k^{(alpha/2)}| <= (alpha)_k / k! (`_init_series`); `series_moments`
@@ -151,6 +161,7 @@ class KernelProfile:
                       * self._i2_u ** self.a0 for g in gcoefs]
         # A0 = int_0^1 v^{a0} (1+v)^{-alpha/2} dv, in closed form
         self._A0 = hyp2f1(self.alpha / 2, self.a0 + 1, self.a0 + 2, -1.0) / (self.a0 + 1)
+        self._init_m_start()
 
     # -- far field: exponential sum -------------------------------------------
     def _init_series(self) -> None:
@@ -219,25 +230,49 @@ class KernelProfile:
         return out
 
     # -- near branch --------------------------------------------------------
+    def _init_m_start(self) -> None:
+        """Panel sums shared by every `_m_start` node.  With sigma = alpha/2 -
+        a0 - 1 and w = c/u, M_{a0}(c) = c^{-sigma} [A0 + int_c^1 w^{sigma-1}
+        (1+w)^{-alpha/2} dw], and the integrand no longer depends on c.  In
+        x = log w it is integrated once, on 12 Gauss nodes per panel
+        [T_{i+1}, T_i], T_i = -_M_PANEL i, as J_i = int e^{sigma (x - T_{i+1})}
+        (1+e^x)^{-alpha/2} dx.  The sums
+            C_j = e^{-lam T_j} int_{T_j}^0 e^{sigma x} (1+e^x)^{-alpha/2} dx
+                = sum_{i<j} e^{(sigma-lam) T_{i+1}} e^{lam (T_{i+1} - T_j)} J_i
+        keep each exponent small where its term is large: lam = 0 for
+        sigma >= 0, where the panels near 0 dominate, and lam = sigma for
+        sigma < 0, where those near T_j dominate and the unscaled sum would
+        overflow at the c-floor.  A prefix scan by doubling forms them, so each
+        C_j is a tree of at most ten additions rather than a running sum of
+        hundreds, and each factor e^{lam _M_PANEL k} comes from its exponent."""
+        sig = self.sigma = self.alpha / 2 - self.a0 - 1
+        lam = min(sig, 0.0)
+        s = (_GL_X + 1) / 2 * _M_PANEL                   # offsets within a panel
+        x = _M_PANEL * np.arange(1, _M_PANELS + 1)       # -T_{i+1}, exact
+        vals = np.exp(sig * s) * (1 + np.exp(s - x[:, None])) ** (-self.alpha / 2)
+        sums = np.exp((lam - sig) * x) * (vals @ _GL_W) * (_M_PANEL / 2)
+        k = 1
+        while k < _M_PANELS:
+            sums[k:] = sums[k:] + np.exp(lam * _M_PANEL * k) * sums[:-k]
+            k *= 2
+        self._m_sums = np.concatenate([[0.0], sums])
+
     def _m_start(self, c: np.ndarray) -> np.ndarray:
-        """M_{a0}(c) = int_0^1 u^{a0} (c+u)^{-alpha/2} du by split quadrature:
-        [0, c] in closed form, [c, 1] on max(4, ceil(-log(c) / 1.5)) equal
-        panels in log u, a count of each node's own.  With the nodes sorted by
-        count, panel p runs over the prefix of nodes that have one."""
-        al, a0 = self.alpha, self.a0
-        order = np.argsort(c, kind="stable")             # deepest (most panels) first
-        c = c[order]
-        lnc = np.log(c)
-        K = np.maximum(4, np.ceil(-lnc / 1.5))
-        out = c ** (a0 + 1 - al / 2) * self._A0          # [0, c] piece
-        for p in range(int(K[0])):                       # [c, 1] piece, log panels
-            n = np.searchsorted(-K, -p)                  # the nodes with K > p
-            t0 = lnc[:n] * (1 - p / K[:n])
-            t1 = lnc[:n] * (1 - (p + 1) / K[:n])
-            mid = 0.5 * (t0[:, None] + t1[:, None]) + 0.5 * (t1 - t0)[:, None] * _GL_X
-            vals = np.exp((a0 + 1 - al / 2) * mid) * (1 + c[:n, None] * np.exp(-mid)) ** (-al / 2)
-            out[:n] += (vals @ _GL_W) * 0.5 * (t1 - t0)
-        return out[np.argsort(order)]
+        """M_{a0}(c) = int_0^1 u^{a0} (c+u)^{-alpha/2} du from the shared panel
+        sums (`_init_m_start`): with j = floor(-log(c) / _M_PANEL) and
+        R = e^{T_j}/c in [1, e^{_M_PANEL}),
+            M = c^{-sigma} A0 + s_j C_j + int_0^{log R} e^{sigma v} (1 + c e^v)^{-alpha/2} dv,
+        s_j = c^{-sigma} or R^sigma as C_j is unscaled or scaled, the last
+        integral on 12 Gauss nodes.  R comes from e^{T_j} and c, not from
+        log c, whose rounding would carry into R^sigma."""
+        al, sig = self.alpha, self.sigma
+        j = np.clip(np.floor(np.log(c) / -_M_PANEL), 0, _M_PANELS).astype(np.intp)
+        R = np.exp(-_M_PANEL * j) / c
+        lnR = np.log(R)
+        v = lnR[:, None] * ((_GL_X + 1) / 2)
+        rest = (np.exp(sig * v) * (1 + c[:, None] * np.exp(v)) ** (-al / 2)) @ _GL_W * (lnR / 2)
+        head = c ** -sig
+        return head * self._A0 + (head if sig >= 0 else R ** sig) * self._m_sums[j] + rest
 
     def _near(self, xi: np.ndarray) -> np.ndarray:
         al = self.alpha
@@ -334,7 +369,7 @@ class _ConvTables:
         self.weights = w
         self.half = M
         # every psi spans the nlag padded nodes, so the weights transform once
-        self._weights_hat = rfft(w, _fft_len(nlag, len(w)))
+        self._weights_hat = rfft(w, _fft_len(nlag, len(w), M))
 
     def convolve(self, psi: np.ndarray) -> np.ndarray:
         return _lag_convolve(psi, self.weights, self.half, self._weights_hat)

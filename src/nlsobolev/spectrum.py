@@ -110,7 +110,8 @@ class SectorOperator:
             raise IndefiniteOperatorError("A is not symmetric to tolerance")
         if not np.array_equal(self.b_lags, self.b_lags[::-1]):
             raise IndefiniteOperatorError("B is not symmetric: b_lags is not palindromic")
-        self._b_lags_hat = rfft(self.b_lags, _fft_len(len(self.b_scale), len(self.b_lags)))
+        n = len(self.b_scale)
+        self._b_lags_hat = rfft(self.b_lags, _fft_len(n, len(self.b_lags), n - 1))
 
     def apply_b(self, x: np.ndarray) -> np.ndarray:
         """B x for a vector x, by one FFT convolution with the lag table."""

@@ -284,7 +284,8 @@ def test_criterion_9_determinism(tmp_path):
                         "--epsilons", "1e-2", "--directions", "random-1",
                         "--seed", "11", "--out", out])
         assert code == 0
-        texts.append(open(out, "rb").read())
+        with open(out, "rb") as fh:
+            texts.append(fh.read())
     ok = texts[0] == texts[1]
     texts2 = []
     for name in ("c", "d"):
@@ -292,7 +293,8 @@ def test_criterion_9_determinism(tmp_path):
         code = run_cli(["bounded", "--dim", "3", "--alpha", "1",
                         "--lambdas", "1e2,1e3", "--out", out])
         assert code == 0
-        texts2.append(open(out, "rb").read())
+        with open(out, "rb") as fh:
+            texts2.append(fh.read())
     ok = ok and texts2[0] == texts2[1]
     report(9, "determinism", ok, "(byte-identical JSON reports)")
     assert ok

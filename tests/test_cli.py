@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from conftest import src_env
 def run_to_json(args, tmp_path, name):
     out = os.path.join(tmp_path, name)
     code = run_cli(args + ["--out", out])
-    text = open(out).read()
+    with open(out) as fh:
+        text = fh.read()
     return code, text, json.loads(text)
 
 
@@ -34,6 +36,41 @@ def test_constants_deterministic(tmp_path):
     _, t1, _ = run_to_json(["constants", "--dim", "3", "--alpha", "1.5"], tmp_path, "a.json")
     _, t2, _ = run_to_json(["constants", "--dim", "3", "--alpha", "1.5"], tmp_path, "b.json")
     assert t1 == t2
+
+
+def test_constants_large_dimension(tmp_path):
+    """N = 100 overflows r^N and 2^N on the way but none of the constants:
+    all of them match 30-digit closed forms (Aubin-Talenti for S, Lieb for
+    the HLS constant), and nothing warns."""
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, env = run_to_json(["constants", "--dim", "100", "--alpha", "1"],
+                                   tmp_path, "c.json")
+    assert code == 0
+    with mp.workdps(30):
+        N, a = mp.mpf(100), mp.mpf(1)
+        c = (mp.pi ** (a / 2) * mp.gamma((N - a) / 2) / mp.gamma(N - a / 2)
+             * (mp.gamma(N) / mp.gamma(N / 2)) ** ((N - a) / N))
+        s = mp.pi * N * (N - 2) * (mp.gamma(N / 2) / mp.gamma(N)) ** (2 / N)
+        ref = {"c_hls": c, "s_sob": s, "s_hls": s / c ** ((N - 2) / (2 * N - a)),
+               "bubble_amp": (s ** ((N - a) * (2 - N) / (4 * (N - a + 2)))
+                              * c ** ((2 - N) / (2 * (N - a + 2)))
+                              * (N * (N - 2)) ** ((N - 2) / 4))}
+    for key, value in ref.items():
+        assert env["payload"][key] == pytest.approx(float(value), rel=1e-11), key
+
+
+def test_constants_outside_double_range_is_numerical_failure(capsys):
+    # at (100, 99.5) the bubble amplitude is e^1885.7: one typed line, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["constants", "--dim", "100", "--alpha", "99.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), captured.err
+    assert "bubble amplitude" in lines[0]
 
 
 def test_verify_bubble(tmp_path):
@@ -199,7 +236,8 @@ def test_run_as_module_without_runtime_warning(tmp_path):
          "constants", "--dim", "4", "--alpha", "2", "--out", out],
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.load(open(out))["payload"]["two_star_alpha"] == 3.0
+    with open(out) as fh:
+        assert json.load(fh)["payload"]["two_star_alpha"] == 3.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -237,9 +275,11 @@ def test_file_error_exit_code(case, tmp_path, p42, capsys):
     if case == "unwritable-out":
         out = os.path.join(tmp_path, "no-such-dir", "d.json")
     if case == "malformed-csv":
-        lines = open(path).read().splitlines(keepends=True)
+        with open(path) as fh:
+            lines = fh.read().splitlines(keepends=True)
         lines[4] = lines[4].replace(",", ",1.0x", 1)
-        open(path, "w").writelines(lines)
+        with open(path, "w") as fh:
+            fh.writelines(lines)
     code = run_cli(["deficit", "--dim", "4", "--alpha", "2", "--input", path, "--out", out])
     err = capsys.readouterr().err
     assert code == 1

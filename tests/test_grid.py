@@ -222,7 +222,8 @@ def test_csv_round_trip(tmp_path):
     # byte-identical rewrite
     path2 = os.path.join(tmp_path, "field2.csv")
     nl.write_field_csv(f2, path2)
-    assert open(path).read() == open(path2).read()
+    with open(path) as fh, open(path2) as fh2:
+        assert fh.read() == fh2.read()
 
 
 def test_indicator_requires_node():

@@ -308,6 +308,27 @@ def test_singular_cell_near_alpha_N_closed_form(alpha):
     assert np.max(np.abs(P0 / ref - 1)) <= 1e-12
 
 
+@pytest.mark.parametrize("N,alpha", [(6, 1.0), (4, 0.5), (3, 2.0), (3, 2.0 + 1e-10),
+                                     (3, 2.0 - 1e-10), (4, 1.0 + 1e-9), (3, 2.999), (4, 3.02)])
+def test_m_start_matches_hypergeometric(N, alpha):
+    """The near branch's first singular moment M_{a0}(c) = int_0^1 u^{a0}
+    (c+u)^{-alpha/2} du = c^{-alpha/2} / (a0+1) 2F1(alpha/2, a0+1; a0+2; -1/c)
+    against 40-digit mpmath, from the c-floor to past the branch's largest c
+    and on both sides of panel edges e^{-1.5 j}, for sigma = alpha/2 - a0 - 1
+    below 0 (where unscaled panel sums overflow), at and within 1e-10 of 0,
+    near -1 and above 0."""
+    mp = pytest.importorskip("mpmath")
+    edges = np.exp(-1.5 * np.array([2.0, 7.0, 100.0, 400.0]))
+    c = np.concatenate([np.geomspace(riesz._C_FLOOR, 0.06, 40), edges * (1 - 1e-15),
+                        edges * (1 + 1e-15)])
+    profile = riesz.KernelProfile(N, alpha, (0,))
+    with mp.workdps(40):
+        a0, a = mp.mpf(N - 3) / 2, mp.mpf(alpha) / 2
+        ref = np.array([float(mp.mpf(ci) ** -a / (a0 + 1)
+                              * mp.hyp2f1(a, a0 + 1, a0 + 2, -1 / mp.mpf(ci))) for ci in c])
+    assert np.max(np.abs(profile._m_start(c) / ref - 1)) <= 1e-14
+
+
 @pytest.mark.parametrize("N,alpha", [(3, 0.5), (4, 3.02), (6, 5.04), (12, 7.0)])
 def test_regular_cells_match_funk_hecke_oracle(N, alpha):
     """Moments P[d, m] = int_0^1 phi_ell((m+eta)h) eta^d deta of cells m >= 1
@@ -362,8 +383,11 @@ def test_cold_build_makes_few_profile_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n,m,half", [(1, 1, 0), (7, 15, 7), (40, 17, 3), (64, 129, 64),
-                                      (33, 200, 150)])
+                                      (33, 200, 150), (10, 61, 5), (69, 40, 60), (16, 100, 20)])
 def test_lag_convolve_matches_direct_sum(n, m, half):
+    # the circular length needs n + m - 1 - half = 65 at (10, 61, 5) and
+    # half + n = 129 at (69, 40, 60), one past a power of two, so one point
+    # less would alias; (16, 100, 20) crops lags that reach no output
     rng = np.random.default_rng(n * 1000 + m)
     seq, lags = rng.normal(size=n), rng.normal(size=m)
     direct = np.array([sum(lags[half + i - j] * seq[j] for j in range(n)
@@ -371,6 +395,14 @@ def test_lag_convolve_matches_direct_sum(n, m, half):
     got = riesz._lag_convolve(seq, lags, half)
     assert got.shape == (n,)
     assert np.allclose(got, direct, rtol=0, atol=1e-12 * np.sum(np.abs(lags)) * np.max(np.abs(seq)))
+
+
+@pytest.mark.parametrize("n,m,half,L", [(10, 61, 5, 72), (69, 40, 60, 135), (10, 60, 5, 64),
+                                        (1024, 2047, 1023, 2048), (6158, 12319, 6159, 12500)])
+def test_fft_len_is_shortest_alias_free_length(n, m, half, L):
+    # the outputs need max(n + m - 1 - half, half + n) points, not n + m - 1;
+    # the last two are the shapes of B at n = 1024 and of the n = 2048 kernel
+    assert riesz._fft_len(n, m, half) == L
 
 
 @pytest.mark.parametrize("N,alpha,ell", [(4, 2.0, 0), (5, 2.7, 1), (3, 1.0, 3)])
