@@ -18,7 +18,7 @@ from .functional import DeficitReport, deficit, el_residual, hls_energy, weak_no
 from .manifold import (BubbleParams, Decomposition, bubble, dist_to_manifold,
                        project_orthogonal, tangent_basis)
 from .spectrum import (SectorOperator, SpectrumReport, assemble_sector,
-                       solve_generalized, spectral_gap)
+                       merge_sectors, solve_generalized, spectral_gap)
 from .experiments import (BoundedDomainReport, SweepConfig, SweepRow,
                           bounded_domain_experiment, ratio_sweep, summarize_sweep,
                           tail_energy)
@@ -47,8 +47,8 @@ __all__ = [
     "DeficitReport", "deficit", "el_residual", "hls_energy", "weak_norm",
     "BubbleParams", "Decomposition", "bubble", "dist_to_manifold",
     "project_orthogonal", "tangent_basis",
-    "SectorOperator", "SpectrumReport", "assemble_sector", "solve_generalized",
-    "spectral_gap",
+    "SectorOperator", "SpectrumReport", "assemble_sector", "merge_sectors",
+    "solve_generalized", "spectral_gap",
     "BoundedDomainReport", "SweepConfig", "SweepRow", "bounded_domain_experiment",
     "ratio_sweep", "summarize_sweep", "tail_energy",
     "run_cli",

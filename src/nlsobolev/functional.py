@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .grid import RadialField, _dmat, field_abs_pow, field_signed_pow, h1_inner
 from .params import Params, hls_sobolev_constant, sphere_area
 from .riesz import interaction_energy, riesz_potential
@@ -43,6 +43,8 @@ def deficit(u: RadialField, p: Params) -> DeficitReport:
     if grad <= 0.0:
         raise ValidationError("deficit of the zero field is undefined")
     dd = hls_energy(u, p)
+    if not 0.0 <= dd < math.inf:
+        raise NumericsError(f"interaction energy D(u) = {dd:.6g} is negative or not finite")
     s_hls = hls_sobolev_constant(p).s_hls
     return DeficitReport(grad_energy=grad, hls_energy=dd,
                          deficit=grad - s_hls * dd ** (1.0 / p.two_star_alpha))

@@ -16,7 +16,7 @@ are consumed by the Riesz convolution to integrate piecewise-smooth fields
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -189,17 +189,20 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
 
 
 def field_abs_pow(f: RadialField, q: float) -> RadialField:
-    """|f|^q with the tail exponent scaled accordingly."""
-    return RadialField(grid=f.grid, values=np.abs(f.values) ** q,
-                       tail_exponent=f.tail_exponent * q,
-                       head_value=abs(f.head_value) ** q)
+    """|f|^q with the tail exponent scaled accordingly; NumericsError on overflow."""
+    with np.errstate(over="ignore"):
+        values, head = np.abs(f.values) ** q, float(np.float64(abs(f.head_value)) ** q)
+    if not (math.isfinite(head) and np.all(np.isfinite(values))):
+        raise NumericsError(f"|f|^{q:.6g} overflows double precision")
+    return RadialField(grid=f.grid, values=values, tail_exponent=f.tail_exponent * q,
+                       head_value=head)
 
 
 def field_signed_pow(f: RadialField, q: float) -> RadialField:
     """|f|^{q-1} f, the sign-preserving power used by the Euler-Lagrange map."""
-    return RadialField(grid=f.grid, values=np.sign(f.values) * np.abs(f.values) ** q,
-                       tail_exponent=f.tail_exponent * q,
-                       head_value=math.copysign(abs(f.head_value) ** q, f.head_value))
+    a = field_abs_pow(f, q)
+    return replace(a, values=np.sign(f.values) * a.values,
+                   head_value=math.copysign(a.head_value, f.head_value))
 
 
 def _resample_uniform(x: np.ndarray, values: np.ndarray, xq: np.ndarray,

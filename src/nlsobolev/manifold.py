@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
-from .errors import BracketingError, ValidationError
+from .errors import BracketingError, NumericsError, ValidationError
 from .grid import RadialField, RadialGrid, _dmat, _tail_correction, h1_inner
 from .params import Params, hls_sobolev_constant, sphere_area
 
@@ -51,10 +51,13 @@ class Decomposition:
 
 
 def bubble(p: Params, bp: BubbleParams, grid: RadialGrid) -> RadialField:
-    """c lambda^{(N-2)/2} a (1 + lambda^2 r^2)^{-(N-2)/2} on the grid."""
+    """c lambda^{(N-2)/2} a (1 + lambda^2 r^2)^{-(N-2)/2}; NumericsError if it overflows."""
     amp = hls_sobolev_constant(p).bubble_amp
     e = (p.N - 2) / 2.0
-    pref = bp.c * bp.lam ** e * amp
+    with np.errstate(over="ignore"):
+        pref = float(bp.c * np.float64(bp.lam) ** e * amp)
+    if not math.isfinite(pref):
+        raise NumericsError(f"the bubble's peak value at lambda = {bp.lam:.6g} overflows")
     vals = pref * (1.0 + (bp.lam * grid.nodes) ** 2) ** (-e)
     return RadialField(grid=grid, values=vals, tail_exponent=float(p.N - 2),
                        head_value=pref)

@@ -86,11 +86,16 @@ def gamma_fn(x: float) -> float:
     return float(sp.gamma(x))
 
 
+@lru_cache(maxsize=None)
 def sphere_area(N: int) -> float:
-    """Surface measure of the unit sphere S^{N-1}: 2 pi^{N/2} / Gamma(N/2)."""
+    """|S^{N-1}| = 2 pi^{N/2} / Gamma(N/2); NumericsError once Gamma(N/2) overflows."""
     if N < 2:
         raise ValidationError(f"sphere_area requires N >= 2, got {N}")
-    return 2.0 * math.pi ** (N / 2.0) / gamma_fn(N / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf / inf from N = 1242 on
+        area = float(2.0 * np.float64(math.pi) ** (N / 2.0) / gamma_fn(N / 2.0))
+    if not sys.float_info.min <= area < math.inf:
+        raise NumericsError(f"|S^{N - 1}| = {area} is not a positive normal double")
+    return area
 
 
 def _exp(name: str, log_value: float) -> float:

@@ -15,10 +15,10 @@ Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
 condition (Keller-Givoli 1989), so every node stays an unknown.  The solve
-factors A (positive definite here) once as a band and runs Lanczos for the
-largest 1/mu; factoring B instead, as one might first try, loses the low
-eigenvalues whenever B's small-eigenvalue tail carries weight of the
-physical modes.
+factors the scaled A (positive definite here) once as a band, A = U^T U, and
+runs standard-form Lanczos on U^{-T} B U^{-1} for the largest 1/mu;
+factoring B instead, as one might first try, loses the low eigenvalues
+whenever B's small-eigenvalue tail carries weight of the physical modes.
 
 Closed form.  Stereographic projection onto S^N diagonalizes the pencil.
 Let J(x) = (2/(1+|x|^2))^N be its Jacobian, xi the image of x, and write
@@ -73,7 +73,7 @@ from .params import Params, _as_int, sphere_area
 from .riesz import (_fft_len, _lag_convolve, angular_kernel, angular_kernels,
                     riesz_potential)
 
-__all__ = ["SectorOperator", "SpectrumReport", "assemble_sector",
+__all__ = ["SectorOperator", "SpectrumReport", "assemble_sector", "merge_sectors",
            "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
 
 SECTOR_ELLS = (0, 1, 2)
@@ -241,94 +241,79 @@ def _toeplitz_pd(col: np.ndarray) -> bool:
     return bool(u[0] > 0)
 
 
-def _psd_to_tolerance(op: SectorOperator, v0: np.ndarray) -> None:
-    """Raise unless B's smallest eigenvalue is at least -1e-10 times its largest.
+def _psd_to_tolerance(op: SectorOperator) -> None:
+    """Raise unless B's smallest eigenvalue is at least -1e-10 times its largest
+    diagonal entry lambda_lo, a Rayleigh quotient of B, so at most lambda_max.
 
-    A sufficient test on the Toeplitz factor T, with m = b_scale: if
-    T + delta I is positive semidefinite, B - (-delta max m^2 + min(b_diag, 0)) I
-    is too, and that bound is -1e-10 lambda_max for
-    delta = (1e-10 lambda_max + min(b_diag, 0)) / max m^2.  So B passes when
-    this delta is nonnegative and the Schur algorithm factors T + delta I;
-    lambda_max comes from FFT matvecs.  Up to the Schur algorithm's backward
-    error, of order n eps ||T||, the test never passes a B below the bound;
-    it may reject one whose indefinite T the scaling m masks."""
-    n = len(v0)
-    b_op = spla.LinearOperator((n, n), matvec=op.apply_b, dtype=float)
-    lam_max = spla.eigsh(b_op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-    floor = -1e-10 * lam_max
-    delta = (min(op.b_diag.min(), 0.0) - floor) / np.max(op.b_scale ** 2)
-    col = op.b_lags[n - 1:].copy()
+    A sufficient test on the Toeplitz factor T, with m = b_scale: if T + delta I
+    is positive semidefinite, B >= (-delta max m^2 + min(b_diag, 0)) I =
+    -1e-10 lambda_lo I for delta = (1e-10 lambda_lo + min(b_diag, 0)) / max m^2.
+    So B passes when delta >= 0 and the Schur algorithm factors T + delta I.
+    Up to its backward error, of order n eps ||T||, the test never passes a B
+    below the bound; it may reject one whose indefinite T the scaling m masks."""
+    col = op.b_lags[len(op.b_scale) - 1:].copy()     # T's first column
+    m2 = op.b_scale ** 2
+    floor = -1e-10 * np.max(m2 * col[0] + op.b_diag)
+    delta = (min(op.b_diag.min(), 0.0) - floor) / np.max(m2)
     col[0] += delta
     if not (delta >= 0 and _toeplitz_pd(col)):
-        raise IndefiniteOperatorError(
-            f"B is not certified positive semidefinite to -1e-10 * max = {floor:.3e}")
+        raise IndefiniteOperatorError("B is not certified positive semidefinite to "
+                                      f"-1e-10 * largest diagonal entry = {floor:.3e}")
 
 
 def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors.
 
-    B is certified positive semidefinite to tolerance from its Toeplitz
-    factor (`_psd_to_tolerance`) and acts only by FFT matvecs
-    (`SectorOperator.apply_b`); no n x n array is formed.  On all n nodes, after
-    the diagonal scaling d = diag(A)^{-1/2}, implicitly restarted Lanczos
-    (ARPACK, generalized mode 2) finds the k largest nu = 1/mu of
-    dBd x = nu dAd x, with dBd applied as y -> d o B(d o y) and the banded
-    Cholesky factor of dAd as the inverse of the mass form.  Without
-    the scaling ARPACK's A-norm tolerance would leave the inner nodes
-    unpinned.  B's numerical kernel (far-field nodes where the weights
-    underflow) lands at nu = 0 and is cut at 1e-13 nu_max.  k is clamped to
-    n - 1, ARPACK's limit.  Each eigenvector's largest-magnitude entry is
-    positive.
+    B is certified positive semidefinite to tolerance (`_psd_to_tolerance`)
+    and acts only by FFT matvecs (`SectorOperator.apply_b`); no n x n array is
+    formed.  With d = diag(A)^{-1/2}, dAd = U^T U is factored once as a band,
+    and Lanczos (ARPACK, standard mode) finds the k largest nu = 1/mu of
+    C = U^{-T} dBd U^{-1}, one B-matvec and two banded triangular solves per
+    step.  An eigenvector y of C gives v = d o U^{-1} y / sqrt(nu), with
+    v^T B v = y^T C y / nu = 1.  B's numerical kernel (far-field nodes where
+    the weights underflow) lands at nu = 0 and is cut at 1e-13 nu_max.  k is
+    clamped to n - 1, ARPACK's limit.  Each eigenvector's largest-magnitude
+    entry is positive.
     """
     if _as_int("k", k) < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
-    A = op.A
-    m = A.shape[0]
-    # a fixed start vector keeps the Krylov spaces, hence the output digits,
-    # the same from call to call
-    v0 = np.random.default_rng(0).standard_normal(m)
-    _psd_to_tolerance(op, v0)
-    diag = A.diagonal()
+    _psd_to_tolerance(op)
+    m = op.A.shape[0]
+    diag = op.A.diagonal()
     if np.any(diag <= 0):
         raise IndefiniteOperatorError("A is not positive definite")
     d = 1.0 / np.sqrt(diag)
-    dA = sp.diags_array(d) @ A @ sp.diags_array(d)
-    # upper banded storage: ab[u - o, o:] holds the o-th superdiagonal
-    coo = dA.tocoo()
-    u = int(np.max(coo.col - coo.row))
+    # upper banded storage of dAd: ab[u + i - j, j] holds entry (i, j), i <= j
+    up = sp.triu(op.A, format="coo")
+    u = int(np.max(up.col - up.row))
     ab = np.zeros((u + 1, m))
-    for o in range(u + 1):
-        ab[u - o, o:] = dA.diagonal(o)
+    ab[u + up.row - up.col, up.col] = d[up.row] * up.data * d[up.col]
     try:
         cb = sla.cholesky_banded(ab, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteOperatorError("A is not positive definite") from exc
-    minv = spla.LinearOperator(
-        (m, m), dtype=float,
-        matvec=lambda y: sla.cho_solve_banded((cb, False), y, check_finite=False))
-    dBd = spla.LinearOperator((m, m), dtype=float, matvec=lambda y: d * op.apply_b(d * y))
+    tbtrs = sla.lapack.dtbtrs      # U x = y, or U^T x = y with trans="T"
+    C = spla.LinearOperator((m, m), dtype=float, matvec=lambda y: tbtrs(
+        cb, d * op.apply_b(d * tbtrs(cb, y)[0]), trans="T")[0])
     k = min(k, m - 1)
+    # a fixed start vector keeps the output digits the same from call to call
+    v0 = np.random.default_rng(0).standard_normal(m)
     try:
-        nu, Q = spla.eigsh(dBd, k, M=dA, Minv=minv, which="LA", tol=0, v0=v0)
+        nu, Y = spla.eigsh(C, k, which="LA", tol=0, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise NumericsError(f"Lanczos did not converge for k={k}: {exc}") from exc
     order = np.argsort(nu)[::-1]
-    nu, Q = nu[order], Q[:, order]
-    k = int(np.sum(nu > 1e-13 * nu[0]))
-    mu = 1.0 / nu[:k]
-    vecs = d[:, None] * Q[:, :k]
+    order = order[nu[order] > 1e-13 * nu[order[0]]]
+    nu, k = nu[order], len(order)
+    vecs = d[:, None] * tbtrs(cb, Y[:, order])[0] / np.sqrt(nu)
     vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
-    # normalize in the B-form; reject grid-frequency (sawtooth) eigenvectors,
-    # which would indicate a defective Dirichlet discretization
-    for j in range(k):
-        nrm = math.sqrt(abs(vecs[:, j] @ op.apply_b(vecs[:, j])))
-        if nrm > 0:
-            vecs[:, j] /= nrm
-        rough = np.linalg.norm(np.diff(vecs[:, j], 2)) / max(np.linalg.norm(vecs[:, j]), 1e-300)
-        if rough > 1.0:
-            raise IndefiniteOperatorError(
-                f"eigenvector {j} oscillates at the grid scale (mu={mu[j]:.6g})")
-    return _report(op.params, op.ell, mu, vecs)
+    # a grid-frequency (sawtooth) eigenvector means a defective Dirichlet stencil
+    rough = np.linalg.norm(np.diff(vecs, 2, axis=0), axis=0) / np.linalg.norm(vecs, axis=0)
+    if np.any(rough > 1.0):
+        j = int(np.argmax(rough > 1.0))
+        raise IndefiniteOperatorError(
+            f"eigenvector {j} oscillates at the grid scale (mu={1.0 / nu[j]:.6g})")
+    return _report(op.params, op.ell, 1.0 / nu, vecs)
 
 
 def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> SpectrumReport:
@@ -347,8 +332,10 @@ def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> Spec
     _check_resolution(grid)   # before the kernel builds it would waste
     angular_kernels(p, SECTOR_ELLS, grid)
     common = _sector_common(p, grid)
-    merged: list[float] = []
-    for ell in SECTOR_ELLS:
-        rep = solve_generalized(_assemble(p, ell, grid, common), k)
-        merged.extend(rep.eigenvalues)
-    return _report(p, None, sorted(merged))
+    return merge_sectors(p, [solve_generalized(_assemble(p, ell, grid, common), k)
+                             for ell in SECTOR_ELLS])
+
+
+def merge_sectors(p: Params, reports: list[SpectrumReport]) -> SpectrumReport:
+    """One report (ell = None) over the eigenvalues of the given sector reports."""
+    return _report(p, None, sorted(mu for rep in reports for mu in rep.eigenvalues))

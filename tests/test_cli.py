@@ -259,6 +259,24 @@ def test_overflowing_grid_is_numerical_failure(argv):
     assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-bubble", "--dim", "344", "--alpha", "1", "--grid-n", "256"],
+    ["spectrum", "--dim", "344", "--alpha", "1", "--ell", "0", "--grid-n", "256"],
+    ["bounded", "--dim", "344", "--alpha", "1"],
+    ["verify-bubble", "--dim", "100", "--alpha", "1", "--grid-n", "256"],
+], ids=["verify-bubble-344", "spectrum-344", "bounded-344", "verify-bubble-100"])
+def test_large_dimension_is_numerical_failure(argv, capsys):
+    # at N = 344 Gamma(N/2) and the bubble's powers overflow; at N = 100 the
+    # discrete interaction energy of the bubble comes out negative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), captured.err
+
+
 def test_run_cli_reexported():
     from nlsobolev import run_cli as from_package
     assert from_package is run_cli and nl.run_cli is run_cli

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import nlsobolev as nl
-from nlsobolev.errors import ValidationError
+from nlsobolev.errors import NumericsError, ValidationError
 
 
 def test_make_params_examples():
@@ -55,6 +56,11 @@ def test_sphere_area():
     assert nl.sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
     with pytest.raises(ValidationError):
         nl.sphere_area(1)
+    # Gamma(N/2) overflows from N = 344 on, and pi^{N/2} from N = 1242 on
+    assert nl.sphere_area(343) > sys.float_info.min
+    for N in (344, 1242):
+        with pytest.raises(NumericsError, match="not a positive normal double"):
+            nl.sphere_area(N)
 
 
 def test_hls_sharp_constant_alpha_to_zero():

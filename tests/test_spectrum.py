@@ -199,30 +199,24 @@ def test_b_dip_within_tolerance_solves(op64_s0, rep64_s0):
     np.testing.assert_allclose(rep.eigenvalues, rep64_s0.eigenvalues, rtol=1e-8)
 
 
-def _start_vector(op):
-    return np.random.default_rng(0).standard_normal(len(op.b_scale))
-
-
 @pytest.mark.parametrize("N, alpha", [(3, 1.0), (3, 2.9), (5, 4.5), (6, 0.25), (6, 4.0)])
 def test_toeplitz_certificate_agrees_with_dense_cholesky(N, alpha, grid64):
     # both accept every real operator (each raises on rejection): the oracle,
-    # a dense Cholesky of B + 1e-10 lambda_max I, and the Toeplitz certificate
+    # a dense Cholesky of B + 1e-10 max diag(B) I, and the Toeplitz certificate
     p = nl.make_params(N, alpha)
     for ell in nl.spectrum.SECTOR_ELLS:
         op = nl.assemble_sector(p, ell, grid64)
         B = dense_b(op)
-        n = len(B)
-        lam_max = sla.eigvalsh(B, subset_by_index=[n - 1, n - 1])[0]
-        B[np.diag_indices(n)] += 1e-10 * lam_max
+        B[np.diag_indices(len(B))] += 1e-10 * np.max(np.diag(B))
         sla.cholesky(B, lower=True, overwrite_a=True)
-        nl.spectrum._psd_to_tolerance(op, _start_vector(op))
+        nl.spectrum._psd_to_tolerance(op)
 
 
 def _toeplitz_delta(op):
     """lambda_min(T) and the certificate's shift delta, from dense matrices."""
     n = len(op.b_scale)
-    lam_max = np.linalg.eigvalsh(dense_b(op))[-1]
-    delta = (1e-10 * lam_max + min(op.b_diag.min(), 0.0)) / np.max(op.b_scale ** 2)
+    lam_lo = np.max(np.diag(dense_b(op)))
+    delta = (1e-10 * lam_lo + min(op.b_diag.min(), 0.0)) / np.max(op.b_scale ** 2)
     return np.linalg.eigvalsh(sla.toeplitz(op.b_lags[n - 1:]))[0], delta
 
 
@@ -237,9 +231,41 @@ def test_indefinite_toeplitz_factor(op64_s0, depth, indefinite):
         with pytest.raises(IndefiniteOperatorError, match="not certified"):
             nl.solve_generalized(op, 8)
     else:
-        nl.spectrum._psd_to_tolerance(op, _start_vector(op))
+        nl.spectrum._psd_to_tolerance(op)
         ev = np.linalg.eigvalsh(dense_b(op))     # what the pass certifies
         assert ev[0] >= -1e-10 * ev[-1]
+
+
+@pytest.mark.parametrize("sector", [0, 1, 2])
+def test_certificate_floor_below_lambda_max(sector, request):
+    # the diagonal bound lambda_lo = max diag(B) is a Rayleigh quotient of B
+    op = request.getfixturevalue(f"op64_s{sector}")
+    n, B = len(op.b_scale), dense_b(op)
+    lam_lo = np.max(op.b_scale ** 2 * op.b_lags[n - 1] + op.b_diag)
+    assert lam_lo == pytest.approx(np.max(np.diag(B)), rel=1e-15)
+    assert lam_lo <= np.linalg.eigvalsh(B)[-1]
+
+
+@pytest.mark.parametrize("sector", [0, 1, 2])
+def test_eigenvectors_b_orthonormal(sector, request):
+    # the eigenvectors are B-normalized without a B matvec
+    op = request.getfixturevalue(f"op64_s{sector}")
+    V = nl.solve_generalized(op, 8).eigenvectors
+    np.testing.assert_allclose(V.T @ dense_b(op) @ V, np.eye(V.shape[1]), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("N, alpha", [(6, 4.0), (4, 2.0), (3, 1.0), (5, 1.2)])
+def test_b_matvec_budget(N, alpha, grid64):
+    # standard-form Lanczos over the banded Cholesky of A, with no lambda_max
+    # eigensolve, needs at most 48 B-matvecs per sector at n = 1024, k = 8
+    p = nl.make_params(N, alpha)
+    for ell in nl.spectrum.SECTOR_ELLS:
+        op = nl.assemble_sector(p, ell, grid64)
+        calls = []
+        apply_b = op.apply_b
+        op.apply_b = lambda x: calls.append(1) or apply_b(x)
+        nl.solve_generalized(op, 8)
+        assert len(calls) <= 48, (ell, len(calls))
 
 
 def test_solve_forms_no_dense_matrix(op64_s0):
@@ -259,11 +285,7 @@ def test_negative_a_rejected(op64_s0):
 
 
 def test_lanczos_no_convergence_is_numerics_error(op64_s0, monkeypatch):
-    eigsh = spla.eigsh
-
     def pencil_fails(*args, **kwargs):
-        if kwargs.get("M") is None:     # the PSD check's lambda_max still runs
-            return eigsh(*args, **kwargs)
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(spla, "eigsh", pencil_fails)
@@ -351,6 +373,10 @@ def test_spectral_gap_merged(p64, grid64):
     assert np.min(np.abs(arr - ts)) < 1e-2
     d = rep.to_json_dict()
     assert set(d) == {"ell", "eigenvalues", "mu_gap", "k_count", "b1_candidate"}
+    # the per-sector solves, merged, are spectral_gap's report to the bit
+    sectors = [nl.solve_generalized(nl.assemble_sector(p64, ell, grid64), 8)
+               for ell in nl.spectrum.SECTOR_ELLS]
+    assert nl.merge_sectors(p64, sectors).to_json_dict() == d
 
 
 def test_spectral_gap_builds_sectors_in_one_profile_pass(monkeypatch):
