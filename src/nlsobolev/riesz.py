@@ -15,16 +15,18 @@ alpha >= N-1), so the convolution is discretized by product integration:
 Toeplitz weights exact for piecewise-cubic psi, built from moment tables of
 phi over grid cells; the singular cell uses one fixed Gauss rule graded
 geometrically toward xi = 0 (Schwab, Computing 53 (1994)).  Below
-_NEAR_XI the profile is a Taylor series in singular moments; the first of
-them takes, after w = c/u, log-panel sums of one integral free of c that
-every node of the profile shares, so a node costs one 12-point rule.  From
-xi_0 = _SERIES_XI = 4 on, the Gegenbauer generating function (DLMF 18.12.4)
-turns phi_ell into the exponential sum 2^{alpha/2} sum_{k<K} d_k
-e^{-(alpha/2+k) xi}, so those cells (about nine in ten) have moments in
-closed form, one matrix product for the whole far block; K follows from the
-bound |C_k^{(a)}| <= (2a)_k/k! (DLMF 18.14.4) at xi_0, for every N and alpha.
-Fields carrying jump markers are split into a continuous part plus exact
-exponential-step contributions so that ball indicators lose no accuracy.
+_NEAR_XI = 0.33 the profile is a Taylor series in singular moments; the
+first of them takes, after w = c/u, log-panel sums of one integral free of c
+that every node of the profile shares, so a node costs one 12-point rule.
+From _NEAR_XI on, the Gegenbauer generating function (DLMF 18.12.4) turns
+phi_ell into the exponential sum 2^{alpha/2} sum_{k<K} d_k e^{-(alpha/2+k) xi},
+whose d_k the Gegenbauer connection formula (DLMF 18.18.16) gives in closed
+form.  So every cell but the few dozen below _NEAR_XI and the singular one
+has moments in closed form, one matrix product per band of xi; each band's
+K follows from the bound |C_k^{(a)}| <= (2a)_k/k! (DLMF 18.14.4) at its
+lower edge, for every N and alpha.  Fields carrying jump markers are split
+into a continuous part plus exact exponential-step contributions so that
+ball indicators lose no accuracy.
 Both the smooth part and the step parts are one FFT convolution with a lag
 table (`_lag_convolve`); the smooth part's table is transformed once per
 kernel, and built kernels sit in a small LRU cache.  Since ell enters
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -58,7 +60,10 @@ __all__ = ["AngularKernel", "angular_kernel", "angular_kernels", "riesz_potentia
 
 MAX_ELL = 3
 _NEAR_XI = 0.33
-_SERIES_XI = 4.0     # far-field exponential sum from here on (see KernelProfile)
+# lower edges of the far field's bands, each with its own series term count
+_SERIES_EDGES = (_NEAR_XI, 0.5, 1.0, 2.0, 4.0)
+_LOG_TAIL = math.log(np.finfo(float).eps / 16)   # series tail allowed, relative to term 0
+_SERIES_MAX_CANCEL = 1e3   # sum |terms| / |sum| at _NEAR_XI: about 1e3 ulps lost at most
 _MOMENT_DEGREE = 8
 _KERNEL_CACHE_SIZE = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
@@ -112,31 +117,22 @@ def _gegenbauer_coeffs(ell: int, N: int) -> np.ndarray:
 
 
 class KernelProfile:
-    """Evaluator for phi_ell(xi) of several sectors at once.  Below
-    _SERIES_XI the far branch is Gauss-Jacobi in t, and the near branch a
-    subtracted scheme: a [1,2] Gauss-Jacobi piece plus a Taylor series whose
-    singular moments int_0^1 u^a (c+u)^{-alpha/2} du obey a stable upward
-    recurrence (c = cosh xi - 1) from a first moment on panel sums that all
-    nodes share (`_init_m_start`).  From _SERIES_XI on, phi_ell is the
-    exponential sum 2^{alpha/2} sum_{k<K} d_k e^{-(alpha/2+k) xi} of the
-    Gegenbauer generating function, with K set per alpha from the bound
-    |C_k^{(alpha/2)}| <= (alpha)_k / k! (`_init_series`); `series_moments`
-    integrates it over grid cells in closed form.  By Funk-Hecke, ell enters
-    only through the Gegenbauer weights, so the sectors share every power
-    matrix, every moment, the recurrence and the exponentials; each sector
-    adds one weight vector per rule, its own Taylor coefficients and its own
-    d_k.  Row j of a call's result is sector ells[j]."""
-
-    _FAR_EDGES = (_NEAR_XI, 0.5, 0.8, 1.3, 2.2, _SERIES_XI)
-    _FAR_ORDERS = (96, 72, 48, 32, 24)
+    """Evaluator for phi_ell(xi) of several sectors at once.  From _NEAR_XI on,
+    phi_ell is the exponential sum 2^{alpha/2} sum_k d_k e^{-(alpha/2+k) xi},
+    d_k in closed form (`_init_series`), which `_moment_tables` integrates
+    over grid cells in closed form.  Below, a subtracted scheme: a [1,2]
+    Gauss-Jacobi piece plus a Taylor series whose singular moments
+    int_0^1 u^a (c+u)^{-alpha/2} du (c = cosh xi - 1) obey a stable upward
+    recurrence from a first moment on shared panel sums (`_init_m_start`).
+    By Funk-Hecke, ell enters only through the Gegenbauer weights, so the
+    sectors share every power matrix, moment and exponential; each adds its
+    weights, Taylor coefficients and d_k.  Row j of a result is sector ells[j]."""
 
     def __init__(self, N: int, alpha: float, ells: tuple[int, ...]):
         self.N, self.alpha, self.ells = N, float(alpha), tuple(ells)
         self.beta = (N - 1) / 2.0
         self.a0 = self.beta - 1.0
         gcoefs = [_gegenbauer_coeffs(ell, N) for ell in self.ells]
-        rules = [_gauss_jacobi(q, self.a0, self.a0) for q in self._FAR_ORDERS]
-        self._far_rules = [(t, [w * np.polyval(g[::-1], t) for g in gcoefs]) for t, w in rules]
         self._init_series()
         # Taylor coefficients of rho(u) = G_ell(1-u)(2-u)^{beta-1} about u = 0,
         # one row per sector
@@ -168,65 +164,54 @@ class KernelProfile:
         """With z = e^{-xi}, cosh xi - t = (1 - 2tz + z^2) / (2z), so the
         generating function (1 - 2tz + z^2)^{-a} = sum_k C_k^{(a)}(t) z^k
         (DLMF 18.12.4), a = alpha/2, gives phi_ell(xi) = 2^a sum_k d_k
-        e^{-(a+k) xi} with d_k = int C_k^{(a)} G_ell (1-t^2)^{(N-3)/2} dt,
-        zero unless k >= ell and k - ell is even.  |C_k^{(a)}| <= (2a)_k / k!
-        (DLMF 18.14.4) bounds the terms by those of (1 - z)^{-2a}; K is the
-        first count whose tail at xi = _SERIES_XI is below eps/16 of the k = 0
-        bound.  The ratio of consecutive bounds, (2a+k) z / (k+1), tends to z
-        monotonically, so the tail is at most term_K / (1 - max(ratio_K, z)).
-        The d_k come from the 96-node rule, exact while k + ell <= 191."""
-        a = self.alpha / 2
-        t, ws = self._far_rules[0]
-        z = math.exp(-_SERIES_XI)
-        term = 1.0
-        for K in range(2 * len(t) - max(self.ells)):
-            ratio = (2 * a + K) / (K + 1) * z
-            sup = max(ratio, z)
-            if sup < 1 and term / (1 - sup) <= np.finfo(float).eps / 16:
+        e^{-(a+k) xi}, d_k = int C_k^{(a)} G_ell (1-t^2)^{lam-1/2} dt with
+        lam = (N-2)/2.  The connection formula (DLMF 18.18.16) and the
+        orthogonality of the C^{(lam)} leave, for k = ell + 2j, one cumulative
+        product, d_k = B(1/2, lam+1/2) (a-lam)_j/j! (a)_{ell+j}/(lam+1)_{ell+j},
+        and d_k = 0 otherwise; at xi = _NEAR_XI, where the sum converges
+        slowest, the terms may cancel by at most _SERIES_MAX_CANCEL.  As
+        |C_k^{(a)}| <= (2a)_k / k! (DLMF 18.14.4), whose ratios (2a+k) z / (k+1)
+        tend to z monotonically, the tail from K is at most term_K / (1 -
+        max(ratio_K, z)); band b takes the first K below eps/16 at its edge."""
+        a, lam = self.alpha / 2, (self.N - 2) / 2
+        xi, n = np.array(_SERIES_EDGES)[:, None], 256
+        while True:
+            k = np.arange(n)
+            growth = (2 * a + k) / (k + 1)
+            log_term = np.concatenate([[0.0], np.cumsum(np.log(growth[:-1]))]) - k * xi
+            sup = np.maximum(growth, 1.0) * np.exp(-xi)
+            with np.errstate(divide="ignore", invalid="ignore"):   # sup >= 1 fails
+                done = (sup < 1) & (log_term - np.log1p(-sup) <= _LOG_TAIL)
+            if np.all(np.any(done, axis=1)):
                 break
-            term *= ratio
-        else:
-            raise NumericsError(f"far-field series of alpha = {self.alpha} needs more "
-                                f"than {K} terms")
-        C = [np.ones_like(t), 2 * a * t]               # C_k^{(a)}(t) by recurrence
-        for k in range(1, K - 1):
-            C.append((2 * (k + a) * t * C[k] - (k + 2 * a - 1) * C[k - 1]) / (k + 1))
-        C = np.array(C[:K])
-        k, ell = np.arange(K), np.array(self.ells)[:, None]
-        self._coef = 2.0 ** a * np.array([C @ w for w in ws])   # (sectors, K)
-        self._coef[(k < ell) | ((k - ell) % 2 == 1)] = 0.0      # zero, not round-off
-        self._rates = a + k
+            n *= 2
+        self._terms = np.argmax(done, axis=1)
+        K = self._terms[0]
+        self._coef = np.zeros((len(self.ells), K))
+        for row, ell in zip(self._coef, self.ells):
+            j = np.arange((K - 1 - ell) // 2)
+            steps = (a - lam + j) / (j + 1) * (a + ell + j) / (lam + 1 + ell + j)
+            d0 = 2.0 ** a * beta(0.5, lam + 0.5) * math.prod(
+                (a + i) / (lam + 1 + i) for i in range(ell))
+            row[ell::2] = d0 * np.cumprod(np.concatenate([[1.0], steps]))
+        self._rates = a + np.arange(K)
+        terms = self._coef * math.exp(-_NEAR_XI) ** np.arange(K)
+        cancel = np.max(np.sum(np.abs(terms), axis=1) / np.abs(np.sum(terms, axis=1)))
+        if not cancel <= _SERIES_MAX_CANCEL:
+            raise NumericsError(
+                f"far-field series at (N, alpha) = ({self.N}, {self.alpha}) cancels by "
+                f"{cancel:.3g} > {_SERIES_MAX_CANCEL:g} at xi = {_NEAR_XI}")
 
-    def series_moments(self, h: float, ms: np.ndarray) -> np.ndarray:
-        """int_0^1 phi((m+eta)h) eta^d deta of every sector for cells m (mh >=
-        _SERIES_XI), as an array (sectors, _MOMENT_DEGREE + 1, len(ms)): each
-        exponential term integrates in closed form, int_0^1 e^{-c eta} eta^d
-        deta = 1F1(d+1; d+2; -c) / (d+1), so the cells are one matrix product
-        of the d_k-weighted cell integrals with the geometric sequences
-        e^{-(a+k) mh}, one per sector so that a sector's bits do not depend
-        on the batch it was built in."""
-        d = np.arange(_MOMENT_DEGREE + 1)
-        E = hyp1f1(d + 1, d + 2, -h * self._rates[:, None]) / (d + 1)      # (K, D)
-        geo = np.exp(-np.outer(self._rates, ms * h))
-        return np.array([(c * E.T) @ geo for c in self._coef])
-
-    # -- far branch ---------------------------------------------------------
-    def _far(self, xi: np.ndarray) -> np.ndarray:
-        out = np.empty((len(self.ells), len(xi)))
-        lo = self._FAR_EDGES[0]
-        for hi, (t, ws) in zip(self._FAR_EDGES[1:], self._far_rules):
-            m = (xi >= lo) & (xi < hi)
-            if np.any(m):
-                powm = (np.cosh(xi[m])[:, None] - t) ** (-self.alpha / 2)
-                for row, w in zip(out, ws):
-                    row[m] = powm @ w
-                del powm       # free before the next band's matrix is formed
-            lo = hi
-        m = xi >= lo
-        if np.any(m):
-            geo = np.exp(-np.outer(self._rates, xi[m]))
-            for row, c in zip(out, self._coef):
-                row[m] = c @ geo
+    def _series(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[j, :, k] e^{-(a+k) x} of each sector j for ascending
+        x >= _NEAR_XI, on the first _terms[b] terms in band b of _SERIES_EDGES;
+        one product per sector, so its bits do not depend on the batch."""
+        out = np.empty(weights.shape[:2] + x.shape)
+        cuts = list(np.searchsorted(x, _SERIES_EDGES[1:]))
+        for lo, hi, K in zip([0] + cuts, cuts + [len(x)], self._terms):
+            geo = np.exp(-np.outer(self._rates[:K], x[lo:hi]))
+            for row, w in zip(out, weights):
+                row[:, lo:hi] = w[:, :K] @ geo
         return out
 
     # -- near branch --------------------------------------------------------
@@ -290,17 +275,13 @@ class KernelProfile:
 
     def __call__(self, xi) -> np.ndarray:
         xi = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
-        out = np.empty((len(self.ells),) + xi.shape)
-        near = xi < _NEAR_XI
-        far = ~near
-        # row by row through the 1-D mask: a 2-D masked write is measurably slower
-        if np.any(near):
-            for row, v in zip(out, self._near(xi[near])):
-                row[near] = v
-        if np.any(far):
-            for row, v in zip(out, self._far(xi[far])):
-                row[far] = v
-        return out
+        order = np.argsort(xi, axis=None)    # ascending, as `_series` needs
+        xs = xi.ravel()[order]
+        n = np.searchsorted(xs, _NEAR_XI)
+        out = np.empty((len(self.ells), xs.size))
+        out[:, order] = np.hstack([self._near(xs[:n]),
+                                   self._series(xs[n:], self._coef[:, None])[:, 0]])
+        return out.reshape((len(self.ells),) + xi.shape)
 
 
 @dataclass(frozen=True)
@@ -316,19 +297,25 @@ class _SectorProfile:
 def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     """Monomial moment tables P[j, d, m] = int_0^1 phi((m+eta)h) eta^d deta for
     every sector j of the profile and cells m < nlag, from two profile calls
-    that the sectors share: one over the regular cells 1 <= m < ceil(_SERIES_XI / h)
-    and one over the singular cell's graded rule.  The cells beyond take the
-    exponential sum in closed form (`KernelProfile.series_moments`)."""
+    that the sectors share: one over the regular cells 1 <= m < ceil(_NEAR_XI / h)
+    and one over the singular cell's graded rule.  The cells beyond, all but
+    a few dozen, integrate the exponential sum in closed form, one matrix
+    product per band of the d_k-weighted cell integrals with the geometric
+    sequences e^{-(a+k) mh}."""
     D = _MOMENT_DEGREE + 1
     P = np.zeros((len(profile.ells), D, nlag))
     eta = (_GL_X + 1) / 2
     wtab = np.array([_GL_W / 2 * eta ** d for d in range(D)])   # (D, 12)
-    m_far = min(max(1, math.ceil(_SERIES_XI / h)), nlag)
+    m_far = min(max(1, math.ceil(_NEAR_XI / h)), nlag)
     ms = np.arange(1, m_far)
     vals = profile(((ms[:, None] + eta) * h).ravel())
     for Pj, v in zip(P, vals):
         Pj[:, 1:m_far] = wtab @ v.reshape(len(ms), len(eta)).T
-    P[:, :, m_far:] = profile.series_moments(h, np.arange(m_far, nlag))
+    # from _NEAR_XI on, each exponential term integrates in closed form,
+    # int_0^1 e^{-c eta} eta^d deta = 1F1(d+1; d+2; -c) / (d+1)
+    d = np.arange(D)
+    E = hyp1f1(d + 1, d + 2, -h * profile._rates[:, None]) / (d + 1)      # (K, D)
+    P[:, :, m_far:] = profile._series(np.arange(m_far, nlag) * h, profile._coef[:, None] * E.T)
     # singular cell m = 0: eta = e^t, t in [t_lo, 0] on equal 12-node panels no
     # wider than 0.75 (so e^{9t} to round-off).  phi ~ xi^pw + const, pw = N-1-alpha,
     # leaves < e^{-37} below -T; where `_near`'s c-floor stops the rule short of -T,
@@ -369,10 +356,28 @@ class _ConvTables:
         self.weights = w
         self.half = M
         # every psi spans the nlag padded nodes, so the weights transform once
-        self._weights_hat = rfft(w, _fft_len(nlag, len(w), M))
+        self._L = _fft_len(nlag, len(w), M)
+        self._weights_hat = rfft(w, self._L)
 
     def convolve(self, psi: np.ndarray) -> np.ndarray:
         return _lag_convolve(psi, self.weights, self.half, self._weights_hat)
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """s with psi_f @ convolve(psi_g) = sum_k s_k Re(conj(F_k) G_k), F, G =
+        rfft(psi, L): by Parseval, as `convolve` does not wrap, the form is
+        sum_k conj(F_k) W_k G_k / L on the full spectrum, W_k = rfft(weights)_k
+        e^{2 pi i k half / L}, real as the lags the form reaches are symmetric."""
+        L, k = self._L, np.arange(len(self._weights_hat))
+        s = (self._weights_hat * np.exp(2j * np.pi * (k * self.half % L) / L)).real / L
+        s[1:(L + 1) // 2] *= 2
+        return s
+
+    def form(self, psi_f: np.ndarray, psi_g: np.ndarray) -> float:
+        """psi_f @ convolve(psi_g) by Parseval: one rfft if psi_g is psi_f."""
+        F = rfft(psi_f, self._L)
+        G = F if psi_g is psi_f else rfft(psi_g, self._L)
+        return float(self.symbol @ (F.conj() * G).real)
 
     def cell_exp(self, gam: float) -> np.ndarray:
         """CE(m) = int_0^1 phi((m+eta)h) e^{gam eta h} deta for m >= 0."""
@@ -537,10 +542,10 @@ def interaction_energy(f: RadialField, g: RadialField, p: Params) -> float:
         raise ValidationError("interaction_energy requires fields on the same grid")
     kernel = angular_kernel(p, 0, gr)
     psi_f = kernel.extend_psi(f, f.values, f.head_value)
-    psi_g = kernel.extend_psi(g, g.values, g.head_value)
+    psi_g = psi_f if g is f else kernel.extend_psi(g, g.values, g.head_value)
     kappa = kernel.c_norm * 2.0 ** (-p.alpha / 2)
     with np.errstate(over="ignore", invalid="ignore"):   # rejected below
-        val = float(psi_f @ kernel.tables.convolve(psi_g))
+        val = kernel.tables.form(psi_f, psi_g)
     if not math.isfinite(val):
         raise NumericsError(f"interaction energy is not finite ({val}) on this grid")
     return sphere_area(p.N) * kappa * gr.h * val

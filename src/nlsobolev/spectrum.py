@@ -266,35 +266,30 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
 
     B is certified positive semidefinite to tolerance (`_psd_to_tolerance`)
     and acts only by FFT matvecs (`SectorOperator.apply_b`); no n x n array is
-    formed.  With d = diag(A)^{-1/2}, dAd = U^T U is factored once as a band,
-    and Lanczos (ARPACK, standard mode) finds the k largest nu = 1/mu of
-    C = U^{-T} dBd U^{-1}, one B-matvec and two banded triangular solves per
-    step.  An eigenvector y of C gives v = d o U^{-1} y / sqrt(nu), with
-    v^T B v = y^T C y / nu = 1.  B's numerical kernel (far-field nodes where
-    the weights underflow) lands at nu = 0 and is cut at 1e-13 nu_max.  k is
-    clamped to n - 1, ARPACK's limit.  Each eigenvector's largest-magnitude
-    entry is positive.
+    formed.  A = U^T U is factored once as a band, and Lanczos (ARPACK,
+    standard mode) finds the k largest nu = 1/mu of C = U^{-T} B U^{-1}, one
+    B-matvec and two banded triangular solves per step.  An eigenvector y of
+    C gives v = U^{-1} y / sqrt(nu), with v^T B v = y^T C y / nu = 1.  B's
+    numerical kernel (far-field nodes where the weights underflow) lands at
+    nu = 0 and is cut at 1e-13 nu_max.  k is clamped to n - 1, ARPACK's
+    limit.  Each eigenvector's largest-magnitude entry is positive.
     """
     if _as_int("k", k) < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
     _psd_to_tolerance(op)
     m = op.A.shape[0]
-    diag = op.A.diagonal()
-    if np.any(diag <= 0):
-        raise IndefiniteOperatorError("A is not positive definite")
-    d = 1.0 / np.sqrt(diag)
-    # upper banded storage of dAd: ab[u + i - j, j] holds entry (i, j), i <= j
+    # upper banded storage of A: ab[u + i - j, j] holds entry (i, j), i <= j
     up = sp.triu(op.A, format="coo")
     u = int(np.max(up.col - up.row))
     ab = np.zeros((u + 1, m))
-    ab[u + up.row - up.col, up.col] = d[up.row] * up.data * d[up.col]
+    ab[u + up.row - up.col, up.col] = up.data
     try:
         cb = sla.cholesky_banded(ab, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteOperatorError("A is not positive definite") from exc
     tbtrs = sla.lapack.dtbtrs      # U x = y, or U^T x = y with trans="T"
     C = spla.LinearOperator((m, m), dtype=float, matvec=lambda y: tbtrs(
-        cb, d * op.apply_b(d * tbtrs(cb, y)[0]), trans="T")[0])
+        cb, op.apply_b(tbtrs(cb, y)[0]), trans="T")[0])
     k = min(k, m - 1)
     # a fixed start vector keeps the output digits the same from call to call
     v0 = np.random.default_rng(0).standard_normal(m)
@@ -305,7 +300,7 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     order = np.argsort(nu)[::-1]
     order = order[nu[order] > 1e-13 * nu[order[0]]]
     nu, k = nu[order], len(order)
-    vecs = d[:, None] * tbtrs(cb, Y[:, order])[0] / np.sqrt(nu)
+    vecs = tbtrs(cb, Y[:, order])[0] / np.sqrt(nu)
     vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
     # a grid-frequency (sawtooth) eigenvector means a defective Dirichlet stencil
     rough = np.linalg.norm(np.diff(vecs, 2, axis=0), axis=0) / np.linalg.norm(vecs, axis=0)

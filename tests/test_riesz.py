@@ -334,7 +334,8 @@ def test_regular_cells_match_funk_hecke_oracle(N, alpha):
     """Moments P[d, m] = int_0^1 phi_ell((m+eta)h) eta^d deta of cells m >= 1
     in sectors 0-3 against nested adaptive quadrature of the Funk-Hecke
     t-integral (QAWS in t, Gegenbauer polynomials from scipy): cells on both
-    sides of the exponential-sum cut and a deep cell where the sum's higher
+    sides of the near branch's end, where the exponential sum begins, and of
+    its last term-count band edge, and a deep cell where the sum's higher
     terms e^{-(alpha/2+k) mh} underflow.  N = 12 needs the most terms."""
     g = nl.make_log_grid(1e-3, 1e60, 512)
     ells = (0, 1, 2, 3)
@@ -352,10 +353,11 @@ def test_regular_cells_match_funk_hecke_oracle(N, alpha):
                             wvar=(a0, a0), epsabs=scale, epsrel=2e-14, limit=200)[0])
         return np.array(out)
 
-    m_cut = math.ceil(riesz._SERIES_XI / h)
+    m_near = math.ceil(riesz._NEAR_XI / h)
+    m_band = math.ceil(riesz._SERIES_EDGES[-1] / h)
     m_deep = round(720 / (a + 1.5) / h)   # e^{-a mh} normal, e^{-(a+2) mh} underflows
     assert m_deep < kerns[0].tables.nlag
-    for m in (1, m_cut - 1, m_cut, m_cut + 1, m_deep):
+    for m in (1, m_near - 1, m_near, m_near + 1, m_band - 1, m_band, m_deep):
         ref = quad_vec(lambda eta: np.outer(phi((m + eta) * h), eta ** powers), 0.0, 1.0,
                        epsabs=0.0, epsrel=2e-14, norm="max", quadrature="gk21")[0]
         got = np.array([k.tables.P[:, m] for k in kerns])
@@ -363,9 +365,10 @@ def test_regular_cells_match_funk_hecke_oracle(N, alpha):
 
 
 def test_cold_build_makes_few_profile_calls(monkeypatch):
-    """One vector call for the regular cells below the exponential-sum cut and
-    one for the singular cell: 12 nodes per regular cell up to the cut, plus
-    the graded rule's 12-node panels, and not 12 per cell of the whole table."""
+    """One vector call for the regular cells of the near branch and one for
+    the singular cell: 12 nodes per regular cell below _NEAR_XI, where the
+    exponential sum takes over, plus the graded rule's 12-node panels, and
+    not 12 per cell of the whole table."""
     monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     calls = []
     call = riesz.KernelProfile.__call__
@@ -379,7 +382,7 @@ def test_cold_build_makes_few_profile_calls(monkeypatch):
     nl.angular_kernel(nl.make_params(N, alpha), 0, g)
     assert 1 <= len(calls) <= 4
     singular = 12 * math.ceil(37.0 / min(1.0, N - alpha) / 0.75)
-    assert sum(calls) <= 12 * math.ceil(riesz._SERIES_XI / g.h) + singular
+    assert sum(calls) <= 12 * math.ceil(riesz._NEAR_XI / g.h) + singular
 
 
 @pytest.mark.parametrize("n,m,half", [(1, 1, 0), (7, 15, 7), (40, 17, 3), (64, 129, 64),
@@ -513,3 +516,127 @@ def test_wide_grid_overflow_is_numerics_error_without_warnings(p31, op):
                 nl.riesz_potential(f, p31)
             else:
                 nl.interaction_energy(f, f, p31)
+
+
+def _phi_reference(mp, N, alpha, ell, xi):
+    """phi_ell(xi) in mpmath by Rodrigues' formula: ell integrations by parts
+    turn int (cosh xi - t)^{-a} G_ell(t) (1-t^2)^{lam-1/2} dt into
+    (a)_ell / (2^ell (lam+1/2)_ell) int (cosh xi - t)^{-a-ell} (1-t^2)^{ell+lam-1/2} dt,
+    a hypergeometric series in 1/cosh^2 xi; independent of the connection
+    formula that the profile's d_k come from."""
+    lam, a, half = mp.mpf(N - 2) / 2, mp.mpf(alpha) / 2, mp.mpf(1) / 2
+    b, mu, chi = a + ell, lam + ell, mp.cosh(mp.mpf(xi))
+    return (mp.rf(a, ell) / (2 ** ell * mp.rf(lam + half, ell)) * mp.beta(half, mu + half)
+            * chi ** -b * mp.hyp2f1(b / 2, (b + 1) / 2, mu + 1, chi ** -2))
+
+
+def test_phi_reference_matches_direct_quadrature():
+    mp = pytest.importorskip("mpmath")
+    N, alpha, xi = 5, 3.3, 0.41
+    with mp.workdps(30):
+        lam, a, ch = mp.mpf(N - 2) / 2, mp.mpf(alpha) / 2, mp.cosh(mp.mpf(xi))
+        for ell in range(4):
+            G1 = mp.gegenbauer(ell, lam, 1)
+            direct = mp.quad(lambda th: (ch - mp.cos(th)) ** -a * mp.sin(th) ** (N - 2)
+                             * mp.gegenbauer(ell, lam, mp.cos(th)) / G1, [0, mp.pi / 2, mp.pi])
+            assert abs(_phi_reference(mp, N, alpha, ell, xi) / direct - 1) < 1e-25
+
+
+@pytest.mark.parametrize("N,alpha,tol", [(3, 0.5, 1e-13), (4, 2.0, 1e-13), (6, 4.0, 1e-13),
+                                         (5, 4.03, 1e-13), (8, 1.0, 1e-13), (12, 7.0, 1e-13),
+                                         (12, 11.5, 1e-13), (3, 2.9, 1e-13), (20, 10.0, 4e-14),
+                                         (40, 20.0, 4e-14), (40, 1.0, 4e-14), (20, 18.5, 4e-14)])
+def test_far_profile_matches_mpmath(N, alpha, tol):
+    """phi_ell from _NEAR_XI on, sectors 0-3, against the 40-digit reference:
+    relative to each value in the bands below 4, and, from the last band edge
+    on, relative to the sector-0 value, the scale the term counts are set
+    for (at (40, 1), phi_3(4) is 1e-9 of phi_0(4)).  Up to N = 40, where the
+    terms cancel by ~2e2 at _NEAR_XI."""
+    mp = pytest.importorskip("mpmath")
+    xi = np.array([riesz._NEAR_XI, 0.5, 1.0, 2.0, 3.9, 4.0, 9.0])
+    got = riesz.KernelProfile(N, alpha, (0, 1, 2, 3))(xi)
+    with mp.workdps(40):
+        ref = np.array([[float(_phi_reference(mp, N, alpha, ell, x)) for x in xi]
+                        for ell in range(4)])
+    scale = np.where(xi < riesz._SERIES_EDGES[-1], np.abs(ref), np.abs(ref[0]))
+    assert np.max(np.abs(got - ref) / scale) <= tol
+
+
+@pytest.mark.parametrize("N,alpha", [(3, 0.5), (4, 2.0), (5, 3.0), (6, 2.0), (12, 7.0),
+                                     (5, 4.03)])
+def test_series_coefficients_match_exact_integrals(N, alpha):
+    """d_k = int C_k^{(a)} G_ell (1-t^2)^{lam-1/2} dt from monomial moments
+    B(m+1/2, lam+1/2) in 60-digit arithmetic.  At alpha = N-2 (a = lam) only
+    k = ell survives and at (6, 2) (a - lam = -1) only k = ell, ell+2: the
+    other d_k must be exactly 0, as must those with k < ell or k - ell odd."""
+    mp = pytest.importorskip("mpmath")
+    profile = riesz.KernelProfile(N, alpha, (0, 1, 2, 3))
+    kmax = 24
+    got = profile._coef[:, :kmax] / 2.0 ** (alpha / 2)
+    with mp.workdps(60):
+        lam, a = mp.mpf(N - 2) / 2, mp.mpf(alpha) / 2
+        moment = [mp.beta(n / mp.mpf(2) + mp.mpf(1) / 2, lam + mp.mpf(1) / 2) if n % 2 == 0
+                  else mp.mpf(0) for n in range(2 * kmax)]
+
+        def coeffs(k, s):   # ascending monomial coefficients of C_k^{(s)}, DLMF 18.5.10
+            c = [mp.mpf(0)] * (k + 1)
+            for m in range(k // 2 + 1):
+                n = k - 2 * m
+                c[n] = (-1) ** m * mp.rf(s, k - m) * 2 ** n / (mp.factorial(m) * mp.factorial(n))
+            return c
+
+        for ell in range(4):
+            g = coeffs(ell, lam)
+            g1 = sum(g)
+            for k in range(kmax):
+                c = coeffs(k, a)
+                ref = sum(ci * gj * moment[i + j] for i, ci in enumerate(c)
+                          for j, gj in enumerate(g)) / g1
+                survives = k >= ell and (k - ell) % 2 == 0
+                if alpha == N - 2:
+                    survives = k == ell
+                elif (N, alpha) == (6, 2.0):
+                    survives = survives and k <= ell + 2
+                if survives:
+                    assert abs(got[ell, k] / float(ref) - 1) <= 1e-13, (ell, k)
+                else:
+                    assert got[ell, k] == 0.0 and abs(ref) < mp.mpf(10) ** -40, (ell, k)
+
+
+def test_series_cancellation_is_capped():
+    """sum |terms| / |sum| of the exponential sum at _NEAR_XI, worst over
+    sectors 0-3, measured: at most 6.3 for N <= 12, 2.2e2 for N <= 40 (all
+    of which build) and 2.8e3 at N = 60.  Above _SERIES_MAX_CANCEL the build
+    raises NumericsError rather than lose more than ~1e3 ulps."""
+    def cancel(N, alpha):
+        profile = riesz.KernelProfile(N, alpha, (0, 1, 2, 3))
+        terms = profile._coef * math.exp(-riesz._NEAR_XI) ** np.arange(profile._coef.shape[1])
+        return np.max(np.sum(np.abs(terms), axis=1) / np.abs(np.sum(terms, axis=1)))
+
+    assert max(cancel(N, alpha) for N in (3, 6, 12)
+               for alpha in np.linspace(0.05, N - 0.01, 12)) <= 7.0
+    assert max(cancel(N, alpha) for N in (20, 30, 40)
+               for alpha in np.linspace(0.05, N - 0.01, 24)) <= 2.5e2
+    assert cancel(40, 20.0) == pytest.approx(197, rel=0.01)
+    for N, alpha in [(60, 30.0), (100, 50.0)]:
+        with pytest.raises(NumericsError, match="cancels"):
+            riesz.KernelProfile(N, alpha, (0,))
+
+
+@pytest.mark.parametrize("tail", [np.inf, 6.5])
+def test_energy_form_matches_convolution(tail):
+    """The Parseval form interaction_energy uses against the direct
+    psi_f @ convolve(psi_g), for f = g and f != g, with a field that ends on
+    the grid and one whose declared power tail continues past it."""
+    p = nl.make_params(5, 3.0)
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    kernel = nl.angular_kernel(p, 0, g)
+    vals = np.exp(-g.nodes ** 2) if np.isinf(tail) else (1 + g.nodes ** 2) ** (-tail / 2)
+    f = nl.RadialField(grid=g, values=vals, tail_exponent=tail, head_value=1.0)
+    h = bump_field(g, 0.3, 0.7)
+    psi_f = kernel.extend_psi(f, f.values, f.head_value)
+    psi_h = kernel.extend_psi(h, h.values, h.head_value)
+    assert psi_f[-1] != 0.0 or np.isinf(tail)
+    for a, b in [(psi_f, psi_f), (psi_f, psi_h), (psi_h, psi_f)]:
+        direct = a @ kernel.tables.convolve(b)
+        assert kernel.tables.form(a, b) == pytest.approx(direct, rel=1e-14, abs=0)
