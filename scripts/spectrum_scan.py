@@ -29,11 +29,9 @@ def main():
     for n, a in pairs:
         p = nl.make_params(n, a)
         print(f"\nN={p.N} alpha={p.alpha}  (2*_alpha = {p.two_star_alpha:.6g})")
-        # the three sector kernels in one pass, as spectral_gap builds them;
         # each sector is solved once and the reports merged as spectral_gap does
-        nl.angular_kernels(p, nl.spectrum.SECTOR_ELLS, grid)
-        reps = [nl.solve_generalized(nl.assemble_sector(p, ell, grid), args.k)
-                for ell in nl.spectrum.SECTOR_ELLS]
+        reps = [nl.solve_generalized(op, args.k)
+                for op in nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid)]
         for rep in reps:
             print(f"  ell={rep.ell}: {np.round(rep.eigenvalues, 6).tolist()}")
         merged = nl.merge_sectors(p, reps)

@@ -17,7 +17,7 @@ from .riesz import (AngularKernel, angular_kernel, angular_kernels, interaction_
 from .functional import DeficitReport, deficit, el_residual, hls_energy, weak_norm
 from .manifold import (BubbleParams, Decomposition, bubble, dist_to_manifold,
                        project_orthogonal, tangent_basis)
-from .spectrum import (SectorOperator, SpectrumReport, assemble_sector,
+from .spectrum import (SectorOperator, SpectrumReport, assemble_sector, assemble_sectors,
                        merge_sectors, solve_generalized, spectral_gap)
 from .experiments import (BoundedDomainReport, SweepConfig, SweepRow,
                           bounded_domain_experiment, ratio_sweep, summarize_sweep,
@@ -47,8 +47,8 @@ __all__ = [
     "DeficitReport", "deficit", "el_residual", "hls_energy", "weak_norm",
     "BubbleParams", "Decomposition", "bubble", "dist_to_manifold",
     "project_orthogonal", "tangent_basis",
-    "SectorOperator", "SpectrumReport", "assemble_sector", "merge_sectors",
-    "solve_generalized", "spectral_gap",
+    "SectorOperator", "SpectrumReport", "assemble_sector", "assemble_sectors",
+    "merge_sectors", "solve_generalized", "spectral_gap",
     "BoundedDomainReport", "SweepConfig", "SweepRow", "bounded_domain_experiment",
     "ratio_sweep", "summarize_sweep", "tail_energy",
     "run_cli",

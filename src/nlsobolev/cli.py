@@ -139,7 +139,13 @@ def _run(args) -> int:
                    "grad_energy": rep.grad_energy,
                    "hls_energy": rep.hls_energy,
                    "norm_identity_rel": abs(rep.grad_energy - ident) / ident}
-        if res >= 1e-4:
+        # the acceptance tolerances: a failed check still writes the report
+        failed = [f"{key} = {payload[key]:.3g} (needs |.| < {tol:g})" for key, tol in
+                  (("el_residual", 1e-4), ("deficit_rel", 1e-6), ("norm_identity_rel", 1e-5))
+                  if not abs(payload[key]) < tol]
+        if failed:
+            print(f"numerical failure: bubble check failed: {'; '.join(failed)}",
+                  file=sys.stderr)
             exit_code = 2
     elif args.command == "spectrum":
         if args.ell is not None:

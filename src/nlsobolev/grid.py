@@ -293,7 +293,9 @@ def read_field_csv(path: str) -> RadialField:
         raise ValidationError("CSV field has too few nodes")
     x = np.log(nodes)
     h = (x[-1] - x[0]) / (len(x) - 1)
-    if np.max(np.abs(np.diff(x) - h)) > 1e-9 * abs(h):
+    # log() rounds each x by ~eps (1 + |x|), which exceeds 1e-9 h once h < ~1e-7
+    tol = 1e-9 * abs(h) + 8 * np.finfo(float).eps * (1 + np.max(np.abs(x)))
+    if np.max(np.abs(np.diff(x) - h)) > tol:
         raise ValidationError("CSV nodes are not log-uniform")
     grid = RadialGrid(r_min=float(nodes[0]), r_max=float(nodes[-1]), nodes=nodes,
                       log_weights=uniform_weights(len(nodes), h))

@@ -39,6 +39,9 @@ formula (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV): for
 unit vectors e, w and a degree-ell spherical harmonic Y,
 int_{S^{N-1}} F(e.w) Y(w) dw = Y(e) omega_{N-2} int_{-1}^{1} F(t) G_ell(t)
 (1-t^2)^{(N-3)/2} dt, applied to F(t) = (r^2 + s^2 - 2 r s t)^{-alpha/2}.
+`angular_kernels` multiplies kappa = omega_{N-2} 2^{-alpha/2} into the
+moment tables once, so every lag table a kernel forms from them, and every
+potential, energy and sector form built on those, carries it already.
 """
 from __future__ import annotations
 
@@ -284,16 +287,6 @@ class KernelProfile:
         return out.reshape((len(self.ells),) + xi.shape)
 
 
-@dataclass(frozen=True)
-class _SectorProfile:
-    """phi_ell of one sector of a shared KernelProfile, as a 1-D evaluator."""
-    shared: KernelProfile
-    row: int
-
-    def __call__(self, xi) -> np.ndarray:
-        return self.shared(xi)[self.row]
-
-
 def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     """Monomial moment tables P[j, d, m] = int_0^1 phi((m+eta)h) eta^d deta for
     every sector j of the profile and cells m < nlag, from two profile calls
@@ -336,25 +329,36 @@ def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     return P
 
 
-class _ConvTables:
-    """Product-integration data for one sector's moment table P (see
-    `_moment_tables`) on cells of width h: the symmetric Toeplitz weight
-    sequence exact for piecewise-cubic psi, and exponential cell integrals
-    used for step (jump) fields."""
+_kernel_cache: OrderedDict[tuple, "AngularKernel"] = OrderedDict()   # LRU, most recent last
 
-    def __init__(self, P: np.ndarray, h: float):
-        self.P, self.h = P, h
-        self.nlag = nlag = P.shape[1]
-        wpos = np.zeros(nlag + 3)                 # lags -1 .. nlag+1
-        contrib = h * (_LAGRANGE4 @ P[:4])        # (4, nlag): weight vs (nu, cell)
+
+@dataclass(eq=False)
+class AngularKernel:
+    """Degree-ell projected Riesz kernel on one grid,
+    k_ell(r, s) = kappa (r s)^{-alpha/2} phi_ell(log r - log s), as product
+    integration over the nlag cells of the padded log grid.  Its moment table
+    P (`_moment_tables`, cells of width h = grid.h) carries the Funk-Hecke
+    factor kappa = omega_{N-2} 2^{-alpha/2}, and so does everything formed
+    from it: `weights`, the symmetric Toeplitz weight sequence exact for
+    piecewise-cubic psi with lag 0 at index `half`, transformed once, and the
+    exponential cell integrals of step (jump) fields.  `apply` integrates a
+    field against the kernel; nothing dense of size n x n is kept."""
+    ell: int
+    params: Params
+    grid: RadialGrid
+    P: np.ndarray
+    npad: int
+
+    def __post_init__(self):
+        nlag = self.nlag = self.P.shape[1]
+        wpos = np.zeros(nlag + 3)                      # lags -1 .. nlag+1
+        contrib = self.grid.h * (_LAGRANGE4 @ self.P[:4])   # (4, nlag): weight vs (nu, cell)
         for j, nu in enumerate((-1, 0, 1, 2)):
             wpos[1 + nu:1 + nu + nlag] += contrib[j]
-        M = nlag + 1                              # w[M + m] = wpos[1 + m] + wpos[1 - m]
-        w = np.zeros(2 * M + 1)
+        M = self.half = nlag + 1                       # w[M + m] = wpos[1 + m] + wpos[1 - m]
+        w = self.weights = np.zeros(2 * M + 1)
         w[M - 1:] += wpos
         w[:M + 2] += wpos[::-1]
-        self.weights = w
-        self.half = M
         # every psi spans the nlag padded nodes, so the weights transform once
         self._L = _fft_len(nlag, len(w), M)
         self._weights_hat = rfft(w, self._L)
@@ -378,42 +382,6 @@ class _ConvTables:
         F = rfft(psi_f, self._L)
         G = F if psi_g is psi_f else rfft(psi_g, self._L)
         return float(self.symbol @ (F.conj() * G).real)
-
-    def cell_exp(self, gam: float) -> np.ndarray:
-        """CE(m) = int_0^1 phi((m+eta)h) e^{gam eta h} deta for m >= 0."""
-        D = self.P.shape[0]
-        coef = np.array([(gam * self.h) ** d / math.factorial(d) for d in range(D)])
-        return coef @ self.P
-
-    def step_kernel(self, gam: float) -> np.ndarray:
-        """Lag table for potentials of exponential steps: entry at lag m is
-        CE(m, -gam) continued to negative m by reflection."""
-        M = self.half
-        pos = self.cell_exp(-gam)
-        neg = math.exp(-gam * self.h) * self.cell_exp(gam)
-        ce = np.zeros(2 * M + 1)
-        ce[M:M + self.nlag] = pos
-        ce[M - self.nlag:M] = neg[:self.nlag][::-1]
-        return ce
-
-
-_kernel_cache: OrderedDict[tuple, "AngularKernel"] = OrderedDict()   # LRU, most recent last
-
-
-@dataclass(eq=False)
-class AngularKernel:
-    """Degree-ell projected Riesz kernel on one grid: the profile phi_ell,
-    the product-integration tables over the padded log grid, and the
-    Funk-Hecke normalization c_norm, so that pointwise
-    k_ell(r, s) = c_norm (2 r s)^{-alpha/2} profile(log r - log s).  `apply`
-    integrates a field against it; nothing dense of size n x n is kept."""
-    ell: int
-    params: Params
-    grid: RadialGrid
-    profile: _SectorProfile
-    tables: _ConvTables
-    c_norm: float
-    npad: int
 
     def x_extended(self) -> np.ndarray:
         g = self.grid
@@ -456,29 +424,35 @@ class AngularKernel:
                 vals[:b + 1] -= drop
             head = head - sum(drop for _, drop in f.jumps)
         psi = self.extend_psi(f, vals, head)
-        kappa = self.c_norm * 2.0 ** (-p.alpha / 2)
         # psi overflows on a wide grid; the non-finite result is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.tables.convolve(psi)[self.npad:self.npad + g.n]
+            out = self.convolve(psi)[self.npad:self.npad + g.n]
             for b, drop in f.jumps:
                 out = out + drop * self._step_values(b)
-            res = kappa * np.exp(-p.alpha / 2 * g.x) * out
+            res = np.exp(-p.alpha / 2 * g.x) * out
         if not np.all(np.isfinite(res)):
             raise NumericsError("Riesz potential quadrature produced non-finite values")
         return res
 
     def _step_values(self, b: int) -> np.ndarray:
-        """Convolution contribution of the unit step 1_{r <= r_b} (cells are
-        integrated against the exact exponential, immune to the jump)."""
-        p = self.params
-        g = self.grid
+        """Convolution contribution of the unit step 1_{r <= r_b}: cells are
+        integrated against the exact exponential, immune to the jump.  The lag
+        table holds CE(m, -gam) at lags m >= 0, CE(m, c) = int_0^1
+        phi((m+eta)h) e^{c eta h} deta a power series in the moments P, and
+        e^{-gam h} CE(-1-m, gam) at lags m < 0, continued by reflection."""
+        p, g, M, nlag = self.params, self.grid, self.half, self.nlag
         gam = p.N - p.alpha / 2
+        d = np.arange(len(self.P))
+        coef = (np.array([[-gam], [gam]]) * g.h) ** d / [math.factorial(k) for k in d]
+        ce_pos, ce_neg = coef @ self.P
+        ce = np.zeros(2 * M + 1)
+        ce[M:M + nlag] = ce_pos
+        ce[M - nlag:M] = math.exp(-gam * g.h) * ce_neg[::-1]
         xe = self.x_extended()
         seq = np.zeros(len(xe))
         nb = self.npad + b
         seq[1:nb + 1] = np.exp(gam * xe[1:nb + 1])
-        out = _lag_convolve(seq, self.tables.step_kernel(gam), self.tables.half)
-        return out[self.npad:self.npad + g.n] * g.h
+        return _lag_convolve(seq, ce, M)[self.npad:self.npad + g.n] * g.h
 
 
 def angular_kernels(p: Params, ells, grid: RadialGrid) -> list[AngularKernel]:
@@ -495,15 +469,13 @@ def angular_kernels(p: Params, ells, grid: RadialGrid) -> list[AngularKernel]:
                                   if key not in _kernel_cache))
     built = {}
     if missing:
-        profile = KernelProfile(p.N, p.alpha, missing)
         span = grid.x[-1] - grid.x[0]
         npad = int(math.ceil(span / grid.h)) + 8
-        moments = _moment_tables(profile, grid.h, grid.n + 2 * npad)
-        for j, ell in enumerate(missing):
-            built[ell] = AngularKernel(ell=ell, params=p, grid=grid,
-                                       profile=_SectorProfile(profile, j),
-                                       tables=_ConvTables(moments[j], grid.h),
-                                       c_norm=sphere_area(p.N - 1), npad=npad)
+        kappa = sphere_area(p.N - 1) * 2.0 ** (-p.alpha / 2)   # Funk-Hecke factor
+        moments = kappa * _moment_tables(KernelProfile(p.N, p.alpha, missing), grid.h,
+                                         grid.n + 2 * npad)
+        for ell, P in zip(missing, moments):
+            built[ell] = AngularKernel(ell=ell, params=p, grid=grid, P=P, npad=npad)
     kernels = []
     for ell, key in zip(ells, keys):
         kernel = _kernel_cache.setdefault(key, built.get(ell))
@@ -543,10 +515,9 @@ def interaction_energy(f: RadialField, g: RadialField, p: Params) -> float:
     kernel = angular_kernel(p, 0, gr)
     psi_f = kernel.extend_psi(f, f.values, f.head_value)
     psi_g = psi_f if g is f else kernel.extend_psi(g, g.values, g.head_value)
-    kappa = kernel.c_norm * 2.0 ** (-p.alpha / 2)
     with np.errstate(over="ignore", invalid="ignore"):   # rejected below
-        val = kernel.tables.form(psi_f, psi_g)
+        val = kernel.form(psi_f, psi_g)
     if not math.isfinite(val):
         raise NumericsError(f"interaction energy is not finite ({val}) on this grid")
-    return sphere_area(p.N) * kappa * gr.h * val
+    return sphere_area(p.N) * gr.h * val
 

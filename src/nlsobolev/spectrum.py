@@ -15,7 +15,7 @@ Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
 condition (Keller-Givoli 1989), so every node stays an unknown.  The solve
-factors the scaled A (positive definite here) once as a band, A = U^T U, and
+factors A (positive definite here) once as a band, A = U^T U, and
 runs standard-form Lanczos on U^{-T} B U^{-1} for the largest 1/mu;
 factoring B instead, as one might first try, loses the low eigenvalues
 whenever B's small-eigenvalue tail carries weight of the physical modes.
@@ -70,11 +70,10 @@ from .errors import IndefiniteOperatorError, NumericsError, ValidationError
 from .grid import RadialGrid, field_abs_pow, make_log_grid
 from .manifold import BubbleParams, bubble
 from .params import Params, _as_int, sphere_area
-from .riesz import (_fft_len, _lag_convolve, angular_kernel, angular_kernels,
-                    riesz_potential)
+from .riesz import _fft_len, _lag_convolve, angular_kernels, riesz_potential
 
-__all__ = ["SectorOperator", "SpectrumReport", "assemble_sector", "merge_sectors",
-           "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
+__all__ = ["SectorOperator", "SpectrumReport", "assemble_sector", "assemble_sectors",
+           "merge_sectors", "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
 
 SECTOR_ELLS = (0, 1, 2)
 _MATCH_TOL = 1e-3      # identification tolerance against {1, 2*_alpha}
@@ -157,63 +156,55 @@ def _report(p: Params, ell: int | None, mu, vecs=None) -> SpectrumReport:
                           eigenvectors=vecs)
 
 
-def _check_resolution(grid: RadialGrid) -> None:
+def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
+    """Build the symmetric (A, B) pair for sector ell on the given grid."""
+    return assemble_sectors(p, (ell,), grid)[0]
+
+
+def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
+    """The symmetric (A, B) pairs of the sectors ells on the given grid, in
+    request order.  The ells and the grid's resolution are checked before any
+    kernel is built; the sector kernels not cached yet are built together
+    (`angular_kernels`), and the ell-independent part of the forms once: the
+    Dirichlet form om G^T G, G = diag(sqrt(q)) D on the staggered grid (no
+    spurious Nyquist modes), 7 diagonals on each side; the potential W and
+    its mass weights; the nonlocal scaling m; and the centrifugal weights.
+    Each sector's A adds the diagonal centrifugal term and, on the last node,
+    the exact energy of the decaying harmonic extension v_n
+    (r/r_max)^{-(ell+N-2)} beyond r_max; its B takes the sector kernel's
+    Toeplitz weights, kappa included, as the lags -(n-1)..(n-1) of their
+    palindromic table.  On extreme grids the forms overflow to inf, which
+    SectorOperator rejects with a NumericsError."""
+    ells = [_as_int("ell", ell) for ell in ells]
+    for ell in ells:
+        if ell not in SECTOR_ELLS:
+            raise ValidationError(f"supported sectors are {SECTOR_ELLS}, got ell={ell}")
     if grid.n / math.log10(grid.r_max / grid.r_min) < 32:
         raise ValidationError("grid too coarse: need >= 32 nodes per decade")
-
-
-def _sector_common(p: Params, grid: RadialGrid) -> tuple:
-    """The ell-independent part of every sector's forms: the Dirichlet form
-    om G^T G, G = diag(sqrt(q)) D on the staggered grid (no spurious Nyquist
-    modes), 7 diagonals on each side; the potential W and its mass weights;
-    the nonlocal scaling m; and the centrifugal weights.  On extreme grids
-    these overflow to inf, which SectorOperator rejects with a NumericsError."""
-    N, al, ts = p.N, p.alpha, p.two_star_alpha
+    kernels = angular_kernels(p, ells, grid)
+    N, al, ts, n = p.N, p.alpha, p.two_star_alpha, grid.n
     om = sphere_area(N)
-    x = grid.x
-    wl = grid.log_weights
+    x, wl = grid.x, grid.log_weights
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
-    potF = riesz_potential(field_abs_pow(U, ts), p, 0)
-    W = potF.values * U.values ** (ts - 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    W = riesz_potential(field_abs_pow(U, ts), p, 0).values * U.values ** (ts - 2.0)
+    ops = []
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected by SectorOperator
         x_mid = 0.5 * (x[:-1] + x[1:])
         q_mid = grid.h * np.exp((N - 2) * x_mid)
-        G = sp.diags_array(np.sqrt(q_mid)) @ staggered_derivative_matrix(grid.n, grid.h)
+        G = sp.diags_array(np.sqrt(q_mid)) @ staggered_derivative_matrix(n, grid.h)
         dirichlet = om * (G.T @ G)
         mw = om * (wl * np.exp(N * x) * W)
         centrifugal = wl * np.exp((N - 2) * x)
         mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
-    return dirichlet, W, mw, centrifugal, mvec
-
-
-def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
-    """Build the symmetric (A, B) pair for sector ell on the given grid."""
-    ell = _as_int("ell", ell)
-    if ell not in SECTOR_ELLS:
-        raise ValidationError(f"supported sectors are {SECTOR_ELLS}, got ell={ell}")
-    _check_resolution(grid)
-    return _assemble(p, ell, grid, _sector_common(p, grid))
-
-
-def _assemble(p: Params, ell: int, grid: RadialGrid, common: tuple) -> SectorOperator:
-    """assemble_sector from the ell-independent part `_sector_common`: A adds
-    the diagonal centrifugal term and, on the last node, the exact energy of
-    the decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max."""
-    dirichlet, W, mw, centrifugal, mvec = common
-    N, al = p.N, p.alpha
-    om = sphere_area(N)
-    with np.errstate(over="ignore", invalid="ignore"):   # rejected by SectorOperator
-        diag = om * ell * (ell + N - 2) * centrifugal + mw
-        diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
-        A = dirichlet + sp.diags_array(diag)
-    # nonlocal form diag(m) kappa T diag(m) + M_W from the sector kernel's
-    # Toeplitz weights, kept as the lags -(n-1)..(n-1) of its palindromic table
-    kern = angular_kernel(p, ell, grid)
-    half = kern.tables.half
-    lags = kern.tables.weights[half - grid.n + 1:half + grid.n] \
-        * (om * kern.c_norm * 2.0 ** (-al / 2))
-    return SectorOperator(ell=ell, A=A, b_scale=mvec, b_lags=lags, b_diag=mw,
-                          grid=grid, params=p, w_potential=W)
+        for kern in kernels:
+            ell = kern.ell
+            diag = om * ell * (ell + N - 2) * centrifugal + mw
+            diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
+            lags = kern.weights[kern.half - n + 1:kern.half + n] * om
+            ops.append(SectorOperator(ell=ell, A=dirichlet + sp.diags_array(diag),
+                                      b_scale=mvec, b_lags=lags, b_diag=mw, grid=grid,
+                                      params=p, w_potential=W))
+    return ops
 
 
 def _toeplitz_pd(col: np.ndarray) -> bool:
@@ -318,17 +309,13 @@ def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> Spec
     the ell = 2 ones (larger centrifugal barrier), so they cannot carry the
     gap.  Eigenvalues are listed once per sector, without the angular
     multiplicities.  The default grid serves every N: its worst error,
-    sector 0 at N = 3, is 5.9e-5 relative.  The three sector kernels not
-    already cached are built together, from one profile evaluation, and the
-    ell-independent part of the forms once, before the sectors are assembled.
+    sector 0 at N = 3, is 5.9e-5 relative.  The sectors are assembled
+    together (`assemble_sectors`).
     """
     if grid is None:
         grid = make_log_grid(1e-3, 1e3, 1024)
-    _check_resolution(grid)   # before the kernel builds it would waste
-    angular_kernels(p, SECTOR_ELLS, grid)
-    common = _sector_common(p, grid)
-    return merge_sectors(p, [solve_generalized(_assemble(p, ell, grid, common), k)
-                             for ell in SECTOR_ELLS])
+    return merge_sectors(p, [solve_generalized(op, k)
+                             for op in assemble_sectors(p, SECTOR_ELLS, grid)])
 
 
 def merge_sectors(p: Params, reports: list[SpectrumReport]) -> SpectrumReport:

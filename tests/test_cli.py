@@ -83,6 +83,24 @@ def test_verify_bubble(tmp_path):
     assert env["payload"]["norm_identity_rel"] < 1e-5
 
 
+@pytest.mark.parametrize("N,code", [(20, 0), (40, 2)])
+def test_verify_bubble_exit_code_covers_every_check(N, code, tmp_path, capsys):
+    # at N = 40 the bubble's deficit_rel reads 2.2e-4 while el_residual passes;
+    # any failed check exits 2, names itself on one line and still writes the report
+    got, _, env = run_to_json(["verify-bubble", "--dim", str(N), "--alpha", "1"],
+                              tmp_path, "v.json")
+    err = capsys.readouterr().err
+    pl = env["payload"]
+    assert got == code
+    assert pl["el_residual"] < 1e-4 and pl["norm_identity_rel"] < 1e-5
+    assert (abs(pl["deficit_rel"]) >= 1e-6) == (code == 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("numerical failure: bubble check failed: deficit_rel = ")
+        assert len(err.splitlines()) == 1
+
+
 def test_spectrum_subcommand(tmp_path):
     code, _, env = run_to_json(
         ["spectrum", "--dim", "6", "--alpha", "4", "--ell", "0", "--grid-n", "512"],

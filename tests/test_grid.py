@@ -1,5 +1,6 @@
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -224,6 +225,44 @@ def test_csv_round_trip(tmp_path):
     nl.write_field_csv(f2, path2)
     with open(path) as fh, open(path2) as fh2:
         assert fh.read() == fh2.read()
+
+
+@given(log_rmin=st.floats(min_value=-6.0, max_value=3.0),
+       log_spread=st.floats(min_value=-6.0, max_value=12.0),
+       n=st.integers(min_value=16, max_value=4096),
+       tail=st.one_of(st.just(math.inf), st.floats(min_value=0.1, max_value=50.0)),
+       head=st.floats(min_value=-1e3, max_value=1e3),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_csv_round_trip_on_random_log_grids(log_rmin, log_spread, n, tail, head, seed):
+    # r_max / r_min = 1 + 10^log_spread, from 1 + 1e-6 up: on narrow grids the
+    # rounding of log(nodes) is larger than 1e-9 h, and must not read as a
+    # non-uniform grid
+    r_min = 10.0 ** log_rmin
+    g = nl.make_log_grid(r_min, r_min * (1 + 10.0 ** log_spread), n)
+    f = nl.RadialField(grid=g, values=np.random.default_rng(seed).normal(size=n),
+                       tail_exponent=tail, head_value=head)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        nl.write_field_csv(f, path)
+        f2 = nl.read_field_csv(path)
+    assert np.array_equal(f2.grid.nodes, g.nodes)
+    assert np.array_equal(f2.values, f.values)
+    assert f2.tail_exponent == tail and f2.head_value == head
+    assert f2.grid.key() == g.key()
+
+
+def test_csv_rejects_non_uniform_nodes(tmp_path):
+    g = nl.make_log_grid(1e-3, 1e3, 128)
+    nodes = g.nodes.copy()
+    nodes[50] *= 1 + 1e-6
+    path = os.path.join(tmp_path, "field.csv")
+    with open(path, "w") as fh:
+        fh.write("r,value\n")
+        fh.writelines(f"{r:.17g},1\n" for r in nodes)
+        fh.write("#tail_exponent=inf\n#head_value=1\n")
+    with pytest.raises(ValidationError, match="not log-uniform"):
+        nl.read_field_csv(path)
 
 
 def test_indicator_requires_node():

@@ -15,14 +15,20 @@ from nlsobolev.errors import DivergentTailError, NumericsError, ValidationError
 from conftest import bump_field, src_env, unit_bubble
 
 
+def funk_hecke_factor(p):
+    """kappa = omega_{N-2} 2^{-alpha/2}, which the kernels' moment tables carry."""
+    return nl.sphere_area(p.N - 1) * 2.0 ** (-p.alpha / 2)
+
+
 def pointwise_table(kern):
-    """Dense pointwise kernel k_ell(r_i, s_j) = c_norm (2 r_i s_j)^{-alpha/2}
+    """Dense pointwise kernel k_ell(r_i, s_j) = omega_{N-2} (2 r_i s_j)^{-alpha/2}
     phi_ell(|x_i - x_j|) on the kernel's grid; the diagonal is phi_ell(0) as the
     production profile evaluates it."""
-    g, al = kern.grid, kern.params.alpha
+    g, p = kern.grid, kern.params
     xi = np.abs(g.x[:, None] - g.x[None, :])
-    vals = kern.profile(xi.ravel()).reshape(xi.shape)
-    return kern.c_norm * (2.0 * g.nodes[:, None] * g.nodes[None, :]) ** (-al / 2) * vals
+    vals = riesz.KernelProfile(p.N, p.alpha, (kern.ell,))(xi.ravel())[0].reshape(xi.shape)
+    return nl.sphere_area(p.N - 1) * (2.0 * g.nodes[:, None] * g.nodes[None, :]) \
+        ** (-p.alpha / 2) * vals
 
 
 def riesz_identity_exact(p, r):
@@ -73,8 +79,8 @@ def test_kernel_homogeneity_and_symmetry(p32, p42):
         assert tab[i2, j2] == pytest.approx(2.0 ** (-p.alpha) * tab[i1, j1], rel=1e-12)
         assert tab[off].min() > 0 and tab.min() > 0   # ell = 0 kernel positive
     # alpha >= N-1: the profile is unbounded at xi = 0, so it grows as xi shrinks
-    prof = nl.angular_kernel(p32, 0, nl.make_log_grid(0.5, 8.0, 129)).profile
-    assert np.all(np.diff(prof(np.logspace(-3, -12, 10))) > 0)
+    prof = riesz.KernelProfile(p32.N, p32.alpha, (0,))
+    assert np.all(np.diff(prof(np.logspace(-3, -12, 10))[0]) > 0)
 
 
 def test_newton_kernel_closed_form(p31):
@@ -276,11 +282,13 @@ def test_singular_cell_matches_adaptive_oracle(N, alpha, ell):
     eta^d deta against adaptive Gauss-Kronrod on [0, h] in the original
     variable, through the alpha >= N-1 range where phi is unbounded."""
     g = nl.make_log_grid(1e-2, 1e2, 129)
-    kern = nl.angular_kernel(nl.make_params(N, alpha), ell, g)
-    h, powers = g.h, np.arange(kern.tables.P.shape[0])
-    ref = quad_vec(lambda s: kern.profile(s)[0] * (s / h) ** powers, 0.0, h,
+    p = nl.make_params(N, alpha)
+    kern = nl.angular_kernel(p, ell, g)
+    profile = riesz.KernelProfile(N, alpha, (ell,))
+    h, powers = g.h, np.arange(kern.P.shape[0])
+    ref = quad_vec(lambda s: profile(s)[0, 0] * (s / h) ** powers, 0.0, h,
                    epsabs=0.0, epsrel=1e-12, limit=400, quadrature="gk15")[0] / h
-    assert np.max(np.abs(kern.tables.P[:, 0] / ref - 1)) <= 1e-11
+    assert np.max(np.abs(kern.P[:, 0] / funk_hecke_factor(p) / ref - 1)) <= 1e-11
 
 
 @pytest.mark.parametrize("alpha", [2.9, 2.99])
@@ -291,7 +299,8 @@ def test_singular_cell_near_alpha_N_closed_form(alpha):
     must still match a 40-digit integral of the closed form."""
     mp = pytest.importorskip("mpmath")
     g = nl.make_log_grid(1e-3, 1e3, 1025)
-    P0 = nl.angular_kernel(nl.make_params(3, alpha), 0, g).tables.P[:, 0]
+    p = nl.make_params(3, alpha)
+    P0 = nl.angular_kernel(p, 0, g).P[:, 0] / funk_hecke_factor(p)
 
     def moment(d):
         h, b = mp.mpf(g.h), 1 - mp.mpf(alpha) / 2
@@ -339,10 +348,11 @@ def test_regular_cells_match_funk_hecke_oracle(N, alpha):
     terms e^{-(alpha/2+k) mh} underflow.  N = 12 needs the most terms."""
     g = nl.make_log_grid(1e-3, 1e60, 512)
     ells = (0, 1, 2, 3)
-    kerns = nl.angular_kernels(nl.make_params(N, alpha), ells, g)
+    p = nl.make_params(N, alpha)
+    kerns = nl.angular_kernels(p, ells, g)
     h, a0, a = g.h, (N - 3) / 2, alpha / 2
     gegs = [scipy_gegenbauer(ell, (N - 2) / 2.0) for ell in ells]
-    powers = np.arange(kerns[0].tables.P.shape[0])
+    powers = np.arange(kerns[0].P.shape[0])
 
     def phi(xi):
         chi = math.cosh(xi)
@@ -356,11 +366,11 @@ def test_regular_cells_match_funk_hecke_oracle(N, alpha):
     m_near = math.ceil(riesz._NEAR_XI / h)
     m_band = math.ceil(riesz._SERIES_EDGES[-1] / h)
     m_deep = round(720 / (a + 1.5) / h)   # e^{-a mh} normal, e^{-(a+2) mh} underflows
-    assert m_deep < kerns[0].tables.nlag
+    assert m_deep < kerns[0].nlag
     for m in (1, m_near - 1, m_near, m_near + 1, m_band - 1, m_band, m_deep):
         ref = quad_vec(lambda eta: np.outer(phi((m + eta) * h), eta ** powers), 0.0, 1.0,
                        epsabs=0.0, epsrel=2e-14, norm="max", quadrature="gk21")[0]
-        got = np.array([k.tables.P[:, m] for k in kerns])
+        got = np.array([k.P[:, m] for k in kerns]) / funk_hecke_factor(p)
         assert np.max(np.abs(got - ref)) <= 1e-12 * abs(ref[0, 0]), m
 
 
@@ -410,10 +420,9 @@ def test_fft_len_is_shortest_alias_free_length(n, m, half, L):
 
 @pytest.mark.parametrize("N,alpha,ell", [(4, 2.0, 0), (5, 2.7, 1), (3, 1.0, 3)])
 def test_weights_exactly_symmetric(N, alpha, ell):
-    tables = nl.angular_kernel(nl.make_params(N, alpha), ell,
-                               nl.make_log_grid(1e-2, 1e2, 129)).tables
-    assert len(tables.weights) == 2 * tables.half + 1
-    assert np.array_equal(tables.weights, tables.weights[::-1])
+    kern = nl.angular_kernel(nl.make_params(N, alpha), ell, nl.make_log_grid(1e-2, 1e2, 129))
+    assert len(kern.weights) == 2 * kern.half + 1
+    assert np.array_equal(kern.weights, kern.weights[::-1])
 
 
 def test_kernel_cache_is_bounded_lru(monkeypatch):
@@ -442,14 +451,15 @@ def test_batch_build_is_bit_identical(N, alpha, monkeypatch):
     ells = (0, 1, 2, 3)
     xi = np.concatenate([[0.0], np.logspace(-12, 1.5, 60), [riesz._NEAR_XI, 800.0]])
     batch = nl.angular_kernels(p, ells, g)
+    batch_profile = riesz.KernelProfile(N, alpha, ells)(xi)
     assert [k.ell for k in batch] == list(ells)
-    for ell, kb in zip(ells, batch):
+    for j, (ell, kb) in enumerate(zip(ells, batch)):
         riesz._kernel_cache.clear()
         ks = nl.angular_kernel(p, ell, g)
         assert ks is not kb
-        assert np.array_equal(kb.tables.P, ks.tables.P)
-        assert np.array_equal(kb.tables.weights, ks.tables.weights)
-        assert np.array_equal(kb.profile(xi), ks.profile(xi))
+        assert np.array_equal(kb.P, ks.P)
+        assert np.array_equal(kb.weights, ks.weights)
+        assert np.array_equal(batch_profile[j], riesz.KernelProfile(N, alpha, (ell,))(xi)[0])
 
 
 def test_batch_builds_only_missing_sectors(monkeypatch):
@@ -496,7 +506,7 @@ def test_cached_weight_spectrum_is_bit_identical(N, alpha, ell, monkeypatch):
                 nl.interaction_energy(f, U, p), nl.interaction_energy(U, U, p))
 
     cached = results()
-    monkeypatch.setattr(riesz._ConvTables, "convolve",
+    monkeypatch.setattr(riesz.AngularKernel, "convolve",
                         lambda self, psi: riesz._lag_convolve(psi, self.weights, self.half))
     for a, b in zip(cached, results()):
         assert np.array_equal(a, b)
@@ -638,5 +648,5 @@ def test_energy_form_matches_convolution(tail):
     psi_h = kernel.extend_psi(h, h.values, h.head_value)
     assert psi_f[-1] != 0.0 or np.isinf(tail)
     for a, b in [(psi_f, psi_f), (psi_f, psi_h), (psi_h, psi_f)]:
-        direct = a @ kernel.tables.convolve(b)
-        assert kernel.tables.form(a, b) == pytest.approx(direct, rel=1e-14, abs=0)
+        direct = a @ kernel.convolve(b)
+        assert kernel.form(a, b) == pytest.approx(direct, rel=1e-14, abs=0)

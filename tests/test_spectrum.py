@@ -395,6 +395,33 @@ def test_spectral_gap_builds_sectors_in_one_profile_pass(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+@pytest.mark.parametrize("N,alpha", [(6, 4.0), (5, 4.5)])
+def test_assemble_sectors_matches_one_at_a_time(N, alpha, grid64, monkeypatch):
+    """The sectors assembled together, from one kernel batch and one
+    ell-independent part, are the one-at-a-time operators to the bit."""
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    p = nl.make_params(N, alpha)
+    batch = nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid64)
+    assert [op.ell for op in batch] == list(nl.spectrum.SECTOR_ELLS)
+    for ob in batch:
+        riesz._kernel_cache.clear()
+        one = nl.assemble_sector(p, ob.ell, grid64)
+        for a, b in [(ob.A.data, one.A.data), (ob.A.indices, one.A.indices),
+                     (ob.A.indptr, one.A.indptr), (ob.b_scale, one.b_scale),
+                     (ob.b_lags, one.b_lags), (ob.b_diag, one.b_diag),
+                     (ob.w_potential, one.w_potential)]:
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ells", [(0, 1, 3), (2, -1), (0, 1.5), (True, 0)])
+def test_assemble_sectors_rejects_any_bad_ell_before_building(p64, grid64, ells,
+                                                              monkeypatch):
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    with pytest.raises(ValidationError, match="ell"):
+        nl.assemble_sectors(p64, ells, grid64)
+    assert not riesz._kernel_cache
+
+
 def test_spectral_gap_rejects_coarse_grid_before_building(p64, monkeypatch):
     monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     with pytest.raises(ValidationError, match="too coarse"):
