@@ -19,6 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     pytest.param("bounded_domain_experiment.py",
                  ["--dim", "3", "--alpha", "1", "--lambdas", "1e2,1e3"],
                  "weak-ratio floor (min/max):", id="bounded_domain_experiment"),
+    pytest.param("golden_drift.py", [], "verify-bubble.deficit_rel", id="golden_drift"),
 ])
 def test_script_runs(script, args, expect):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
