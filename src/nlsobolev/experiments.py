@@ -11,8 +11,8 @@ from scipy.special import beta as beta_fn, betainc
 
 from .errors import NumericsError, ValidationError
 from .functional import deficit, weak_norm
-from .grid import (RadialField, RadialGrid, differentiate, field_abs_pow, h1_inner,
-                   integrate, make_log_grid)
+from .grid import (RadialField, RadialGrid, _check_resolution, differentiate,
+                   field_abs_pow, h1_inner, integrate, make_log_grid)
 from .manifold import BubbleParams, bubble, dist_to_manifold, project_orthogonal
 from .params import Params, hls_sobolev_constant, sphere_area
 
@@ -100,6 +100,7 @@ def ratio_sweep(cfg: SweepConfig) -> list[SweepRow]:
     grid on which the bubble's own energy is not finite raises NumericsError."""
     p = cfg.params
     grid = cfg.grid if cfg.grid is not None else make_log_grid(1e-3, 1e3, 2048)
+    _check_resolution(grid)
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
     h1_inner(U, U, 0, p.N)
     rows: list[SweepRow] = []
@@ -201,13 +202,18 @@ def bounded_domain_experiment(p: Params, R: float, lambdas: list[float],
         raise ValidationError("need lambda * R >= 10 for every lambda")
     N, q = p.N, p.q_weak
     grid = make_log_grid(R * 1e-7, R, grid_n)
+    _check_resolution(grid)
     out = BoundedDomainReport(R=R, grid=grid, lambdas=lams, deficit=[], weak_norm=[],
                               strong_norm=[], weak_ratio=[], strong_ratio=[],
                               tail_energy=[])
     e = (N - 2) / 2.0
     for lam in lams:
         U = bubble(p, BubbleParams(c=1.0, lam=lam), grid)
-        a_R = U.head_value * (1.0 + (lam * R) ** 2) ** (-e)
+        try:
+            a_R = U.head_value * (1.0 + (lam * R) ** 2) ** (-e)
+        except OverflowError:
+            raise NumericsError(f"(lambda R)^2 overflows double precision at "
+                                f"lambda = {lam:g}, R = {R:g}") from None
         u = RadialField(grid=grid, values=np.maximum(U.values - a_R, 0.0),
                         tail_exponent=np.inf, head_value=U.head_value - a_R)
         rep = deficit(u, p)

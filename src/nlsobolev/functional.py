@@ -58,14 +58,18 @@ def el_residual(u: RadialField, p: Params) -> float:
     N, ts = p.N, p.two_star_alpha
     pot = riesz_potential(field_abs_pow(u, ts), p, 0)
     nonlin = pot.values * field_signed_pow(u, ts - 1.0).values
-    lap = (_dmat(g.n, g.h, 2) @ u.values
-           + (N - 2) * (_dmat(g.n, g.h, 1) @ u.values)) * np.exp(-2 * g.x)
-    resid = -lap - nonlin
+    with np.errstate(over="ignore", invalid="ignore"):   # r^{-2} may overflow
+        lap = (_dmat(g.n, g.h, 2) @ u.values
+               + (N - 2) * (_dmat(g.n, g.h, 1) @ u.values)) * np.exp(-2 * g.x)
+        resid = -lap - nonlin
     inner = slice(_EDGE, g.n - _EDGE)
     scale = float(np.max(np.abs(nonlin[inner])))
     if scale == 0.0:
         raise ValidationError("nonlinear term vanishes identically")
-    return float(np.max(np.abs(resid[inner]))) / scale
+    res = float(np.max(np.abs(resid[inner]))) / scale
+    if not math.isfinite(res):
+        raise NumericsError(f"Euler-Lagrange residual is not finite ({res}) on this grid")
+    return res
 
 
 def weak_norm(u: RadialField, R: float, q: float) -> float:

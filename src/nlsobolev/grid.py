@@ -104,8 +104,8 @@ class RadialField:
 
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     """Log-spaced grid with composite quadrature weights in the log variable."""
-    if not (0 < r_min < r_max):
-        raise ValidationError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if not (0 < r_min < r_max < math.inf):
+        raise ValidationError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
     n = _as_int("n", n)
     if n < 16:
         raise ValidationError(f"need n >= 16 nodes, got {n}")
@@ -113,6 +113,13 @@ def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     h = x[1] - x[0]
     return RadialGrid(r_min=float(r_min), r_max=float(r_max),
                       nodes=np.exp(x), log_weights=uniform_weights(n, h))
+
+
+def _check_resolution(grid: RadialGrid) -> None:
+    """Reject a grid with fewer than 32 nodes per decade of r, too coarse for
+    the sector forms and the bubble-based experiments to mean anything."""
+    if grid.n / math.log10(grid.r_max / grid.r_min) < 32:
+        raise ValidationError("grid too coarse: need >= 32 nodes per decade")
 
 
 def _tail_correction(v_end: float, exponent: float, moment: float, r_max: float) -> float:

@@ -56,9 +56,13 @@ def bubble(p: Params, bp: BubbleParams, grid: RadialGrid) -> RadialField:
     e = (p.N - 2) / 2.0
     with np.errstate(over="ignore"):
         pref = float(bp.c * np.float64(bp.lam) ** e * amp)
+        s2 = (bp.lam * grid.nodes) ** 2
     if not math.isfinite(pref):
         raise NumericsError(f"the bubble's peak value at lambda = {bp.lam:.6g} overflows")
-    vals = pref * (1.0 + (bp.lam * grid.nodes) ** 2) ** (-e)
+    vals = pref * (1.0 + s2) ** (-e)
+    if math.isinf(s2[-1]):   # where (lambda r)^2 overflows, take its power by logs
+        big = np.isinf(s2)
+        vals[big] = pref * np.exp(-2.0 * e * (math.log(bp.lam) + grid.x[big]))
     return RadialField(grid=grid, values=vals, tail_exponent=float(p.N - 2),
                        head_value=pref)
 

@@ -199,7 +199,8 @@ class KernelProfile:
             row[ell::2] = d0 * np.cumprod(np.concatenate([[1.0], steps]))
         self._rates = a + np.arange(K)
         terms = self._coef * math.exp(-_NEAR_XI) ** np.arange(K)
-        cancel = np.max(np.sum(np.abs(terms), axis=1) / np.abs(np.sum(terms, axis=1)))
+        with np.errstate(divide="ignore", invalid="ignore"):   # a 0/0 is rejected below
+            cancel = np.max(np.sum(np.abs(terms), axis=1) / np.abs(np.sum(terms, axis=1)))
         if not cancel <= _SERIES_MAX_CANCEL:
             raise NumericsError(
                 f"far-field series at (N, alpha) = ({self.N}, {self.alpha}) cancels by "

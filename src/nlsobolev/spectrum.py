@@ -9,8 +9,9 @@ Dirichlet part as G^T G, G = diag(sqrt(q)) D with the quadrature weights
 folded in (a sparse band), the nonlocal part as diag(m) kappa T diag(m) from
 the Toeplitz product-integration weights T of the sector kernel, kept as
 their exactly palindromic lag table, so that B x is one FFT convolution and
-B is certified positive semidefinite from T alone by an O(n^2) Schur
-recursion: no n x n array is ever formed.
+B is certified positive semidefinite from T alone, by one FFT of a circulant
+that holds T, or where that is inconclusive by an O(n^2) Schur recursion:
+no n x n array is ever formed.
 Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
@@ -63,11 +64,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import rfft
+from scipy.fft import next_fast_len, rfft
 
 from ._quadrature import staggered_derivative_matrix
 from .errors import IndefiniteOperatorError, NumericsError, ValidationError
-from .grid import RadialGrid, field_abs_pow, make_log_grid
+from .grid import RadialGrid, _check_resolution, field_abs_pow, make_log_grid
 from .manifold import BubbleParams, bubble
 from .params import Params, _as_int, sphere_area
 from .riesz import _fft_len, _lag_convolve, angular_kernels, riesz_potential
@@ -179,8 +180,7 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
     for ell in ells:
         if ell not in SECTOR_ELLS:
             raise ValidationError(f"supported sectors are {SECTOR_ELLS}, got ell={ell}")
-    if grid.n / math.log10(grid.r_max / grid.r_min) < 32:
-        raise ValidationError("grid too coarse: need >= 32 nodes per decade")
+    _check_resolution(grid)
     kernels = angular_kernels(p, ells, grid)
     N, al, ts, n = p.N, p.alpha, p.two_star_alpha, grid.n
     om = sphere_area(N)
@@ -232,6 +232,34 @@ def _toeplitz_pd(col: np.ndarray) -> bool:
     return bool(u[0] > 0)
 
 
+def _circulant_embedding(col: np.ndarray) -> np.ndarray:
+    """First column of a symmetric circulant of fast length L ~ 6n whose
+    leading block is the Toeplitz matrix with first column col: the free lags
+    n..L/2 continue col[-1] geometrically (ratio col[-1]/col[-2] clamped to
+    [0, 1]) under a raised cosine that falls from 1 at lag n-1 to 0 at L/2."""
+    n = len(col)
+    L = next_fast_len(6 * n, True)
+    half = L // 2
+    c, d = abs(col[-1]), abs(col[-2])
+    ratio = min(c, d) / d if col[-1] * col[-2] > 0 else 0.0
+    k = np.arange(1, half - n + 2)                   # lag n - 1 + k
+    taper = 0.5 + 0.5 * np.cos(np.pi * k / (half - n + 1))
+    h = np.concatenate((col, col[-1] * ratio ** k * taper))
+    return np.concatenate((h, h[1:L - half][::-1]))
+
+
+def _circulant_psd(col: np.ndarray) -> bool:
+    """A sufficient test that the Toeplitz matrix T with first column col is
+    positive semidefinite: T is a principal submatrix of the circulant
+    `_circulant_embedding(col)`, whose eigenvalues are one real FFT, and the
+    test passes when the smallest clears that FFT's rounding bound
+    8 eps log2(L) sum |g_k| (Dembo, Mallows and Shepp, IEEE Trans. Inf.
+    Theory 35 (1989); Dietrich and Newsam, SIAM J. Sci. Comput. 18 (1997))."""
+    g = _circulant_embedding(col)
+    bound = 8 * np.finfo(float).eps * math.log2(len(g)) * np.abs(g).sum()
+    return bool(rfft(g).real.min() >= bound)
+
+
 def _psd_to_tolerance(op: SectorOperator) -> None:
     """Raise unless B's smallest eigenvalue is at least -1e-10 times its largest
     diagonal entry lambda_lo, a Rayleigh quotient of B, so at most lambda_max.
@@ -239,15 +267,18 @@ def _psd_to_tolerance(op: SectorOperator) -> None:
     A sufficient test on the Toeplitz factor T, with m = b_scale: if T + delta I
     is positive semidefinite, B >= (-delta max m^2 + min(b_diag, 0)) I =
     -1e-10 lambda_lo I for delta = (1e-10 lambda_lo + min(b_diag, 0)) / max m^2.
-    So B passes when delta >= 0 and the Schur algorithm factors T + delta I.
-    Up to its backward error, of order n eps ||T||, the test never passes a B
-    below the bound; it may reject one whose indefinite T the scaling m masks."""
+    So B passes when delta >= 0 and T + delta I is certified: first by one FFT
+    of a circulant that holds it (`_circulant_psd`, sufficient only), and where
+    that is inconclusive by the Schur algorithm, which factors T + delta I
+    exactly when it is positive definite.  Up to their rounding, of order
+    n eps ||T||, neither test passes a B below the bound; they may reject one
+    whose indefinite T the scaling m masks."""
     col = op.b_lags[len(op.b_scale) - 1:].copy()     # T's first column
     m2 = op.b_scale ** 2
     floor = -1e-10 * np.max(m2 * col[0] + op.b_diag)
     delta = (min(op.b_diag.min(), 0.0) - floor) / np.max(m2)
     col[0] += delta
-    if not (delta >= 0 and _toeplitz_pd(col)):
+    if not (delta >= 0 and (_circulant_psd(col) or _toeplitz_pd(col))):
         raise IndefiniteOperatorError("B is not certified positive semidefinite to "
                                       f"-1e-10 * largest diagonal entry = {floor:.3e}")
 
@@ -255,15 +286,17 @@ def _psd_to_tolerance(op: SectorOperator) -> None:
 def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors.
 
-    B is certified positive semidefinite to tolerance (`_psd_to_tolerance`)
-    and acts only by FFT matvecs (`SectorOperator.apply_b`); no n x n array is
-    formed.  A = U^T U is factored once as a band, and Lanczos (ARPACK,
-    standard mode) finds the k largest nu = 1/mu of C = U^{-T} B U^{-1}, one
-    B-matvec and two banded triangular solves per step.  An eigenvector y of
-    C gives v = U^{-1} y / sqrt(nu), with v^T B v = y^T C y / nu = 1.  B's
-    numerical kernel (far-field nodes where the weights underflow) lands at
-    nu = 0 and is cut at 1e-13 nu_max.  k is clamped to n - 1, ARPACK's
-    limit.  Each eigenvector's largest-magnitude entry is positive.
+    B is certified positive semidefinite to tolerance (`_psd_to_tolerance`:
+    one FFT of a circulant that holds its Toeplitz factor, and the Schur
+    recursion only where that is inconclusive) and acts only by FFT matvecs
+    (`SectorOperator.apply_b`); no n x n array is formed.  A = U^T U is
+    factored once as a band, and Lanczos (ARPACK, standard mode) finds the k
+    largest nu = 1/mu of C = U^{-T} B U^{-1}, one B-matvec and two banded
+    triangular solves per step.  An eigenvector y of C gives
+    v = U^{-1} y / sqrt(nu), with v^T B v = y^T C y / nu = 1.  B's numerical
+    kernel (far-field nodes where the weights underflow) lands at nu = 0 and
+    is cut at 1e-13 nu_max.  k is clamped to n - 1, ARPACK's limit.  Each
+    eigenvector's largest-magnitude entry is positive.
     """
     if _as_int("k", k) < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")

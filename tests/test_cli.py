@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nlsobolev as nl
 from nlsobolev.cli import run_cli
@@ -181,6 +184,27 @@ def test_bounded_grid_n(tmp_path):
     assert env["grid"] == {"r_min": 1e-7, "r_max": 1.0, "n": 1024}
 
 
+def test_bounded_overflowing_lambda_is_numerical_failure(capsys):
+    # (lambda R)^2 overflows at lambda = 1e200: one typed line, no traceback
+    code = run_cli(["bounded", "--dim", "3", "--alpha", "1", "--lambdas", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounded", "--dim", "3", "--alpha", "1", "--grid-n", "20"],
+    ["sweep", "--dim", "4", "--alpha", "2", "--grid-n", "16"],
+], ids=["bounded-20", "sweep-16"])
+def test_coarse_grid_exit_code(argv, capsys):
+    # both used to exit 0 with wrong numbers (bounded deficits off by up to
+    # 100x, the same sweep ratio on every row)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: grid too coarse: need >= 32 nodes per decade\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--seed", "0"],
     ["verify-bubble", "--seed", "0"],
@@ -342,3 +366,50 @@ def test_stdout_output(capsys):
     out = capsys.readouterr().out
     env = json.loads(out)
     assert env["payload"]["s_hls"] > 0
+
+
+_EDGE = ("0", "-1", "nan", "inf", "1e-300", "1e200")
+_IN_RANGE = {"--dim": ("3", "5"), "--alpha": ("1", "2.5"), "--grid-min": ("1e-3",),
+             "--grid-max": ("1e3",), "--grid-n": ("256", "1024"), "--ell": ("0", "2"),
+             "--k": ("4",), "--seed": ("0", "3"), "--epsilons": ("1e-2",),
+             "--radius": ("1", "2"), "--lambdas": ("1e2", "1e3"), "--input": ()}
+_GRID = ("--grid-min", "--grid-max", "--grid-n")
+_FLAGS = {"constants": (), "verify-bubble": _GRID, "spectrum": _GRID + ("--ell", "--k"),
+          "deficit": ("--input",), "sweep": _GRID + ("--seed", "--epsilons"),
+          "bounded": ("--grid-n", "--radius", "--lambdas")}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with --dim, --alpha and its own flags: up to two of them
+    take an edge number, the others one of their in-range values (--input
+    names a missing file); every --grid-n that parses is at most 1024."""
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = ("--dim", "--alpha") + _FLAGS[cmd]
+    edges = dict(draw(st.lists(st.sampled_from([(f, v) for f in flags for v in _EDGE]),
+                               max_size=2)))
+    argv = [cmd]
+    for flag in flags:
+        value = edges.get(flag) or draw(st.sampled_from(_IN_RANGE[flag] or _EDGE))
+        argv += [flag, value]
+    return argv
+
+
+# the examples are failures that runs of these draws (some with 3000 examples)
+# found: (lambda R)^2 overflowing, a 0/0 in the far-field series check, r^{-2}
+# overflowing in el_residual, an infinite grid end
+@given(argv=_argv())
+@example(argv=["bounded", "--dim", "3", "--alpha", "1", "--grid-n", "256",
+               "--radius", "1", "--lambdas", "1e200"])
+@example(argv=["spectrum", "--dim", "3", "--alpha", "1e-300", "--grid-min", "1e-3",
+               "--grid-max", "1e3", "--grid-n", "256", "--ell", "2", "--k", "4"])
+@example(argv=["verify-bubble", "--dim", "3", "--alpha", "1", "--grid-min", "1e-300",
+               "--grid-max", "1e3", "--grid-n", "256"])
+@example(argv=["verify-bubble", "--dim", "3", "--alpha", "1", "--grid-min", "1e-3",
+               "--grid-max", "inf", "--grid-n", "256"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_fuzzed_argv_exit_code(argv):
+    # the exit-code contract: 0, 1 or 2 with no exception (numpy warnings are
+    # errors under pytest), whatever the flag values
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(argv) in (0, 1, 2)

@@ -236,6 +236,58 @@ def test_indefinite_toeplitz_factor(op64_s0, depth, indefinite):
         assert ev[0] >= -1e-10 * ev[-1]
 
 
+@given(n=st.integers(2, 128), decay=st.floats(0.05, 0.99), seed=st.integers(0, 2 ** 32 - 1),
+       margin=st.floats(-1e-2, 1e-1))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_circulant_certificate_never_passes_indefinite_toeplitz(n, decay, seed, margin):
+    # a decaying column of mixed signs, its lag 0 set so that lambda_min(T) is
+    # margin * sum |col[1:]|: whenever the FFT test passes, the dense oracle
+    # reads lambda_min(T) >= -(the test's rounding bound)
+    rng = np.random.default_rng(seed)
+    col = np.concatenate(([0.0], rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0, 1, n - 1)
+                          * decay ** np.arange(1, n)))
+    scale = np.abs(col).sum() or 1.0
+    col[0] = margin * scale - np.linalg.eigvalsh(sla.toeplitz(col))[0]
+    if nl.spectrum._circulant_psd(col):
+        g = nl.spectrum._circulant_embedding(col)
+        bound = 8 * np.finfo(float).eps * math.log2(len(g)) * np.abs(g).sum()
+        assert np.linalg.eigvalsh(sla.toeplitz(col))[0] >= -bound
+
+
+def test_circulant_embedding_holds_the_toeplitz_lags(op64_s0):
+    # a symmetric circulant whose leading n x n block is T
+    n = len(op64_s0.b_scale)
+    col = op64_s0.b_lags[n - 1:]
+    g = nl.spectrum._circulant_embedding(col)
+    assert len(g) >= 6 * n
+    np.testing.assert_array_equal(g[:n], col)
+    np.testing.assert_array_equal(g[1:], g[1:][::-1])
+
+
+@pytest.mark.parametrize("N, alpha", [(N, alpha) for N in (4, 5, 6)
+                                      for alpha in (1.0, N / 2 - 0.5, N - 2.0)])
+def test_spectrum_range_certified_without_schur(N, alpha, grid64, monkeypatch):
+    # every sector of the spectrum workload's range passes the FFT test, so
+    # the O(n^2) Schur recursion never runs there
+    def schur(col):
+        raise AssertionError("the Schur fallback was reached")
+
+    monkeypatch.setattr(nl.spectrum, "_toeplitz_pd", schur)
+    rep = nl.spectral_gap(nl.make_params(N, alpha), grid64, 8)
+    assert rep.eigenvalues[0] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_small_alpha_sector_certified_by_schur(grid64, monkeypatch):
+    # at (4, 0.08), ell = 0 the FFT test is inconclusive; the exact Schur test
+    # decides, and passes
+    verdicts = []
+    schur = nl.spectrum._toeplitz_pd
+    monkeypatch.setattr(nl.spectrum, "_toeplitz_pd",
+                        lambda col: verdicts.append(schur(col)) or verdicts[-1])
+    nl.spectrum._psd_to_tolerance(nl.assemble_sector(nl.make_params(4, 0.08), 0, grid64))
+    assert verdicts == [True]
+
+
 @pytest.mark.parametrize("sector", [0, 1, 2])
 def test_certificate_floor_below_lambda_max(sector, request):
     # the diagonal bound lambda_lo = max diag(B) is a Rayleigh quotient of B
