@@ -65,11 +65,12 @@ def uniform_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _stencil_matrix(n: int, h: float, order: int, width: int, shift: float,
-                    rows: int) -> sp.csr_array:
-    """rows x n CSR matrix of `width`-point Fornberg rows for the order-th
-    derivative at the points (i + shift) h: the window centered on the point
-    in the interior, the nearest full window (one-sided rows) near the ends."""
+def _stencil_rows(n: int, h: float, order: int, width: int, shift: float,
+                  rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`width`-point Fornberg rows for the order-th derivative at the points
+    (i + shift) h, i < rows: the weights, shape (rows, width), and each row's
+    first column j0.  The window is centered on the point in the interior and
+    is the nearest full window (one-sided rows) near the ends."""
     xs = np.arange(width, dtype=float) * h
     lead = (width - 1) // 2          # window nodes left of an interior point
     center = fornberg_weights(xs, (lead + shift) * h, order)
@@ -78,9 +79,7 @@ def _stencil_matrix(n: int, h: float, order: int, width: int, shift: float,
     for i in range(rows):
         vals[i] = (center if j0[i] == i - lead
                    else fornberg_weights(xs, (i - j0[i] + shift) * h, order))
-    cols = j0[:, None] + np.arange(width)
-    return sp.csr_array((vals.ravel(), cols.ravel(), np.arange(0, rows * width + 1, width)),
-                        shape=(rows, n))
+    return vals, j0
 
 
 def derivative_matrix(n: int, h: float, order: int) -> sp.csr_array:
@@ -94,11 +93,14 @@ def derivative_matrix(n: int, h: float, order: int) -> sp.csr_array:
     st = 9
     if n < st:
         raise ValueError(f"grid too small for stencil: n={n} < {st}")
-    return _stencil_matrix(n, h, order, st, 0, n)
+    vals, j0 = _stencil_rows(n, h, order, st, 0, n)
+    return sp.csr_array((vals.ravel(), (j0[:, None] + np.arange(st)).ravel(),
+                         np.arange(0, n * st + 1, st)), shape=(n, n))
 
 
-def staggered_derivative_matrix(n: int, h: float) -> sp.csr_array:
-    """(n-1) x n sparse first-derivative matrix evaluated at the cell midpoints.
+def staggered_derivative_matrix(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n-1) x n first-derivative matrix D at the cell midpoints, as its rows:
+    the weights, shape (n-1, 8), and each row k's first column j0[k].
 
     Used for assembling Dirichlet quadratic forms: a staggered stencil never
     annihilates the grid's Nyquist sawtooth, so the assembled form has no
@@ -108,5 +110,4 @@ def staggered_derivative_matrix(n: int, h: float) -> sp.csr_array:
     """
     if n < 9:
         raise ValueError(f"grid too small for staggered stencil: n={n}")
-    return _stencil_matrix(n, h, 1, 8, 0.5, n - 1)
-
+    return _stencil_rows(n, h, 1, 8, 0.5, n - 1)

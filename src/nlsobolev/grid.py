@@ -212,12 +212,12 @@ def field_signed_pow(f: RadialField, q: float) -> RadialField:
                    head_value=math.copysign(a.head_value, f.head_value))
 
 
-def _resample_uniform(x: np.ndarray, values: np.ndarray, xq: np.ndarray,
-                      order: int = 8) -> np.ndarray:
-    """Local Lagrange interpolation of degree order-1 on a uniform grid.
+def _resample_uniform(x: np.ndarray, values: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Local Lagrange interpolation of degree 7 (8 nodes) on a uniform grid.
 
     Smoother than a cubic spline (whose knot-scale noise pollutes subsequent
     high-order differentiation)."""
+    order = 8
     n = len(x)
     h = x[1] - x[0]
     t = (xq - x[0]) / h

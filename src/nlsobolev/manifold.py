@@ -45,10 +45,6 @@ class Decomposition:
     d: float
     w: RadialField
 
-    def to_json_dict(self, w_csv_path: str | None = None) -> dict:
-        return {"c": self.best.c, "lambda": self.best.lam, "d": self.d,
-                "w_csv_path": w_csv_path}
-
 
 def bubble(p: Params, bp: BubbleParams, grid: RadialGrid) -> RadialField:
     """c lambda^{(N-2)/2} a (1 + lambda^2 r^2)^{-(N-2)/2}; NumericsError if it overflows."""

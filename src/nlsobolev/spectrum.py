@@ -6,12 +6,12 @@ with W = (|x|^{-alpha} * U^{2*_a}) U^{2*_a - 2}, per angular-momentum sector.
 
 Both forms are symmetric by construction, with no averaging pass: the
 Dirichlet part as G^T G, G = diag(sqrt(q)) D with the quadrature weights
-folded in (a sparse band), the nonlocal part as diag(m) kappa T diag(m) from
-the Toeplitz product-integration weights T of the sector kernel, kept as
-their exactly palindromic lag table, so that B x is one FFT convolution and
-B is certified positive semidefinite from T alone, by one FFT of a circulant
-that holds T, or where that is inconclusive by an O(n^2) Schur recursion:
-no n x n array is ever formed.
+folded in, assembled into the LAPACK upper band the Cholesky factor reads,
+the nonlocal part as diag(m) kappa T diag(m) from the Toeplitz
+product-integration weights T of the sector kernel, kept as their exactly
+palindromic lag table, so that B x is one FFT convolution and B is certified
+positive semidefinite from T alone, by one FFT of a circulant that holds T,
+or where that is inconclusive by an O(n^2) Schur recursion: no n x n array.
 Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
@@ -62,7 +62,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import next_fast_len, rfft
 
@@ -82,8 +81,8 @@ _MATCH_TOL = 1e-3      # identification tolerance against {1, 2*_alpha}
 
 @dataclass(eq=False)
 class SectorOperator:
-    """Discretized quadratic forms of one angular-momentum sector: A as a
-    sparse band, B by its factors
+    """Discretized quadratic forms of one angular-momentum sector: A as its
+    LAPACK upper band, a_band[7 + i - j, j] = A[i, j] for i <= j, B by its factors
 
         B = diag(b_scale) T diag(b_scale) + diag(b_diag),
         T[i, j] = b_lags[n - 1 + i - j],
@@ -92,22 +91,19 @@ class SectorOperator:
     B are exactly symmetric.  `apply_b` multiplies by B with one FFT
     convolution; B is never materialized."""
     ell: int
-    A: sp.csr_array
+    a_band: np.ndarray
     b_scale: np.ndarray
     b_lags: np.ndarray
     b_diag: np.ndarray
-    grid: RadialGrid
     params: Params
     w_potential: np.ndarray = dc_field(repr=False, default=None)
     _b_lags_hat: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, a in (("A", self.A.data), ("b_scale", self.b_scale),
+        for name, a in (("a_band", self.a_band), ("b_scale", self.b_scale),
                         ("b_lags", self.b_lags), ("b_diag", self.b_diag)):
             if not np.all(np.isfinite(a)):
                 raise NumericsError(f"sector form {name} has non-finite entries")
-        if abs(self.A - self.A.T).max() > 1e-12 * abs(self.A).max():
-            raise IndefiniteOperatorError("A is not symmetric to tolerance")
         if not np.array_equal(self.b_lags, self.b_lags[::-1]):
             raise IndefiniteOperatorError("B is not symmetric: b_lags is not palindromic")
         n = len(self.b_scale)
@@ -168,14 +164,15 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
     kernel is built; the sector kernels not cached yet are built together
     (`angular_kernels`), and the ell-independent part of the forms once: the
     Dirichlet form om G^T G, G = diag(sqrt(q)) D on the staggered grid (no
-    spurious Nyquist modes), 7 diagonals on each side; the potential W and
-    its mass weights; the nonlocal scaling m; and the centrifugal weights.
-    Each sector's A adds the diagonal centrifugal term and, on the last node,
-    the exact energy of the decaying harmonic extension v_n
-    (r/r_max)^{-(ell+N-2)} beyond r_max; its B takes the sector kernel's
-    Toeplitz weights, kappa included, as the lags -(n-1)..(n-1) of their
-    palindromic table.  On extreme grids the forms overflow to inf, which
-    SectorOperator rejects with a NumericsError."""
+    spurious Nyquist modes), as its upper band; the potential W, clamped at
+    0 against FFT rounding at far nodes that the mass weight e^{Nx} would
+    blow up, and its mass weights; the nonlocal scaling m; and the
+    centrifugal weights.  Each sector's A adds the diagonal centrifugal term
+    and, on the last node, the exact energy of the decaying harmonic
+    extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max; its B takes the sector
+    kernel's Toeplitz weights, kappa included, as the lags -(n-1)..(n-1) of
+    their palindromic table.  On extreme grids the forms overflow to inf,
+    which SectorOperator rejects with a NumericsError."""
     ells = [_as_int("ell", ell) for ell in ells]
     for ell in ells:
         if ell not in SECTOR_ELLS:
@@ -186,13 +183,19 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
     om = sphere_area(N)
     x, wl = grid.x, grid.log_weights
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
-    W = riesz_potential(field_abs_pow(U, ts), p, 0).values * U.values ** (ts - 2.0)
+    W = np.maximum(riesz_potential(field_abs_pow(U, ts), p, 0).values, 0.0) \
+        * U.values ** (ts - 2.0)
     ops = []
     with np.errstate(over="ignore", invalid="ignore"):   # rejected by SectorOperator
         x_mid = 0.5 * (x[:-1] + x[1:])
         q_mid = grid.h * np.exp((N - 2) * x_mid)
-        G = sp.diags_array(np.sqrt(q_mid)) @ staggered_derivative_matrix(n, grid.h)
-        dirichlet = om * (G.T @ G)
+        rows, j0 = staggered_derivative_matrix(n, grid.h)
+        g = np.sqrt(q_mid)[:, None] * rows                 # the rows of G
+        a, b = np.triu_indices(8)
+        # G[k, j0 + a] G[k, j0 + b] into band[7 + a - b, j0 + b]; bincount adds
+        # in input order, so each entry sums over ascending k, as G^T G would
+        dirichlet = om * np.bincount(((7 + a - b) * n + j0[:, None] + b).ravel(),
+                                     (g[:, a] * g[:, b]).ravel(), 8 * n).reshape(8, n)
         mw = om * (wl * np.exp(N * x) * W)
         centrifugal = wl * np.exp((N - 2) * x)
         mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
@@ -201,9 +204,9 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
             diag = om * ell * (ell + N - 2) * centrifugal + mw
             diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
             lags = kern.weights[kern.half - n + 1:kern.half + n] * om
-            ops.append(SectorOperator(ell=ell, A=dirichlet + sp.diags_array(diag),
-                                      b_scale=mvec, b_lags=lags, b_diag=mw, grid=grid,
-                                      params=p, w_potential=W))
+            ops.append(SectorOperator(
+                ell=ell, a_band=np.vstack((dirichlet[:-1], dirichlet[-1] + diag)),
+                b_scale=mvec, b_lags=lags, b_diag=mw, params=p, w_potential=W))
     return ops
 
 
@@ -301,14 +304,9 @@ def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
     if _as_int("k", k) < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
     _psd_to_tolerance(op)
-    m = op.A.shape[0]
-    # upper banded storage of A: ab[u + i - j, j] holds entry (i, j), i <= j
-    up = sp.triu(op.A, format="coo")
-    u = int(np.max(up.col - up.row))
-    ab = np.zeros((u + 1, m))
-    ab[u + up.row - up.col, up.col] = up.data
+    m = op.a_band.shape[1]
     try:
-        cb = sla.cholesky_banded(ab, check_finite=False)
+        cb = sla.cholesky_banded(op.a_band, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteOperatorError("A is not positive definite") from exc
     tbtrs = sla.lapack.dtbtrs      # U x = y, or U^T x = y with trans="T"

@@ -59,6 +59,16 @@ def dense_b(op):
     return B
 
 
+def dense_a(op):
+    """The dense n x n matrix A of a SectorOperator, from its upper band
+    a_band[u + i - j, j] = A[i, j], i <= j, mirrored below the diagonal."""
+    u, n = op.a_band.shape[0] - 1, op.a_band.shape[1]
+    A = np.zeros((n, n))
+    for d in range(u + 1):
+        A[np.arange(n - d), np.arange(d, n)] = op.a_band[u - d, d:]
+    return A + np.triu(A, 1).T
+
+
 def src_env():
     """Environment for a child Python process that imports this nlsobolev."""
     env = dict(os.environ)

@@ -28,7 +28,7 @@ import scipy.linalg as sla
 import nlsobolev as nl
 from nlsobolev.cli import run_cli
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
-from conftest import closed_form_c_star, dense_b
+from conftest import closed_form_c_star, dense_a, dense_b
 
 EL_PAIRS = [(3, 1.0), (3, 2.0), (4, 2.0), (5, 3.0), (6, 4.0)]
 SPECTRUM_PAIRS = [(6, 4.0), (4, 2.0)]
@@ -165,7 +165,7 @@ def _sharp_local_constant(p, grid):
     op = nl.assemble_sector(p, 0, grid)
     MW = nl.sphere_area(N) * np.diag(grid.log_weights * np.exp(N * grid.x)
                                      * op.w_potential)
-    dirichlet = (op.A.toarray() - MW)[:-1, :-1]
+    dirichlet = (dense_a(op) - MW)[:-1, :-1]
     sigma, vecs = sla.eigh((ts * dense_b(op) - MW)[:-1, :-1], dirichlet)
     nu = 1.0 / sigma[::-1][:6]
     j = int(np.argmax(nu > 1.0 + 1e-3))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import nlsobolev as nl
 from nlsobolev.cli import run_cli
-from conftest import src_env
+from conftest import closed_form_mu, src_env
 
 
 def run_to_json(args, tmp_path, name):
@@ -112,6 +112,19 @@ def test_spectrum_subcommand(tmp_path):
     mu = np.array(env["payload"]["eigenvalues"])
     assert np.min(np.abs(mu - 1.0)) < 1e-2
     assert np.min(np.abs(mu - 2.0)) < 1e-2
+
+
+def test_spectrum_wide_grid_large_dimension(tmp_path):
+    # FFT rounding leaves the potential behind W slightly negative at far
+    # nodes of this grid, and the mass weight e^{Nx} ~ 1e48 used to make B
+    # indefinite (exit 2)
+    code, _, env = run_to_json(
+        ["spectrum", "--dim", "12", "--alpha", "9", "--grid-min", "1e-4", "--grid-max",
+         "1e4", "--grid-n", "4096", "--ell", "0"], tmp_path, "s.json")
+    assert code == 0
+    mu = env["payload"]["eigenvalues"]
+    np.testing.assert_allclose(mu, [closed_form_mu(12, 9.0, j) for j in range(len(mu))],
+                               rtol=1e-8, atol=0)
 
 
 def test_deficit_subcommand(tmp_path, p42):

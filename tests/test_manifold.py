@@ -327,10 +327,3 @@ def test_project_orthogonal_ell1(p42, grid_default):
     basis = nl.tangent_basis(p42, 1.0, grid_default)
     _, dr = basis[2]
     assert abs(nl.h1_inner(w, dr, 1, p42.N)) < 1e-10
-
-
-def test_decomposition_json(p42, grid_default):
-    dec = nl.dist_to_manifold(unit_bubble(p42, grid_default, c=2.0), p42)
-    d = dec.to_json_dict(w_csv_path="w.csv")
-    assert set(d) == {"c", "lambda", "d", "w_csv_path"}
-    assert d["lambda"] == pytest.approx(1.0, rel=1e-6)

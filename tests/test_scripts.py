@@ -1,4 +1,7 @@
-"""Smoke runs of the experiment scripts at small sizes."""
+"""Smoke runs of the experiment scripts at small sizes, and the benchmark's
+per-layer metric names against the package."""
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -49,3 +52,20 @@ def test_script_bad_input_is_one_error_line(script, args, expect):
     assert proc.returncode == 1
     assert proc.stderr.startswith(expect)
     assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_layer_names_are_public_functions():
+    # perfbench's tracer records each public function of a module as
+    # <layer>.<function> (_quadrature as quadrature); a per-layer metric whose
+    # function was renamed or made private fails the traced run
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        metrics = [m["name"] for m in json.load(fh)["per_layer"]]
+    for name in metrics:
+        layer, fname = name.split(".")[:2]
+        if layer == "trace":
+            continue
+        mod = importlib.import_module("nlsobolev." + ("_quadrature" if layer == "quadrature"
+                                                      else layer))
+        fn = getattr(mod, fname, None)
+        assert not fname.startswith("_") and callable(fn) and not isinstance(fn, type) \
+            and fn.__module__ == mod.__name__, name

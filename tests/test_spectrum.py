@@ -6,15 +6,17 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 import nlsobolev as nl
 from nlsobolev import riesz
+from nlsobolev._quadrature import staggered_derivative_matrix
 from nlsobolev.errors import IndefiniteOperatorError, NumericsError, ValidationError
 from nlsobolev.experiments import _direction_field
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
-from conftest import bump_field, closed_form_mu, dense_b, unit_bubble
+from conftest import bump_field, closed_form_mu, dense_a, dense_b, unit_bubble
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +52,7 @@ def b_cosine(op, v1, v2):
 
 def test_forms_symmetric(op64_s0, op64_s1, op64_s2):
     for op in (op64_s0, op64_s1, op64_s2):
-        for M in (op.A.toarray(), dense_b(op)):
+        for M in (dense_a(op), dense_b(op)):
             assert np.max(np.abs(M - M.T)) <= 1e-12 * np.max(np.abs(M))
             # symmetric by construction, not by an averaging pass
             assert np.array_equal(M, M.T)
@@ -77,21 +79,50 @@ def test_non_palindromic_b_lags_rejected(op64_s0):
         dataclasses.replace(op64_s0, b_lags=lags)
 
 
-@pytest.mark.parametrize("name", ["b_scale", "b_lags", "b_diag", "A"])
+@pytest.mark.parametrize("name", ["b_scale", "b_lags", "b_diag", "a_band"])
 def test_non_finite_factor_rejected(op64_s0, name):
-    if name == "A":
-        bad = op64_s0.A.copy()
-        bad.data[0] = np.inf
-    else:
-        bad = getattr(op64_s0, name).copy()
-        bad[len(bad) // 2] = np.nan
+    bad = getattr(op64_s0, name).copy()
+    bad[len(bad) // 2] = np.nan
     with pytest.raises(NumericsError, match=f"{name} has non-finite entries"):
         dataclasses.replace(op64_s0, **{name: bad})
 
 
 def test_operator_holds_no_dense_matrix(op64_s0, op64_s1, op64_s2):
+    # the largest array is A's band, 8 n entries
     for op in (op64_s0, op64_s1, op64_s2):
-        assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(op).values())
+        n = len(op.b_scale)
+        assert all(v.size <= 8 * n for v in vars(op).values() if isinstance(v, np.ndarray))
+
+
+def _band_oracle(p, grid, op):
+    """triu(om G^T G + diag(d)) of sector op.ell through scipy.sparse, in
+    LAPACK upper band storage: G = diag(sqrt(q)) D with D the staggered
+    stencil as CSR, d the centrifugal, W-mass and exterior terms."""
+    N, n, ell, x, wl = p.N, grid.n, op.ell, grid.x, grid.log_weights
+    om = nl.sphere_area(N)
+    rows, j0 = staggered_derivative_matrix(n, grid.h)
+    D = sp.csr_array((rows.ravel(), (j0[:, None] + np.arange(8)).ravel(),
+                      np.arange(0, 8 * (n - 1) + 1, 8)), shape=(n - 1, n))
+    q_mid = grid.h * np.exp((N - 2) * (0.5 * (x[:-1] + x[1:])))
+    G = sp.diags_array(np.sqrt(q_mid)) @ D
+    d = om * ell * (ell + N - 2) * (wl * np.exp((N - 2) * x)) \
+        + om * (wl * np.exp(N * x) * op.w_potential)
+    d[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
+    up = sp.triu(om * (G.T @ G) + sp.diags_array(d), format="coo")
+    band = np.zeros((8, n))
+    band[7 + up.row - up.col, up.col] = up.data
+    return band
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 12])
+@pytest.mark.parametrize("r_min, r_max, n", [(1e-3, 1e3, 1024), (1e-3, 1e3, 2048),
+                                            (1e-4, 1e4, 4096)])
+def test_a_band_matches_sparse_oracle(N, r_min, r_max, n):
+    # the bincount assembly sums each entry over ascending stencil rows, as
+    # the sparse product does, so the bands agree to the bit
+    p, grid = nl.make_params(N, max(N / 2 - 0.5, 1.0)), nl.make_log_grid(r_min, r_max, n)
+    for op in nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid):
+        assert np.array_equal(op.a_band, _band_oracle(p, grid, op))
 
 
 def test_b_positive_semidefinite(op64_s0):
@@ -102,17 +133,18 @@ def test_b_positive_semidefinite(op64_s0):
 def test_forms_agree_at_bubble(p64, grid64, op64_s0):
     # a(U, U) = b(U, U), the identity behind mu_1 = 1
     u = unit_bubble(p64, grid64).values
-    assert u @ op64_s0.A @ u == pytest.approx(u @ dense_b(op64_s0) @ u, rel=1e-4)
+    assert u @ dense_a(op64_s0) @ u == pytest.approx(u @ dense_b(op64_s0) @ u, rel=1e-4)
 
 
 def test_rayleigh_quotients_of_known_eigenfunctions(p64, grid64, op64_s0, op64_s1):
     ts = p64.two_star_alpha
     u = unit_bubble(p64, grid64).values
-    assert (u @ op64_s0.A @ u) / (u @ dense_b(op64_s0) @ u) == pytest.approx(1.0, abs=1e-4)
+    A0, A1 = dense_a(op64_s0), dense_a(op64_s1)
+    assert (u @ A0 @ u) / (u @ dense_b(op64_s0) @ u) == pytest.approx(1.0, abs=1e-4)
     dl = _dlam_bubble(p64, 1.0, grid64).values
-    assert (dl @ op64_s0.A @ dl) / (dl @ dense_b(op64_s0) @ dl) == pytest.approx(ts, abs=1e-3)
+    assert (dl @ A0 @ dl) / (dl @ dense_b(op64_s0) @ dl) == pytest.approx(ts, abs=1e-3)
     dr = _dr_bubble(p64, 1.0, grid64).values
-    assert (dr @ op64_s1.A @ dr) / (dr @ dense_b(op64_s1) @ dr) == pytest.approx(ts, abs=1e-3)
+    assert (dr @ A1 @ dr) / (dr @ dense_b(op64_s1) @ dr) == pytest.approx(ts, abs=1e-3)
 
 
 def test_first_eigenvalue_simple_with_bubble_eigenvector(p64, grid64, op64_s0, rep64_s0):
@@ -142,9 +174,10 @@ def test_eigenvalues_ascending_and_consistent(op64_s0, rep64_s0):
     mu = np.array(rep64_s0.eigenvalues)
     assert np.all(np.diff(mu) > -1e-12)
     # returned eigenvectors reproduce the eigenvalues through the Rayleigh quotient
+    A, B = dense_a(op64_s0), dense_b(op64_s0)
     for j in range(len(mu)):
         v = rep64_s0.eigenvectors[:, j]
-        quot = (v @ op64_s0.A @ v) / (v @ dense_b(op64_s0) @ v)
+        quot = (v @ A @ v) / (v @ B @ v)
         assert quot == pytest.approx(mu[j], rel=1e-10)
 
 
@@ -152,7 +185,7 @@ def _full_reduction(op, k):
     """Oracle: the k smallest mu of A v = mu B v by a Cholesky reduction of the
     scaled pencil and a full symmetric eigensolve, with B-normalized
     eigenvectors whose largest-magnitude entry is positive."""
-    A, B = op.A.toarray(), dense_b(op)
+    A, B = dense_a(op), dense_b(op)
     d = 1.0 / np.sqrt(np.diag(A))
     L = np.linalg.cholesky(d[:, None] * A * d[None, :])
     C = sla.solve_triangular(L, sla.solve_triangular(L, d[:, None] * B * d[None, :],
@@ -333,7 +366,7 @@ def test_solve_forms_no_dense_matrix(op64_s0):
 
 def test_negative_a_rejected(op64_s0):
     with pytest.raises(IndefiniteOperatorError, match="A is not positive definite"):
-        nl.solve_generalized(dataclasses.replace(op64_s0, A=-op64_s0.A), 8)
+        nl.solve_generalized(dataclasses.replace(op64_s0, a_band=-op64_s0.a_band), 8)
 
 
 def test_lanczos_no_convergence_is_numerics_error(op64_s0, monkeypatch):
@@ -385,9 +418,10 @@ def test_spectral_gap_low_dimension(alpha):
 
 def test_quotient_at_least_one(p64, grid64, op64_s0):
     rng = np.random.default_rng(9)
+    A, B = dense_a(op64_s0), dense_b(op64_s0)
     for _ in range(5):
         v = bump_field(grid64, rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.2)).values
-        assert (v @ op64_s0.A @ v) / (v @ dense_b(op64_s0) @ v) >= 1.0 - 1e-6
+        assert (v @ A @ v) / (v @ B @ v) >= 1.0 - 1e-6
 
 
 def test_nonlocal_form_positive(p64, grid64):
@@ -458,8 +492,7 @@ def test_assemble_sectors_matches_one_at_a_time(N, alpha, grid64, monkeypatch):
     for ob in batch:
         riesz._kernel_cache.clear()
         one = nl.assemble_sector(p, ob.ell, grid64)
-        for a, b in [(ob.A.data, one.A.data), (ob.A.indices, one.A.indices),
-                     (ob.A.indptr, one.A.indptr), (ob.b_scale, one.b_scale),
+        for a, b in [(ob.a_band, one.a_band), (ob.b_scale, one.b_scale),
                      (ob.b_lags, one.b_lags), (ob.b_diag, one.b_diag),
                      (ob.w_potential, one.w_potential)]:
             assert np.array_equal(a, b)
