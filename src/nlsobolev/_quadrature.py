@@ -9,6 +9,8 @@ accuracy of the plain trapezoidal rule for integrands decaying at both ends.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -65,20 +67,20 @@ def uniform_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=32)
 def _stencil_rows(n: int, h: float, order: int, width: int, shift: float,
                   rows: int) -> tuple[np.ndarray, np.ndarray]:
     """`width`-point Fornberg rows for the order-th derivative at the points
     (i + shift) h, i < rows: the weights, shape (rows, width), and each row's
-    first column j0.  The window is centered on the point in the interior and
-    is the nearest full window (one-sided rows) near the ends."""
+    first column j0, cached and read-only.  The window is centered on the
+    point inside and is the nearest full window (one-sided rows) at the ends."""
     xs = np.arange(width, dtype=float) * h
     lead = (width - 1) // 2          # window nodes left of an interior point
-    center = fornberg_weights(xs, (lead + shift) * h, order)
     j0 = np.clip(np.arange(rows) - lead, 0, n - width)
-    vals = np.empty((rows, width))
-    for i in range(rows):
-        vals[i] = (center if j0[i] == i - lead
-                   else fornberg_weights(xs, (i - j0[i] + shift) * h, order))
+    vals = np.tile(fornberg_weights(xs, (lead + shift) * h, order), (rows, 1))
+    for i in np.flatnonzero(j0 != np.arange(rows) - lead):
+        vals[i] = fornberg_weights(xs, (i - j0[i] + shift) * h, order)
+    vals.flags.writeable = j0.flags.writeable = False
     return vals, j0
 
 
@@ -94,7 +96,7 @@ def derivative_matrix(n: int, h: float, order: int) -> sp.csr_array:
     if n < st:
         raise ValueError(f"grid too small for stencil: n={n} < {st}")
     vals, j0 = _stencil_rows(n, h, order, st, 0, n)
-    return sp.csr_array((vals.ravel(), (j0[:, None] + np.arange(st)).ravel(),
+    return sp.csr_array((vals.flatten(), (j0[:, None] + np.arange(st)).ravel(),
                          np.arange(0, n * st + 1, st)), shape=(n, n))
 
 

@@ -4,7 +4,7 @@ comparison."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import beta as beta_fn, betainc
@@ -61,8 +61,7 @@ class SweepRow:
     note: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {"direction": self.direction, "eps": self.eps, "deficit": self.deficit,
-                "dist": self.dist, "ratio": self.ratio, "note": self.note}
+        return asdict(self)
 
 
 def _direction_field(spec: str, cfg: SweepConfig, grid: RadialGrid) -> RadialField:

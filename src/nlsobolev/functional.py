@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class DeficitReport:
     ratio: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {"grad_energy": self.grad_energy, "hls_energy": self.hls_energy,
-                "deficit": self.deficit, "dist": self.dist, "ratio": self.ratio}
+        return asdict(self)
 
 
 def hls_energy(u: RadialField, p: Params) -> float:

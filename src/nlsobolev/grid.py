@@ -235,8 +235,8 @@ def _resample_uniform(x: np.ndarray, values: np.ndarray, xq: np.ndarray) -> np.n
 
 def dilate(f: RadialField, lam: float, N: int) -> RadialField:
     """Energy-normalized dilation lam^{(N-2)/2} f(lam r), resampled on the grid."""
-    if lam <= 0:
-        raise ValidationError("dilation parameter must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError(f"dilation parameter must be positive and finite, got {lam}")
     g = f.grid
     xq = g.x + math.log(lam)
     vals = np.empty(g.n)

@@ -34,8 +34,8 @@ class BubbleParams:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValidationError("bubble scale lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValidationError(f"bubble scale must be positive and finite, got {self.lam}")
 
 
 @dataclass(eq=False)
@@ -87,8 +87,8 @@ def _dr_bubble(p: Params, lam: float, grid: RadialGrid) -> RadialField:
 def tangent_basis(p: Params, lam: float, grid: RadialGrid) -> list[tuple[int, RadialField]]:
     """Radial profiles of the tangent directions at U_{lam,0}, unit-normalized
     in the Dirichlet form of their sector: (0, U), (0, d/dlam U), (1, d/dr U)."""
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError(f"lambda must be positive and finite, got {lam}")
     out = []
     for ell, f in ((0, bubble(p, BubbleParams(c=1.0, lam=lam), grid)),
                    (0, _dlam_bubble(p, lam, grid)),

@@ -2,7 +2,8 @@
     A v = mu B v,
     a(v,v) = int |grad v|^2 + int W v^2,
     b(v,v) = int (|x|^{-alpha} * (U^{2*_a - 1} v)) U^{2*_a - 1} v + int W v^2,
-with W = (|x|^{-alpha} * U^{2*_a}) U^{2*_a - 2}, per angular-momentum sector.
+with W = (|x|^{-alpha} * U^{2*_a}) U^{2*_a - 2} = -Laplace U / U = N(N-2)(1+r^2)^{-2}
+(the bubble's Euler-Lagrange equation, for every alpha), per angular-momentum sector.
 
 Both forms are symmetric by construction, with no averaging pass: the
 Dirichlet part as G^T G, G = diag(sqrt(q)) D with the quadrature weights
@@ -67,10 +68,10 @@ from scipy.fft import next_fast_len, rfft
 
 from ._quadrature import staggered_derivative_matrix
 from .errors import IndefiniteOperatorError, NumericsError, ValidationError
-from .grid import RadialGrid, _check_resolution, field_abs_pow, make_log_grid
+from .grid import RadialGrid, _check_resolution, make_log_grid
 from .manifold import BubbleParams, bubble
 from .params import Params, _as_int, sphere_area
-from .riesz import _fft_len, _lag_convolve, angular_kernels, riesz_potential
+from .riesz import _fft_len, _lag_convolve, angular_kernels
 
 __all__ = ["SectorOperator", "SpectrumReport", "assemble_sector", "assemble_sectors",
            "merge_sectors", "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
@@ -164,15 +165,14 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
     kernel is built; the sector kernels not cached yet are built together
     (`angular_kernels`), and the ell-independent part of the forms once: the
     Dirichlet form om G^T G, G = diag(sqrt(q)) D on the staggered grid (no
-    spurious Nyquist modes), as its upper band; the potential W, clamped at
-    0 against FFT rounding at far nodes that the mass weight e^{Nx} would
-    blow up, and its mass weights; the nonlocal scaling m; and the
-    centrifugal weights.  Each sector's A adds the diagonal centrifugal term
-    and, on the last node, the exact energy of the decaying harmonic
-    extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max; its B takes the sector
-    kernel's Toeplitz weights, kappa included, as the lags -(n-1)..(n-1) of
-    their palindromic table.  On extreme grids the forms overflow to inf,
-    which SectorOperator rejects with a NumericsError."""
+    spurious Nyquist modes), as its upper band; the potential W in closed
+    form, N(N-2)(1+r^2)^{-2}, and its mass weights; the nonlocal scaling m;
+    and the centrifugal weights.  Each sector's A adds the diagonal
+    centrifugal term and, on the last node, the exact energy of the decaying
+    harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max; its B takes
+    the sector kernel's Toeplitz weights, kappa included, as the lags
+    -(n-1)..(n-1) of their palindromic table.  On extreme grids the forms
+    overflow to inf, which SectorOperator rejects with a NumericsError."""
     ells = [_as_int("ell", ell) for ell in ells]
     for ell in ells:
         if ell not in SECTOR_ELLS:
@@ -183,10 +183,9 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
     om = sphere_area(N)
     x, wl = grid.x, grid.log_weights
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
-    W = np.maximum(riesz_potential(field_abs_pow(U, ts), p, 0).values, 0.0) \
-        * U.values ** (ts - 2.0)
     ops = []
     with np.errstate(over="ignore", invalid="ignore"):   # rejected by SectorOperator
+        W = N * (N - 2) / (1.0 + grid.nodes ** 2) ** 2
         x_mid = 0.5 * (x[:-1] + x[1:])
         q_mid = grid.h * np.exp((N - 2) * x_mid)
         rows, j0 = staggered_derivative_matrix(n, grid.h)

@@ -115,9 +115,9 @@ def test_spectrum_subcommand(tmp_path):
 
 
 def test_spectrum_wide_grid_large_dimension(tmp_path):
-    # FFT rounding leaves the potential behind W slightly negative at far
-    # nodes of this grid, and the mass weight e^{Nx} ~ 1e48 used to make B
-    # indefinite (exit 2)
+    # the mass weight e^{Nx} ~ 1e48 at far nodes of this grid turns any
+    # negative W into an indefinite B (exit 2); W is taken in closed form,
+    # N(N-2)(1+r^2)^{-2}, so it stays positive there
     code, _, env = run_to_json(
         ["spectrum", "--dim", "12", "--alpha", "9", "--grid-min", "1e-4", "--grid-max",
          "1e4", "--grid-n", "4096", "--ell", "0"], tmp_path, "s.json")

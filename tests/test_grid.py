@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlsobolev as nl
+from nlsobolev._quadrature import _stencil_rows, derivative_matrix, fornberg_weights
 from nlsobolev.errors import DivergentTailError, NumericsError, ValidationError
 from conftest import bump_field
 
@@ -200,6 +201,13 @@ def test_field_rejects_nonfinite_metadata(tail, head):
     nl.RadialField(grid=g, values=np.ones(g.n), tail_exponent=math.inf, head_value=1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0])
+def test_dilate_rejects_nonfinite_or_nonpositive_scale(lam, p42, grid_default):
+    U = nl.bubble(p42, nl.BubbleParams(c=1.0, lam=1.0), grid_default)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        nl.dilate(U, lam, p42.N)
+
+
 def test_dilate_preserves_gradient_norm(p42, grid_default):
     U = nl.bubble(p42, nl.BubbleParams(c=1.0, lam=1.0), grid_default)
     base = nl.h1_inner(U, U, 0, p42.N)
@@ -288,6 +296,31 @@ def test_quadrature_second_order_or_better(p42):
                            tail_exponent=2.0 * N, head_value=amp ** two_star)
         errs.append(abs(nl.integrate(f, N) - exact) / exact)
     assert errs[-1] <= max(errs[0] / 4.0, 1e-13)
+
+
+def _stencil_rows_by_loop(n, h, order, width, shift, rows):
+    """One Fornberg call per row: the reference for the cached stencil rows."""
+    xs = np.arange(width, dtype=float) * h
+    j0 = np.clip(np.arange(rows) - (width - 1) // 2, 0, n - width)
+    return np.array([fornberg_weights(xs, (i - j0[i] + shift) * h, order)
+                     for i in range(rows)]), j0
+
+
+@pytest.mark.parametrize("order, width, shift", [(1, 8, 0.5), (1, 9, 0), (2, 9, 0)])
+@pytest.mark.parametrize("n", [16, 17, 64, 1024])
+def test_stencil_rows_match_per_row_fornberg(order, width, shift, n):
+    h = math.log(1e6) / (n - 1)
+    rows = n - 1 if shift else n
+    vals, j0 = _stencil_rows(n, h, order, width, shift, rows)
+    ref_vals, ref_j0 = _stencil_rows_by_loop(n, h, order, width, shift, rows)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(j0, ref_j0)
+    # built once per argument tuple, read-only; the CSR matrix owns a copy
+    assert _stencil_rows(n, h, order, width, shift, rows)[0] is vals
+    assert not vals.flags.writeable and not j0.flags.writeable
+    if width == 9:
+        D = derivative_matrix(n, h, order)
+        assert D.data.flags.writeable
+        assert np.array_equal(D.data, ref_vals.ravel())
 
 
 @given(t=st.floats(min_value=0.2, max_value=5.0),

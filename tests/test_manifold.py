@@ -13,6 +13,16 @@ def test_bubble_params_validation():
         nl.BubbleParams(c=1.0, lam=0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0])
+def test_nonfinite_or_nonpositive_lambda_is_validation_error(lam, p42, grid_default):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        nl.BubbleParams(c=1.0, lam=lam)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        nl.tangent_basis(p42, lam, grid_default)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        nl.project_orthogonal(bump_field(grid_default), p42, lam, 0)
+
+
 def test_bubble_amplitude_and_tail(p42, grid_default):
     U = unit_bubble(p42, grid_default)
     amp = nl.hls_sobolev_constant(p42).bubble_amp

@@ -481,6 +481,28 @@ def test_spectral_gap_builds_sectors_in_one_profile_pass(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_w_potential_is_closed_form_on_wide_grid():
+    """W = -Laplace U / U = N(N-2)(1+r^2)^{-2} in every sector, so the W mass
+    on B's diagonal stays nonnegative where e^{Nx} reaches 1e48."""
+    p, grid = nl.make_params(12, 9.0), nl.make_log_grid(1e-4, 1e4, 4096)
+    W = 12 * 10 / (1.0 + grid.nodes ** 2) ** 2
+    for op in nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid):
+        np.testing.assert_allclose(op.w_potential, W, rtol=1e-15, atol=0)
+        assert np.all(op.b_diag >= 0)
+
+
+def test_spectral_gap_computes_no_riesz_potential(monkeypatch):
+    """The pencil reaches the Riesz layer only through the sector kernels."""
+    def no_potential(*args, **kwargs):
+        raise AssertionError("riesz_potential called")
+
+    for mod in [nl, riesz, nl.spectrum]:
+        if hasattr(mod, "riesz_potential"):
+            monkeypatch.setattr(mod, "riesz_potential", no_potential)
+    rep = nl.spectral_gap(nl.make_params(5, 3.0), nl.make_log_grid(1e-3, 1e3, 1024))
+    assert rep.mu_gap == pytest.approx(closed_form_mu(5, 3.0, 2), rel=1e-6)
+
+
 @pytest.mark.parametrize("N,alpha", [(6, 4.0), (5, 4.5)])
 def test_assemble_sectors_matches_one_at_a_time(N, alpha, grid64, monkeypatch):
     """The sectors assembled together, from one kernel batch and one
