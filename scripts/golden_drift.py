@@ -2,7 +2,7 @@
 """Drift of the `nlsob` reports against the committed baseline in tests/golden/.
 
     python scripts/golden_drift.py            # the largest move per field
-    python scripts/golden_drift.py --write    # rewrite the baseline from this checkout
+    python scripts/golden_drift.py --write    # rewrite the runs that moved out of tolerance
 
 tests/golden/manifest.json holds the argv set, each run's exit code and the
 per-field tolerances; tests/golden/<run>.json holds the report bytes `nlsob`
@@ -11,7 +11,9 @@ the report ("sweep.ratio", "spectrum.eigenvalues"); a number moves by
 |new - old|, within its tolerance when that is at most max(abs, rel |old|),
 and anything else (a string, None, a list's length) must not change.  The
 report mode exits 1 when a field is out of tolerance or a run's exit code
-moved, 0 otherwise."""
+moved, 0 otherwise.  --write rewrites the report of each such run, and the
+manifest only when an exit code moved; it prints each run it rewrites and
+leaves a run within its tolerances as it is."""
 import contextlib
 import io
 import json
@@ -74,7 +76,11 @@ def field_moves(command: str, old: dict, new: dict, tolerances: dict) -> list[tu
 
 def compare(name: str, spec: dict, tolerances: dict) -> list[tuple]:
     """Run one manifest entry and compare it with its baseline report."""
-    code, text = run(spec["argv"])
+    return check(name, spec, tolerances, *run(spec["argv"]))
+
+
+def check(name: str, spec: dict, tolerances: dict, code: int, text: str) -> list[tuple]:
+    """Compare one run's exit code and report with its baseline."""
     same = code == spec["exit"]
     with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
         old = json.load(fh)
@@ -84,17 +90,28 @@ def compare(name: str, spec: dict, tolerances: dict) -> list[tuple]:
 
 
 def write_baseline(manifest: dict) -> None:
+    """Rewrite the report of each run that is new, has a field out of
+    tolerance or moved its exit code, and the manifest if an exit code moved."""
+    exit_moved = False
     for name, spec in manifest["runs"].items():
-        spec["exit"], text = run(spec["argv"])
-        with open(os.path.join(GOLDEN, f"{name}.json"), "w") as fh:
+        path = os.path.join(GOLDEN, f"{name}.json")
+        code, text = run(spec["argv"])
+        if os.path.exists(path) and all(
+                ok for *_, ok in check(name, spec, manifest["tolerances"], code, text)):
+            continue
+        exit_moved |= code != spec.get("exit")
+        spec["exit"] = code
+        with open(path, "w") as fh:
             fh.write(text)
-    with open(os.path.join(GOLDEN, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
+        print(f"rewrote {name}")
+    if exit_moved:
+        with open(os.path.join(GOLDEN, "manifest.json"), "w") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def main() -> int:
     ap = ArgParser(description=__doc__)
-    ap.add_argument("--write", action="store_true", help="rewrite the baseline")
+    ap.add_argument("--write", action="store_true", help="rewrite the runs out of tolerance")
     args = ap.parse_args()
     manifest = load_manifest()
     if args.write:

@@ -1,5 +1,8 @@
 """Radial fields on log-spaced grids: quadrature, differentiation, inner products.
 
+Every grid, from `make_log_grid` or a CSV, is at least 16 log-uniform nodes:
+`RadialGrid` checks them and derives x = log r, the step h and the weights once.
+
 A field stores node values together with a declared far-field decay exponent
 (`tail_exponent`: the field behaves like values[-1] * (r/r_max)^{-tail_exponent}
 beyond the grid) and the extrapolated value at the origin (`head_value`).
@@ -11,7 +14,8 @@ Fields may additionally carry jump markers: `jumps` is a tuple of
 (node_index, drop) pairs recording that the field falls by `drop` immediately
 to the right of that node.  The stored node value is the left limit.  Markers
 are consumed by the Riesz convolution to integrate piecewise-smooth fields
-(such as ball indicators) exactly; they are not serialized to CSV.
+(such as ball indicators) exactly and honoured by the weak norm; every other
+field operation rejects them (ValidationError), and CSV does not store them.
 """
 from __future__ import annotations
 
@@ -35,29 +39,32 @@ __all__ = [
 
 @dataclass(eq=False)
 class RadialGrid:
-    """Log-spaced nodes plus Gregory-corrected log-measure quadrature weights."""
+    """n >= 16 nodes r_min e^{i h}, h = log(r_max / r_min) / (n - 1), with x = log r,
+    h and the read-only Gregory-corrected log_weights of int g(x) dx set once."""
     r_min: float
     r_max: float
     nodes: np.ndarray
-    log_weights: np.ndarray   # weights for int g(x) dx, x = log r
 
     def __post_init__(self):
-        if not (np.all(np.diff(self.nodes) > 0) and self.nodes[0] > 0):
-            raise ValidationError("grid nodes must be positive and strictly increasing")
-        if self.log_weights.min() <= 0:
-            raise ValidationError("quadrature weights must be positive")
+        n = len(self.nodes)
+        if n < 16:
+            raise ValidationError(f"need n >= 16 nodes, got {n}")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise ValidationError(f"need 0 < r_min < r_max < inf, got {self.r_min, self.r_max}")
+        lo, hi = math.log(self.r_min), math.log(self.r_max)
+        self.h = (hi - lo) / (n - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a node <= 0 fails below
+            self.x = np.log(self.nodes)
+        # log() rounds each x by ~eps (1 + |x|), which exceeds 1e-9 h once h < ~1e-7
+        tol = 1e-9 * self.h + 8 * np.finfo(float).eps * (1 + max(abs(lo), abs(hi)))
+        if not np.max(np.abs(self.x - lo - self.h * np.arange(n))) <= tol:
+            raise ValidationError("grid nodes are not log-uniform from r_min to r_max")
+        self.log_weights = uniform_weights(n, self.h)
+        self.x.flags.writeable = self.log_weights.flags.writeable = False
 
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.log(self.nodes)
-
-    @property
-    def h(self) -> float:
-        return (math.log(self.r_max) - math.log(self.r_min)) / (self.n - 1)
 
     def weights(self, N: int) -> np.ndarray:
         """Quadrature weights for int_{r_min}^{r_max} f(r) r^{N-1} dr."""
@@ -103,16 +110,18 @@ class RadialField:
 
 
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
-    """Log-spaced grid with composite quadrature weights in the log variable."""
+    """n log-spaced nodes from r_min to r_max; RadialGrid rejects n < 16."""
     if not (0 < r_min < r_max < math.inf):
         raise ValidationError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
     n = _as_int("n", n)
-    if n < 16:
-        raise ValidationError(f"need n >= 16 nodes, got {n}")
-    x = np.linspace(math.log(r_min), math.log(r_max), n)
-    h = x[1] - x[0]
-    return RadialGrid(r_min=float(r_min), r_max=float(r_max),
-                      nodes=np.exp(x), log_weights=uniform_weights(n, h))
+    nodes = np.exp(np.linspace(math.log(r_min), math.log(r_max), max(n, 0)))
+    return RadialGrid(r_min=float(r_min), r_max=float(r_max), nodes=nodes)
+
+
+def _reject_jumps(name: str, *fields: RadialField) -> None:
+    """ValidationError for jump-marked fields: only riesz_potential and weak_norm take them."""
+    if any(f.jumps for f in fields):
+        raise ValidationError(f"{name} does not support jump-marked fields")
 
 
 def _check_resolution(grid: RadialGrid) -> None:
@@ -140,6 +149,7 @@ def _tail_correction(v_end: float, exponent: float, moment: float, r_max: float)
 def integrate(f: RadialField, N: int) -> float:
     """omega_{N-1} * int_0^inf f(r) r^{N-1} dr with head/tail extensions;
     a non-finite result (r^N overflowing on the grid) is a NumericsError."""
+    _reject_jumps("integrate", f)
     g = f.grid
     with np.errstate(over="ignore", invalid="ignore"):   # r^N may overflow
         core = float(g.weights(N) @ f.values)
@@ -158,9 +168,8 @@ def _dmat(n: int, h: float, order: int) -> sp.csr_array:
 
 def differentiate(f: RadialField) -> RadialField:
     """Radial derivative df/dr via centered differences in the log variable."""
+    _reject_jumps("differentiate", f)
     g = f.grid
-    if g.n < 9:
-        raise ValidationError("differentiate needs at least 9 nodes")
     dx = _dmat(g.n, g.h, 1) @ f.values
     return RadialField(grid=g, values=dx / g.nodes,
                        tail_exponent=f.tail_exponent + 1.0, head_value=0.0)
@@ -170,6 +179,7 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
     """Dirichlet form of degree-ell modes:
     omega_{N-1} * int (u'v' + ell(ell+N-2) u v / r^2) r^{N-1} dr;
     a non-finite result (r^{N-2} overflowing on the grid) is a NumericsError."""
+    _reject_jumps("h1_inner", u, v)
     g = u.grid
     if v.grid is not g and v.grid.key() != g.key():
         raise ValidationError("h1_inner requires both fields on the same grid")
@@ -197,6 +207,7 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
 
 def field_abs_pow(f: RadialField, q: float) -> RadialField:
     """|f|^q with the tail exponent scaled accordingly; NumericsError on overflow."""
+    _reject_jumps("field_abs_pow", f)
     with np.errstate(over="ignore"):
         values, head = np.abs(f.values) ** q, float(np.float64(abs(f.head_value)) ** q)
     if not (math.isfinite(head) and np.all(np.isfinite(values))):
@@ -212,16 +223,14 @@ def field_signed_pow(f: RadialField, q: float) -> RadialField:
                    head_value=math.copysign(a.head_value, f.head_value))
 
 
-def _resample_uniform(x: np.ndarray, values: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Local Lagrange interpolation of degree 7 (8 nodes) on a uniform grid.
+def _resample_uniform(g: RadialGrid, values: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Local Lagrange interpolation of degree 7 (8 nodes) on the grid's x.
 
     Smoother than a cubic spline (whose knot-scale noise pollutes subsequent
     high-order differentiation)."""
     order = 8
-    n = len(x)
-    h = x[1] - x[0]
-    t = (xq - x[0]) / h
-    j0 = np.clip(np.floor(t).astype(int) - order // 2 + 1, 0, n - order)
+    t = (xq - g.x[0]) / g.h
+    j0 = np.clip(np.floor(t).astype(int) - order // 2 + 1, 0, g.n - order)
     loc = t - j0
     out = np.zeros(len(xq))
     for k in range(order):
@@ -237,11 +246,12 @@ def dilate(f: RadialField, lam: float, N: int) -> RadialField:
     """Energy-normalized dilation lam^{(N-2)/2} f(lam r), resampled on the grid."""
     if not 0 < lam < math.inf:
         raise ValidationError(f"dilation parameter must be positive and finite, got {lam}")
+    _reject_jumps("dilate", f)
     g = f.grid
     xq = g.x + math.log(lam)
     vals = np.empty(g.n)
     inside = (xq >= g.x[0]) & (xq <= g.x[-1])
-    vals[inside] = _resample_uniform(g.x, f.values, xq[inside])
+    vals[inside] = _resample_uniform(g, f.values, xq[inside])
     vals[xq < g.x[0]] = f.head_value
     above = xq > g.x[-1]
     if np.any(above):
@@ -293,18 +303,8 @@ def read_field_csv(path: str) -> RadialField:
             except ValueError:
                 raise ValidationError(
                     f"{path}, line {lineno}: malformed number in {line!r}") from None
-    if "tail_exponent" not in meta or "head_value" not in meta:
-        raise ValidationError("CSV missing tail_exponent/head_value footer rows")
-    nodes = np.array(rs)
-    if len(nodes) < 16:
-        raise ValidationError("CSV field has too few nodes")
-    x = np.log(nodes)
-    h = (x[-1] - x[0]) / (len(x) - 1)
-    # log() rounds each x by ~eps (1 + |x|), which exceeds 1e-9 h once h < ~1e-7
-    tol = 1e-9 * abs(h) + 8 * np.finfo(float).eps * (1 + np.max(np.abs(x)))
-    if np.max(np.abs(np.diff(x) - h)) > tol:
-        raise ValidationError("CSV nodes are not log-uniform")
-    grid = RadialGrid(r_min=float(nodes[0]), r_max=float(nodes[-1]), nodes=nodes,
-                      log_weights=uniform_weights(len(nodes), h))
+    if not rs or "tail_exponent" not in meta or "head_value" not in meta:
+        raise ValidationError("CSV missing node rows or tail_exponent/head_value footer rows")
+    grid = RadialGrid(r_min=rs[0], r_max=rs[-1], nodes=np.array(rs))
     return RadialField(grid=grid, values=np.array(vs),
                        tail_exponent=meta["tail_exponent"], head_value=meta["head_value"])

@@ -55,7 +55,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import beta, hyp1f1, hyp2f1, roots_jacobi
 
 from .errors import DivergentTailError, NumericsError, ValidationError
-from .grid import RadialField, RadialGrid
+from .grid import RadialField, RadialGrid, _reject_jumps
 from .params import Params, _as_int, sphere_area
 
 __all__ = ["AngularKernel", "angular_kernel", "angular_kernels", "riesz_potential",
@@ -470,8 +470,7 @@ def angular_kernels(p: Params, ells, grid: RadialGrid) -> list[AngularKernel]:
                                   if key not in _kernel_cache))
     built = {}
     if missing:
-        span = grid.x[-1] - grid.x[0]
-        npad = int(math.ceil(span / grid.h)) + 8
+        npad = grid.n + 7   # the grid spans (n - 1) h; pad by that plus 8 nodes
         kappa = sphere_area(p.N - 1) * 2.0 ** (-p.alpha / 2)   # Funk-Hecke factor
         moments = kappa * _moment_tables(KernelProfile(p.N, p.alpha, missing), grid.h,
                                          grid.n + 2 * npad)
@@ -508,8 +507,7 @@ def interaction_energy(f: RadialField, g: RadialField, p: Params) -> float:
     """Double Riesz integral int int f(x) g(y) |x-y|^{-alpha} dy dx for radial
     densities, as a symmetric discrete quadratic form in log space (NumericsError
     if not finite)."""
-    if f.jumps or g.jumps:
-        raise ValidationError("interaction_energy does not support jump-marked fields")
+    _reject_jumps("interaction_energy", f, g)
     gr = f.grid
     if g.grid is not gr and g.grid.key() != gr.key():
         raise ValidationError("interaction_energy requires fields on the same grid")

@@ -50,3 +50,37 @@ def test_moves_are_measured_against_the_right_tolerance():
     assert failing(lambda row: row.update(ratio=row["ratio"] * (1 + 1e-7))) == []
     assert failing(lambda row: row.update(ratio=row["ratio"] * (1 + 1e-5))) == ["sweep.ratio"]
     assert failing(lambda row: row.update(note="x")) == ["sweep.note"]
+
+
+def test_write_rewrites_only_runs_out_of_tolerance(tmp_path, monkeypatch, capsys):
+    # two copies of one fast run, one moved within its tolerance and one
+    # beyond it: --write rewrites the second report alone, and the manifest
+    # only once an exit code has moved
+    name = "constants-100-1"
+    with open(os.path.join(golden_drift.GOLDEN, f"{name}.json")) as fh:
+        committed = fh.read()
+    for run, scale in (("within", 1 + 1e-15), ("beyond", 1 + 1e-12)):
+        report = json.loads(committed)
+        report["payload"]["s_hls"] *= scale
+        (tmp_path / f"{run}.json").write_text(json.dumps(report))
+    spec = MANIFEST["runs"][name]
+    manifest = {"runs": {"within": dict(spec), "beyond": dict(spec)},
+                "tolerances": MANIFEST["tolerances"]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(golden_drift, "GOLDEN", str(tmp_path))
+
+    def write():
+        before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        golden_drift.write_baseline(golden_drift.load_manifest())
+        after = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        return {f for f in after if after[f] != before[f]}, after
+
+    changed, after = write()
+    assert changed == {"beyond.json"} and after["beyond.json"] == committed
+    assert capsys.readouterr().out == "rewrote beyond\n"
+    manifest["runs"]["within"]["exit"] = 2
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    changed, after = write()
+    assert changed == {"within.json", "manifest.json"} and after["within.json"] == committed
+    assert golden_drift.load_manifest()["runs"]["within"]["exit"] == spec["exit"]
+    assert capsys.readouterr().out == "rewrote within\n"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlsobolev as nl
-from nlsobolev._quadrature import _stencil_rows, derivative_matrix, fornberg_weights
+from nlsobolev._quadrature import (_stencil_rows, derivative_matrix, fornberg_weights,
+                                   uniform_weights)
 from nlsobolev.errors import DivergentTailError, NumericsError, ValidationError
 from conftest import bump_field
 
@@ -271,6 +272,76 @@ def test_csv_rejects_non_uniform_nodes(tmp_path):
         fh.write("#tail_exponent=inf\n#head_value=1\n")
     with pytest.raises(ValidationError, match="not log-uniform"):
         nl.read_field_csv(path)
+
+
+def _scaled_node(nodes):
+    nodes = nodes.copy()
+    nodes[50] *= 1 + 1e-6
+    return nodes
+
+
+@pytest.mark.parametrize("nodes, match", [
+    (_scaled_node, "not log-uniform"),
+    (lambda nodes: nodes[:15], "n >= 16"),
+    (lambda nodes: np.concatenate([[0.0], nodes[1:]]), "not log-uniform"),
+    (lambda nodes: np.concatenate([[-nodes[0]], nodes[1:]]), "not log-uniform"),
+    (lambda nodes: nodes * 1.01, "not log-uniform"),   # the nodes miss r_min and r_max
+], ids=["scaled-node", "15-nodes", "zero-first-node", "negative-first-node", "shifted-nodes"])
+def test_grid_rejects_nodes_that_are_not_log_uniform(nodes, match):
+    g = nl.make_log_grid(1e-3, 1e3, 128)
+    with pytest.raises(ValidationError, match=match):
+        nl.RadialGrid(g.r_min, g.r_max, nodes(g.nodes))
+
+
+def _csv_grid(tmp_path):
+    g = nl.make_log_grid(1e-3, 1e3, 1024)
+    path = os.path.join(tmp_path, "field.csv")
+    nl.write_field_csv(nl.RadialField(grid=g, values=np.ones(g.n), tail_exponent=math.inf,
+                                      head_value=1.0), path)
+    return nl.read_field_csv(path).grid
+
+
+@pytest.mark.parametrize("grid", [(1e-3, 1e3, 1024), (1e-3, 1e3, 2048), (1e-4, 1e4, 4096),
+                                  (1e-7, 1.0, 2048), "csv"])
+def test_grid_weights_use_the_grid_step(grid, tmp_path):
+    # x, h and the weights are derived once from the nodes; the weights use
+    # the step h every stencil and kernel uses, not a difference of two nodes
+    g = _csv_grid(tmp_path) if grid == "csv" else nl.make_log_grid(*grid)
+    assert g.h == (math.log(g.r_max) - math.log(g.r_min)) / (g.n - 1)
+    assert np.array_equal(g.log_weights, uniform_weights(g.n, g.h))
+    assert np.array_equal(g.x, np.log(g.nodes))
+    for arr in (g.x, g.log_weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_kernel_padding_is_the_grid_span():
+    # the padded grid reaches one grid span, n - 1 steps, plus 8 nodes beyond
+    # each end; ceil(span / h) read n here through the rounding of span / h
+    p = nl.make_params(4, 2.0)
+    assert nl.angular_kernel(p, 0, nl.make_log_grid(1e-3, 12.0, 1024)).npad == 1031
+
+
+@pytest.mark.parametrize("call", [
+    lambda ind, p: nl.h1_inner(ind, ind, 0, p.N),
+    lambda ind, p: nl.differentiate(ind),
+    lambda ind, p: nl.integrate(ind, p.N),
+    lambda ind, p: nl.field_abs_pow(ind, 2.0),
+    lambda ind, p: nl.field_signed_pow(ind, 2.0),
+    lambda ind, p: nl.dilate(ind, 2.0, p.N),
+    lambda ind, p: nl.interaction_energy(ind, ind, p),
+    lambda ind, p: nl.deficit(ind, p),
+    lambda ind, p: nl.dist_to_manifold(ind, p),
+], ids=["h1_inner", "differentiate", "integrate", "field_abs_pow", "field_signed_pow",
+        "dilate", "interaction_energy", "deficit", "dist_to_manifold"])
+def test_jump_marked_fields_are_rejected(call):
+    # a ball indicator's jump makes its gradient energy infinite and its
+    # node quadrature wrong; only the Riesz potential and the weak norm
+    # integrate it across the jump
+    ind = nl.indicator_field(nl.make_log_grid(1e-3, 1e3, 1025), 1.0)
+    with pytest.raises(ValidationError, match="does not support jump-marked fields"):
+        call(ind, nl.make_params(3, 1.0))
 
 
 def test_indicator_requires_node():

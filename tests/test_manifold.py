@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlsobolev as nl
 from nlsobolev.errors import BracketingError, ValidationError
+from nlsobolev.experiments import SweepConfig, _direction_field
 from conftest import bump_field, unit_bubble
 
 
@@ -337,3 +339,34 @@ def test_project_orthogonal_ell1(p42, grid_default):
     basis = nl.tangent_basis(p42, 1.0, grid_default)
     _, dr = basis[2]
     assert abs(nl.h1_inner(w, dr, 1, p42.N)) < 1e-10
+
+
+_DILATION_GRID = nl.make_log_grid(1e-3, 1e3, 2048)
+
+
+@given(pair=st.sampled_from([(4, 2.0), (5, 3.0), (6, 4.0)]),
+       k=st.integers(min_value=1, max_value=4),
+       eps=st.sampled_from([1e-2, 1e-3]),
+       shift=st.integers(min_value=-40, max_value=60))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_dilation_by_whole_grid_steps_is_invisible(pair, k, eps, shift):
+    # lam = e^{shift h} makes `dilate` a shift by whole nodes, so the deficit,
+    # the distance and the optimal scale of u = U + eps w move only by the
+    # end extrapolation and rounding.  dilate fills the ends from the declared
+    # head and tail models, and the one-sided end stencils read the seam: at
+    # (4, 2), eps = 1e-3, the distance moves by up to 6.2e-8 for |shift| <= 5,
+    # and by <= 5e-10 at N >= 5.  N = 3 is left out: its sector-0 end closure
+    # is first order, and there the distance moves by ~1e-6.
+    g = _DILATION_GRID
+    p = nl.make_params(*pair)
+    w = _direction_field(f"random-{k}", SweepConfig(params=p, grid=g), g)
+    U = unit_bubble(p, g)
+    u = nl.RadialField(grid=g, values=U.values + eps * w.values,
+                       tail_exponent=U.tail_exponent, head_value=U.head_value + eps * w.head_value)
+    lam = math.exp(shift * g.h)
+    v = nl.dilate(u, lam, p.N)
+    ru, rv = nl.deficit(u, p), nl.deficit(v, p)
+    assert abs(rv.deficit - ru.deficit) <= 1e-10 * ru.grad_energy
+    du, dv = nl.dist_to_manifold(u, p), nl.dist_to_manifold(v, p)
+    assert dv.d == pytest.approx(du.d, rel=1e-7)
+    assert dv.best.lam == pytest.approx(lam * du.best.lam, rel=1e-9)
