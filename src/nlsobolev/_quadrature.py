@@ -84,8 +84,10 @@ def _stencil_rows(n: int, h: float, order: int, width: int, shift: float,
     return vals, j0
 
 
+@lru_cache(maxsize=32)
 def derivative_matrix(n: int, h: float, order: int) -> sp.csr_array:
-    """n x n sparse differentiation matrix of the given derivative order.
+    """n x n sparse differentiation matrix of the given derivative order, one
+    cached CSR object per (n, h, order) that every caller shares read-only.
 
     Centered 9-point stencils in the interior, matching one-sided stencils
     near the ends; 9 points give 8th-order interior accuracy, which keeps

@@ -58,7 +58,7 @@ def _build_parser() -> ArgParser:
     sp = sub.add_parser("spectrum", help="linearized eigenvalues per sector or merged")
     common(sp, grid_default=(1e-3, 1e3, 1024))
     sp.add_argument("--ell", type=int, default=None,
-                    help="angular sector; omit for the merged gap report")
+                    help="angular sector 0..3; omit for the merged gap report")
     sp.add_argument("--k", type=int, default=8, help="eigenvalues per sector")
     sp = sub.add_parser("deficit", help="deficit report for a field read from CSV")
     common(sp, grid_default=None)

@@ -6,8 +6,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._quadrature import derivative_matrix
 from .errors import NumericsError, ValidationError
-from .grid import RadialField, _dmat, field_abs_pow, field_signed_pow, h1_inner
+from .grid import RadialField, field_abs_pow, field_signed_pow, h1_inner
 from .params import Params, hls_sobolev_constant, sphere_area
 from .riesz import interaction_energy, riesz_potential
 
@@ -58,8 +59,8 @@ def el_residual(u: RadialField, p: Params) -> float:
     pot = riesz_potential(field_abs_pow(u, ts), p, 0)
     nonlin = pot.values * field_signed_pow(u, ts - 1.0).values
     with np.errstate(over="ignore", invalid="ignore"):   # r^{-2} may overflow
-        lap = (_dmat(g.n, g.h, 2) @ u.values
-               + (N - 2) * (_dmat(g.n, g.h, 1) @ u.values)) * np.exp(-2 * g.x)
+        D1, D2 = derivative_matrix(g.n, g.h, 1), derivative_matrix(g.n, g.h, 2)
+        lap = (D2 @ u.values + (N - 2) * (D1 @ u.values)) * np.exp(-2 * g.x)
         resid = -lap - nonlin
     inner = slice(_EDGE, g.n - _EDGE)
     scale = float(np.max(np.abs(nonlin[inner])))

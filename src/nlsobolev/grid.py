@@ -11,20 +11,19 @@ extremal bubbles have power-law tails whose truncation error would otherwise
 dominate everything.
 
 Fields may additionally carry jump markers: `jumps` is a tuple of
-(node_index, drop) pairs recording that the field falls by `drop` immediately
-to the right of that node.  The stored node value is the left limit.  Markers
-are consumed by the Riesz convolution to integrate piecewise-smooth fields
-(such as ball indicators) exactly and honoured by the weak norm; every other
-field operation rejects them (ValidationError), and CSV does not store them.
+(node_index, drop) pairs, each an integer node in 0..n-1 and a finite drop,
+recording that the field falls by `drop` immediately to the right of that
+node.  The stored node value is the left limit.  Markers are consumed by
+the Riesz convolution to integrate piecewise-smooth fields (such as ball
+indicators) exactly and honoured by the weak norm; every other field
+operation rejects them (ValidationError), and CSV does not store them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._quadrature import derivative_matrix, uniform_weights
 from .errors import DivergentTailError, NumericsError, ValidationError
@@ -101,6 +100,10 @@ class RadialField:
                                   f"got {self.tail_exponent}")
         if not math.isfinite(self.head_value):
             raise ValidationError(f"head_value must be finite, got {self.head_value}")
+        for b, drop in self.jumps:
+            if not (0 <= _as_int("jump node", b) < self.grid.n and math.isfinite(drop)):
+                raise ValidationError(f"jump marker {(b, drop)} needs a node in "
+                                      f"0..{self.grid.n - 1} and a finite drop")
 
     def tail_value(self, r: np.ndarray) -> np.ndarray:
         v = self.values[-1]
@@ -161,16 +164,11 @@ def integrate(f: RadialField, N: int) -> float:
     return sphere_area(N) * total
 
 
-@lru_cache(maxsize=32)
-def _dmat(n: int, h: float, order: int) -> sp.csr_array:
-    return derivative_matrix(n, h, order)
-
-
 def differentiate(f: RadialField) -> RadialField:
     """Radial derivative df/dr via centered differences in the log variable."""
     _reject_jumps("differentiate", f)
     g = f.grid
-    dx = _dmat(g.n, g.h, 1) @ f.values
+    dx = derivative_matrix(g.n, g.h, 1) @ f.values
     return RadialField(grid=g, values=dx / g.nodes,
                        tail_exponent=f.tail_exponent + 1.0, head_value=0.0)
 
@@ -185,7 +183,7 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
         raise ValidationError("h1_inner requires both fields on the same grid")
     if ell < 0:
         raise ValidationError("ell must be nonnegative")
-    D = _dmat(g.n, g.h, 1)
+    D = derivative_matrix(g.n, g.h, 1)
     ux, vx = D @ u.values, D @ v.values
     with np.errstate(over="ignore", invalid="ignore"):   # r^{N-2} may overflow
         ew = g.log_weights * np.exp((N - 2) * g.x)

@@ -16,8 +16,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
+from ._quadrature import derivative_matrix
 from .errors import BracketingError, NumericsError, ValidationError
-from .grid import RadialField, RadialGrid, _dmat, _tail_correction, h1_inner
+from .grid import RadialField, RadialGrid, _tail_correction, h1_inner
 from .params import Params, hls_sobolev_constant, sphere_area
 
 __all__ = ["BubbleParams", "Decomposition", "bubble", "tangent_basis",
@@ -122,7 +123,7 @@ def _overlap_representer(u: RadialField, N: int) -> np.ndarray:
     omega_{N-1} D^T (ew * Du), with h1_inner's gradient-tail term, linear in
     v's end slope Dv[-1] / r_max, folded into the last stencil row."""
     g = u.grid
-    D = _dmat(g.n, g.h, 1)
+    D = derivative_matrix(g.n, g.h, 1)
     ux = D @ u.values
     gw = g.log_weights * np.exp((N - 2) * g.x) * ux
     gw[-1] += _tail_correction(ux[-1] / g.r_max, u.tail_exponent + N, N, g.r_max) / g.r_max

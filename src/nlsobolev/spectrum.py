@@ -9,10 +9,10 @@ Both forms are symmetric by construction, with no averaging pass: the
 Dirichlet part as G^T G, G = diag(sqrt(q)) D with the quadrature weights
 folded in, assembled into the LAPACK upper band the Cholesky factor reads,
 the nonlocal part as diag(m) kappa T diag(m) from the Toeplitz
-product-integration weights T of the sector kernel, kept as their exactly
-palindromic lag table, so that B x is one FFT convolution and B is certified
-positive semidefinite from T alone, by one FFT of a circulant that holds T,
-or where that is inconclusive by an O(n^2) Schur recursion: no n x n array.
+product-integration weights T of the sector kernel, kept as T's first column,
+so that B x is one FFT convolution and B is certified positive semidefinite
+from T alone, by one FFT of a circulant that holds T, or where that is
+inconclusive by an O(n^2) Schur recursion: no n x n array.
 Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
@@ -76,7 +76,7 @@ from .riesz import _fft_len, _lag_convolve, angular_kernels
 __all__ = ["SectorOperator", "SpectrumReport", "assemble_sector", "assemble_sectors",
            "merge_sectors", "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
 
-SECTOR_ELLS = (0, 1, 2)
+SECTOR_ELLS = (0, 1, 2)   # the sectors spectral_gap merges; ell >= 3 cannot carry the gap
 _MATCH_TOL = 1e-3      # identification tolerance against {1, 2*_alpha}
 
 
@@ -86,34 +86,35 @@ class SectorOperator:
     LAPACK upper band, a_band[7 + i - j, j] = A[i, j] for i <= j, B by its factors
 
         B = diag(b_scale) T diag(b_scale) + diag(b_diag),
-        T[i, j] = b_lags[n - 1 + i - j],
+        T[i, j] = b_col[|i - j|],
 
-    with b_lags, over lags -(n-1)..(n-1), exactly palindromic, so that T and
-    B are exactly symmetric.  `apply_b` multiplies by B with one FFT
-    convolution; B is never materialized."""
+    so that T and B are symmetric by construction; the factors must be finite,
+    a_band of shape (8, n) and the others of length n.  `apply_b` multiplies
+    by B with one FFT convolution; B is never materialized."""
     ell: int
     a_band: np.ndarray
     b_scale: np.ndarray
-    b_lags: np.ndarray
+    b_col: np.ndarray
     b_diag: np.ndarray
     params: Params
-    w_potential: np.ndarray = dc_field(repr=False, default=None)
-    _b_lags_hat: np.ndarray = dc_field(init=False, repr=False)
+    _lags: np.ndarray = dc_field(init=False, repr=False)
+    _lags_hat: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, a in (("a_band", self.a_band), ("b_scale", self.b_scale),
-                        ("b_lags", self.b_lags), ("b_diag", self.b_diag)):
+        n = np.size(self.b_scale)
+        for name in ("a_band", "b_scale", "b_col", "b_diag"):
+            a, shape = getattr(self, name), (8, n) if name == "a_band" else (n,)
+            if np.shape(a) != shape:
+                raise ValidationError(f"sector form {name} has shape {np.shape(a)}, not {shape}")
             if not np.all(np.isfinite(a)):
                 raise NumericsError(f"sector form {name} has non-finite entries")
-        if not np.array_equal(self.b_lags, self.b_lags[::-1]):
-            raise IndefiniteOperatorError("B is not symmetric: b_lags is not palindromic")
-        n = len(self.b_scale)
-        self._b_lags_hat = rfft(self.b_lags, _fft_len(n, len(self.b_lags), n - 1))
+        self._lags = np.concatenate((self.b_col[:0:-1], self.b_col))
+        self._lags_hat = rfft(self._lags, _fft_len(n, 2 * n - 1, n - 1))
 
     def apply_b(self, x: np.ndarray) -> np.ndarray:
-        """B x for a vector x, by one FFT convolution with the lag table."""
+        """B x for a vector x, by one FFT convolution with T's lags -(n-1)..(n-1)."""
         m = self.b_scale
-        return m * _lag_convolve(m * x, self.b_lags, len(m) - 1, self._b_lags_hat) \
+        return m * _lag_convolve(m * x, self._lags, len(m) - 1, self._lags_hat) \
             + self.b_diag * x
 
 
@@ -161,22 +162,18 @@ def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
 
 def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
     """The symmetric (A, B) pairs of the sectors ells on the given grid, in
-    request order.  The ells and the grid's resolution are checked before any
-    kernel is built; the sector kernels not cached yet are built together
-    (`angular_kernels`), and the ell-independent part of the forms once: the
-    Dirichlet form om G^T G, G = diag(sqrt(q)) D on the staggered grid (no
-    spurious Nyquist modes), as its upper band; the potential W in closed
-    form, N(N-2)(1+r^2)^{-2}, and its mass weights; the nonlocal scaling m;
-    and the centrifugal weights.  Each sector's A adds the diagonal
-    centrifugal term and, on the last node, the exact energy of the decaying
-    harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max; its B takes
-    the sector kernel's Toeplitz weights, kappa included, as the lags
-    -(n-1)..(n-1) of their palindromic table.  On extreme grids the forms
-    overflow to inf, which SectorOperator rejects with a NumericsError."""
-    ells = [_as_int("ell", ell) for ell in ells]
-    for ell in ells:
-        if ell not in SECTOR_ELLS:
-            raise ValidationError(f"supported sectors are {SECTOR_ELLS}, got ell={ell}")
+    request order.  The grid's resolution, and in `angular_kernels` the ells
+    (0..MAX_ELL), are checked before any kernel is built; the sector kernels
+    not cached yet are built together, and the ell-independent part of the
+    forms once: the Dirichlet form om G^T G, G = diag(sqrt(q)) D on the
+    staggered grid (no spurious Nyquist modes), as its upper band; the
+    potential W in closed form, N(N-2)(1+r^2)^{-2}, and its mass weights; the
+    nonlocal scaling m; and the centrifugal weights.  Each sector's A adds the
+    diagonal centrifugal term and, on the last node, the exact energy of the
+    decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max; its
+    B takes the sector kernel's Toeplitz weights, kappa included, at lags
+    0..n-1 as T's first column.  On extreme grids the forms overflow to inf,
+    which SectorOperator rejects with a NumericsError."""
     _check_resolution(grid)
     kernels = angular_kernels(p, ells, grid)
     N, al, ts, n = p.N, p.alpha, p.two_star_alpha, grid.n
@@ -202,10 +199,10 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
             ell = kern.ell
             diag = om * ell * (ell + N - 2) * centrifugal + mw
             diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
-            lags = kern.weights[kern.half - n + 1:kern.half + n] * om
             ops.append(SectorOperator(
                 ell=ell, a_band=np.vstack((dirichlet[:-1], dirichlet[-1] + diag)),
-                b_scale=mvec, b_lags=lags, b_diag=mw, params=p, w_potential=W))
+                b_scale=mvec, b_col=kern.weights[kern.half:kern.half + n] * om,
+                b_diag=mw, params=p))
     return ops
 
 
@@ -266,16 +263,16 @@ def _psd_to_tolerance(op: SectorOperator) -> None:
     """Raise unless B's smallest eigenvalue is at least -1e-10 times its largest
     diagonal entry lambda_lo, a Rayleigh quotient of B, so at most lambda_max.
 
-    A sufficient test on the Toeplitz factor T, with m = b_scale: if T + delta I
-    is positive semidefinite, B >= (-delta max m^2 + min(b_diag, 0)) I =
-    -1e-10 lambda_lo I for delta = (1e-10 lambda_lo + min(b_diag, 0)) / max m^2.
-    So B passes when delta >= 0 and T + delta I is certified: first by one FFT
-    of a circulant that holds it (`_circulant_psd`, sufficient only), and where
-    that is inconclusive by the Schur algorithm, which factors T + delta I
-    exactly when it is positive definite.  Up to their rounding, of order
-    n eps ||T||, neither test passes a B below the bound; they may reject one
-    whose indefinite T the scaling m masks."""
-    col = op.b_lags[len(op.b_scale) - 1:].copy()     # T's first column
+    A sufficient test on the Toeplitz factor T, first column b_col, with
+    m = b_scale: if T + delta I is positive semidefinite, B >= (-delta max m^2
+    + min(b_diag, 0)) I = -1e-10 lambda_lo I for delta = (1e-10 lambda_lo +
+    min(b_diag, 0)) / max m^2.  So B passes when delta >= 0 and T + delta I is
+    certified: first by one FFT of a circulant that holds it (`_circulant_psd`,
+    sufficient only), and where that is inconclusive by the Schur algorithm,
+    which factors T + delta I exactly when it is positive definite.  Up to
+    their rounding, of order n eps ||T||, neither test passes a B below the
+    bound; they may reject one whose indefinite T the scaling m masks."""
+    col = op.b_col.copy()
     m2 = op.b_scale ** 2
     floor = -1e-10 * np.max(m2 * col[0] + op.b_diag)
     delta = (min(op.b_diag.min(), 0.0) - floor) / np.max(m2)

@@ -51,9 +51,9 @@ def unit_bubble(p, grid, lam=1.0, c=1.0):
 
 def dense_b(op):
     """The dense n x n matrix B of a SectorOperator, built from its factors
-    diag(b_scale) T diag(b_scale) + diag(b_diag), T[i, j] = b_lags[n-1+i-j]."""
+    diag(b_scale) T diag(b_scale) + diag(b_diag), T[i, j] = b_col[|i-j|]."""
     n = len(op.b_scale)
-    B = sla.toeplitz(op.b_lags[n - 1:])
+    B = sla.toeplitz(op.b_col)
     B *= np.outer(op.b_scale, op.b_scale)
     B[np.diag_indices(n)] += op.b_diag
     return B

@@ -163,8 +163,8 @@ def _sharp_local_constant(p, grid):
     Returns (c*, nu_gap, Dirichlet form / h1_inner for the gap eigenvector)."""
     N, ts = p.N, p.two_star_alpha
     op = nl.assemble_sector(p, 0, grid)
-    MW = nl.sphere_area(N) * np.diag(grid.log_weights * np.exp(N * grid.x)
-                                     * op.w_potential)
+    W = N * (N - 2) / (1.0 + grid.nodes ** 2) ** 2      # -Laplace U / U
+    MW = nl.sphere_area(N) * np.diag(grid.log_weights * np.exp(N * grid.x) * W)
     dirichlet = (dense_a(op) - MW)[:-1, :-1]
     sigma, vecs = sla.eigh((ts * dense_b(op) - MW)[:-1, :-1], dirichlet)
     nu = 1.0 / sigma[::-1][:6]

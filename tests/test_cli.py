@@ -114,6 +114,15 @@ def test_spectrum_subcommand(tmp_path):
     assert np.min(np.abs(mu - 2.0)) < 1e-2
 
 
+@pytest.mark.parametrize("ell, code", [("3", 0), ("4", 1)])
+def test_spectrum_sector_bound_exit_code(ell, code, capsys):
+    # the kernel layer builds sectors 0..3; ell = 4 is invalid input
+    argv = ["spectrum", "--dim", "6", "--alpha", "4", "--ell", ell, "--grid-n", "512"]
+    assert run_cli(argv) == code
+    if code == 1:
+        assert "error: ell must lie in 0..3, got 4" in capsys.readouterr().err
+
+
 def test_spectrum_wide_grid_large_dimension(tmp_path):
     # the mass weight e^{Nx} ~ 1e48 at far nodes of this grid turns any
     # negative W into an indefinite B (exit 2); W is taken in closed form,

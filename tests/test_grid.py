@@ -122,10 +122,9 @@ def test_differentiate_bubble_far_field(p32, grid_default):
 def test_derivative_matrices_are_banded():
     # 9-point stencils: a CSR band with 9 nonzeros per row, never a dense n x n
     import scipy.sparse as sp
-    from nlsobolev.grid import _dmat
     g = nl.make_log_grid(1e-3, 1e3, 2048)
     for order in (1, 2):
-        D = _dmat(g.n, g.h, order)
+        D = derivative_matrix(g.n, g.h, order)
         assert sp.issparse(D) and D.nnz == 9 * g.n
 
 
@@ -342,6 +341,25 @@ def test_jump_marked_fields_are_rejected(call):
     ind = nl.indicator_field(nl.make_log_grid(1e-3, 1e3, 1025), 1.0)
     with pytest.raises(ValidationError, match="does not support jump-marked fields"):
         call(ind, nl.make_params(3, 1.0))
+
+
+@pytest.mark.parametrize("jump", [(1025, 1.0), (5000, 1.0), (-1, 1.0), (512.0, 1.0),
+                                  (True, 1.0), (512, math.nan), (512, math.inf)])
+def test_jump_marker_outside_grid_or_not_finite_rejected(jump):
+    # a marker off the grid makes the Riesz potential meaningless (7.8e18 for
+    # a field bounded by 1 at node 5000), and a non-finite drop is invalid
+    # input, not a numerical failure
+    g = nl.make_log_grid(1e-3, 1e3, 1025)
+    with pytest.raises(ValidationError, match="jump"):
+        nl.RadialField(grid=g, values=np.ones(g.n), tail_exponent=np.inf, head_value=1.0,
+                       jumps=(jump,))
+
+
+def test_jump_marker_at_last_node_accepted():
+    # the indicator of B_{r_max}: the whole grid with its drop at node n - 1
+    g = nl.make_log_grid(1e-3, 1e3, 1025)
+    ind = nl.indicator_field(g, 1e3)
+    assert ind.jumps == ((g.n - 1, 1.0),)
 
 
 def test_indicator_requires_node():

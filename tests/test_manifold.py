@@ -268,13 +268,13 @@ def test_dist_allocates_no_dense_stencil(p42, grid_default):
     # a dense 2048 x 2048 derivative matrix alone is 33.6 MB; the CSR band
     # and every field of one distance evaluation fit in well under 4 MB
     import tracemalloc
-    from nlsobolev.grid import _dmat
+    from nlsobolev._quadrature import derivative_matrix
     U = unit_bubble(p42, grid_default)
     w = nl.project_orthogonal(bump_field(grid_default, 0.4, 0.7), p42, 1.0, 0)
     u = nl.RadialField(grid=grid_default, values=U.values + 1e-3 * w.values,
                        tail_exponent=U.tail_exponent,
                        head_value=U.head_value + 1e-3 * w.head_value)
-    _dmat.cache_clear()
+    derivative_matrix.cache_clear()
     tracemalloc.start()
     try:
         nl.dist_to_manifold(u, p42)

@@ -71,20 +71,23 @@ def test_apply_b_matches_materialized_b(N, alpha, grid64):
             assert np.linalg.norm(op.apply_b(x) - bx) <= 1e-14 * np.linalg.norm(bx)
 
 
-def test_non_palindromic_b_lags_rejected(op64_s0):
-    n = len(op64_s0.b_scale)
-    lags = op64_s0.b_lags.copy()
-    lags[n] = np.nextafter(lags[n], np.inf)     # lag +1 no longer equals lag -1
-    with pytest.raises(IndefiniteOperatorError, match="not palindromic"):
-        dataclasses.replace(op64_s0, b_lags=lags)
-
-
-@pytest.mark.parametrize("name", ["b_scale", "b_lags", "b_diag", "a_band"])
+@pytest.mark.parametrize("name", ["b_scale", "b_col", "b_diag", "a_band"])
 def test_non_finite_factor_rejected(op64_s0, name):
     bad = getattr(op64_s0, name).copy()
     bad[len(bad) // 2] = np.nan
     with pytest.raises(NumericsError, match=f"{name} has non-finite entries"):
         dataclasses.replace(op64_s0, **{name: bad})
+
+
+@pytest.mark.parametrize("name", ["b_scale", "b_col", "b_diag", "a_band"])
+@pytest.mark.parametrize("cut", [1, 2])
+def test_factor_of_wrong_length_rejected(op64_s0, name, cut):
+    # a short factor would describe a smaller pencil and give wrong
+    # eigenvalues, so every factor must span the n nodes (n is read from
+    # b_scale, so a short b_scale is reported against a_band)
+    short = getattr(op64_s0, name)[..., :-cut]
+    with pytest.raises(ValidationError, match="sector form [a-z_]+ has shape"):
+        dataclasses.replace(op64_s0, **{name: short})
 
 
 def test_operator_holds_no_dense_matrix(op64_s0, op64_s1, op64_s2):
@@ -105,8 +108,9 @@ def _band_oracle(p, grid, op):
                       np.arange(0, 8 * (n - 1) + 1, 8)), shape=(n - 1, n))
     q_mid = grid.h * np.exp((N - 2) * (0.5 * (x[:-1] + x[1:])))
     G = sp.diags_array(np.sqrt(q_mid)) @ D
+    W = N * (N - 2) / (1.0 + grid.nodes ** 2) ** 2      # -Laplace U / U
     d = om * ell * (ell + N - 2) * (wl * np.exp((N - 2) * x)) \
-        + om * (wl * np.exp(N * x) * op.w_potential)
+        + om * (wl * np.exp(N * x) * W)
     d[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
     up = sp.triu(om * (G.T @ G) + sp.diags_array(d), format="coo")
     band = np.zeros((8, n))
@@ -247,19 +251,18 @@ def test_toeplitz_certificate_agrees_with_dense_cholesky(N, alpha, grid64):
 
 def _toeplitz_delta(op):
     """lambda_min(T) and the certificate's shift delta, from dense matrices."""
-    n = len(op.b_scale)
     lam_lo = np.max(np.diag(dense_b(op)))
     delta = (1e-10 * lam_lo + min(op.b_diag.min(), 0.0)) / np.max(op.b_scale ** 2)
-    return np.linalg.eigvalsh(sla.toeplitz(op.b_lags[n - 1:]))[0], delta
+    return np.linalg.eigvalsh(sla.toeplitz(op.b_col))[0], delta
 
 
 @pytest.mark.parametrize("depth, indefinite", [(2.0, True), (0.5, False)])
 def test_indefinite_toeplitz_factor(op64_s0, depth, indefinite):
-    # lag 0 lowered (a palindromic change) so that lambda_min(T) = -depth * delta
+    # lag 0 lowered so that lambda_min(T) = -depth * delta
     lam_min, delta = _toeplitz_delta(op64_s0)
-    lags = op64_s0.b_lags.copy()
-    lags[len(lags) // 2] -= lam_min + depth * delta
-    op = dataclasses.replace(op64_s0, b_lags=lags)
+    col = op64_s0.b_col.copy()
+    col[0] -= lam_min + depth * delta
+    op = dataclasses.replace(op64_s0, b_col=col)
     if indefinite:
         with pytest.raises(IndefiniteOperatorError, match="not certified"):
             nl.solve_generalized(op, 8)
@@ -289,8 +292,7 @@ def test_circulant_certificate_never_passes_indefinite_toeplitz(n, decay, seed, 
 
 def test_circulant_embedding_holds_the_toeplitz_lags(op64_s0):
     # a symmetric circulant whose leading n x n block is T
-    n = len(op64_s0.b_scale)
-    col = op64_s0.b_lags[n - 1:]
+    n, col = len(op64_s0.b_scale), op64_s0.b_col
     g = nl.spectrum._circulant_embedding(col)
     assert len(g) >= 6 * n
     np.testing.assert_array_equal(g[:n], col)
@@ -325,8 +327,8 @@ def test_small_alpha_sector_certified_by_schur(grid64, monkeypatch):
 def test_certificate_floor_below_lambda_max(sector, request):
     # the diagonal bound lambda_lo = max diag(B) is a Rayleigh quotient of B
     op = request.getfixturevalue(f"op64_s{sector}")
-    n, B = len(op.b_scale), dense_b(op)
-    lam_lo = np.max(op.b_scale ** 2 * op.b_lags[n - 1] + op.b_diag)
+    B = dense_b(op)
+    lam_lo = np.max(op.b_scale ** 2 * op.b_col[0] + op.b_diag)
     assert lam_lo == pytest.approx(np.max(np.diag(B)), rel=1e-15)
     assert lam_lo <= np.linalg.eigvalsh(B)[-1]
 
@@ -386,7 +388,7 @@ def test_eigenvalues_match_closed_form(case):
     N, alpha = case
     p = nl.make_params(N, alpha)
     grid = nl.make_log_grid(1e-3, 1e3, 1024)
-    for ell in nl.spectrum.SECTOR_ELLS:
+    for ell in range(riesz.MAX_ELL + 1):
         mu = nl.solve_generalized(nl.assemble_sector(p, ell, grid), 6).eigenvalues
         # sector 0 at N = 3, 4 carries the first-order error of the discrete
         # end condition at r_max (~4.3 h / r_max at N = 3)
@@ -486,8 +488,9 @@ def test_w_potential_is_closed_form_on_wide_grid():
     on B's diagonal stays nonnegative where e^{Nx} reaches 1e48."""
     p, grid = nl.make_params(12, 9.0), nl.make_log_grid(1e-4, 1e4, 4096)
     W = 12 * 10 / (1.0 + grid.nodes ** 2) ** 2
+    mw = nl.sphere_area(12) * (grid.log_weights * np.exp(12 * grid.x) * W)
     for op in nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid):
-        np.testing.assert_allclose(op.w_potential, W, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(op.b_diag, mw, rtol=1e-15, atol=0)
         assert np.all(op.b_diag >= 0)
 
 
@@ -515,12 +518,11 @@ def test_assemble_sectors_matches_one_at_a_time(N, alpha, grid64, monkeypatch):
         riesz._kernel_cache.clear()
         one = nl.assemble_sector(p, ob.ell, grid64)
         for a, b in [(ob.a_band, one.a_band), (ob.b_scale, one.b_scale),
-                     (ob.b_lags, one.b_lags), (ob.b_diag, one.b_diag),
-                     (ob.w_potential, one.w_potential)]:
+                     (ob.b_col, one.b_col), (ob.b_diag, one.b_diag)]:
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("ells", [(0, 1, 3), (2, -1), (0, 1.5), (True, 0)])
+@pytest.mark.parametrize("ells", [(0, 1, 4), (2, -1), (0, 1.5), (True, 0)])
 def test_assemble_sectors_rejects_any_bad_ell_before_building(p64, grid64, ells,
                                                               monkeypatch):
     monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
@@ -554,6 +556,6 @@ def test_sector_validation(p64, grid64, op64_s0):
     with pytest.raises(ValidationError):
         nl.solve_generalized(op64_s0, 0)
     with pytest.raises(ValidationError):
-        nl.assemble_sector(p64, 3, grid64)
+        nl.assemble_sector(p64, 4, grid64)
     with pytest.raises(ValidationError):
         nl.assemble_sector(p64, 0, nl.make_log_grid(1e-3, 1e3, 64))
