@@ -184,7 +184,8 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
     if ell < 0:
         raise ValidationError("ell must be nonnegative")
     D = derivative_matrix(g.n, g.h, 1)
-    ux, vx = D @ u.values, D @ v.values
+    ux = D @ u.values
+    vx = ux if v is u else D @ v.values
     with np.errstate(over="ignore", invalid="ignore"):   # r^{N-2} may overflow
         ew = g.log_weights * np.exp((N - 2) * g.x)
         total = float(ew @ (ux * vx))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.optimize import brentq
 
 from ._quadrature import derivative_matrix
@@ -73,6 +73,18 @@ def _dlam_bubble(p: Params, lam: float, grid: RadialGrid) -> RadialField:
             * (1.0 - r2) * (1.0 + r2) ** (-N / 2.0))
     head = (N - 2) / (2 * lam) * amp * lam ** ((N - 2) / 2.0)
     return RadialField(grid=grid, values=vals, tail_exponent=float(N - 2), head_value=head)
+
+
+def _dlam2_bubble(p: Params, lam: float, grid: RadialGrid) -> np.ndarray:
+    """Node values of lam d/dlambda `_dlam_bubble`, the log-lambda slope of the
+    stationarity profile: with s = lam r and e = (N-2)/2,
+    e a lam^{e-1} (1+s^2)^{-e-1} [(e-1)(1-s^2) - 2s^2 - 2(e+1) s^2 (1-s^2)/(1+s^2)]."""
+    amp = hls_sobolev_constant(p).bubble_amp
+    e = (p.N - 2) / 2.0
+    s2 = (lam * grid.nodes) ** 2
+    q, t = 1.0 - s2, 1.0 + s2
+    return (e * amp * lam ** (e - 1.0) * t ** (-e - 1.0)
+            * ((e - 1.0) * q - 2.0 * s2 - 2.0 * (e + 1.0) * s2 * q / t))
 
 
 def _dr_bubble(p: Params, lam: float, grid: RadialGrid) -> RadialField:
@@ -138,6 +150,28 @@ def _scan_steps(h: float) -> tuple[int, int]:
     return m, math.ceil(_SCAN_HALF_WIDTH / (m * h))
 
 
+def _overlap_scan(rep: np.ndarray, x0: float, N: int,
+                  grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The scan nodes xs = x0 + k m h, k = -K..K, and |<u, U_lambda>| / a on
+    them, a the bubble amplitude.  With e = (N-2)/2 and x = log r,
+    U_lambda = a e^{-e x} f(x + log lambda), f(y) = (2 cosh y)^{-e}, so node
+    k reads the window of f from index k m of its samples on the extended
+    grid, and the scan is every m-th lag of one real-FFT cross-correlation
+    sum_i f[i + l] q[i], q = e^{-e x} rep.  Both factors peak at x = 0 and
+    decay on both sides, so the FFT's rounding, of order eps |f| |q|, stays
+    at that of the direct sums."""
+    m, K = _scan_steps(grid.h)
+    xs = x0 + m * grid.h * np.arange(-K, K + 1)
+    e = (N - 2) / 2.0
+    nf = grid.n + 2 * K * m
+    y = grid.x[0] + xs[0] + grid.h * np.arange(nf)
+    with np.errstate(over="ignore"):   # cosh overflows to inf, and f to 0, past |y| = 710
+        f = (2.0 * np.cosh(y)) ** -e
+    L = next_fast_len(nf, True)   # >= nf, so no lag up to 2 K m wraps
+    q = np.exp(-e * grid.x) * rep
+    return xs, np.abs(irfft(rfft(f, L) * np.conj(rfft(q, L)), L)[:nf - grid.n + 1:m])
+
+
 def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     """Minimize ||u - c U_{lambda,0}|| in the gradient norm.
 
@@ -150,14 +184,19 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     The scan of p runs over log lambda = log lam0 + k m h, multiples of the
     grid step h nearest the spacing 2 log 100 / 120 (the step is h itself on
     grids coarser than that), and spans at least lam0 * [1/100, 100].  On
-    those nodes U_lambda(r_i) = a lambda^e f(x_i + log lambda), with
-    f(y) = (1 + e^{2y})^{-e} and e = (N-2)/2, is a window of f sampled once on
-    the extended grid, so the scan is one strided correlation of f with rep.
-    It picks the (at most 3) best interior maxima of |p|; on the two scan
-    cells around each, brentq solves the stationarity equation
-    <u, d/dlambda U_lambda> = 0, which, unlike d^2, does not cancel.  The root
-    with the largest |p| wins.  A scan with no interior maximum, or with no
-    candidate whose cells bracket a root, raises BracketingError.
+    those nodes U_lambda is a window of the bubble profile sampled once on
+    the extended grid, so the scan is every m-th lag of one real-FFT
+    cross-correlation of that profile with rep (`_overlap_scan`).  It picks
+    the (at most 3) best interior maxima of |p|.  On the two scan cells
+    around each, Newton in log lambda solves the stationarity equation
+    <u, d/dlambda U_lambda> = 0, which, unlike d^2, does not cancel, on its
+    exact derivative <u, lambda d^2/dlambda^2 U_lambda>, from the vertex of
+    the parabola through |p| at the three nodes until a step is <= 2e-14.
+    An iterate outside the cells, a zero or non-finite derivative, or 8
+    steps without converging fall back to brentq on the cells, if their
+    ends bracket a root.  The root with the largest |p| wins.  A scan with
+    no interior maximum, or with no candidate whose cells hold a root, raises
+    BracketingError.
     """
     grid = u.grid
     uu = h1_inner(u, u, 0, p.N)
@@ -170,23 +209,37 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     def stationarity(loglam: float) -> float:
         return float(rep @ _dlam_bubble(p, math.exp(loglam), grid).values)
 
-    m, K = _scan_steps(grid.h)
-    xs = math.log(_half_height_scale(p, u)) + m * grid.h * np.arange(-K, K + 1)
-    e = (p.N - 2) / 2.0
-    y = grid.x[0] + xs[0] + grid.h * np.arange(grid.n + 2 * K * m)
-    f = np.exp(-e * np.logaddexp(0.0, 2.0 * y))
-    # |p| / a at the scan nodes; the window view materializes no scan x n block
-    absp = np.abs(np.exp(e * xs) * (sliding_window_view(f, grid.n)[::m] @ rep))
-    interior = [j for j in range(1, len(xs) - 1)
-                if absp[j] >= absp[j - 1] and absp[j] >= absp[j + 1]]
-    if not interior:
+    xs, absp = _overlap_scan(rep, math.log(_half_height_scale(p, u)), p.N, grid)
+    mid = absp[1:-1]
+    interior = np.flatnonzero((mid >= absp[:-2]) & (mid >= absp[2:])) + 1
+    if len(interior) == 0:
         raise BracketingError("no interior minimum over lambda; distance not bracketed")
-    interior.sort(key=lambda j: -absp[j])
+
+    def root(j: int) -> float | None:
+        """The stationarity root on the two scan cells around node j, or None."""
+        lo, hi = xs[j - 1], xs[j + 1]
+        left, top, right = absp[j - 1:j + 2]
+        curv = left - 2.0 * top + right
+        t = xs[j] + (0.25 * (hi - lo) * (left - right) / curv if curv < 0 else 0.0)
+        for _ in range(8):
+            slope = float(rep @ _dlam2_bubble(p, math.exp(t), grid))
+            if slope == 0.0 or not math.isfinite(slope):
+                break
+            step = stationarity(t) / slope
+            t -= step
+            if not lo <= t <= hi:
+                break
+            if abs(step) <= 2e-14:
+                return t
+        if stationarity(lo) * stationarity(hi) > 0:
+            return None
+        return brentq(stationarity, lo, hi, xtol=1e-14)
+
     best = None
-    for j in interior[:3]:
-        if stationarity(xs[j - 1]) * stationarity(xs[j + 1]) > 0:
+    for j in sorted(interior, key=lambda j: -absp[j])[:3]:
+        ll = root(j)
+        if ll is None:
             continue
-        ll = brentq(stationarity, xs[j - 1], xs[j + 1], xtol=1e-14)
         pl = float(rep @ bubble(p, BubbleParams(c=1.0, lam=math.exp(ll)), grid).values)
         if best is None or abs(pl) > abs(best[0]):
             best = (pl, ll)

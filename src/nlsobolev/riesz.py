@@ -290,9 +290,9 @@ class KernelProfile:
 
 def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     """Monomial moment tables P[j, d, m] = int_0^1 phi((m+eta)h) eta^d deta for
-    every sector j of the profile and cells m < nlag, from two profile calls
-    that the sectors share: one over the regular cells 1 <= m < ceil(_NEAR_XI / h)
-    and one over the singular cell's graded rule.  The cells beyond, all but
+    every sector j of the profile and cells m < nlag, from one profile call
+    that the sectors share, on the regular cells 1 <= m < ceil(_NEAR_XI / h)
+    and the singular cell's graded rule together.  The cells beyond, all but
     a few dozen, integrate the exponential sum in closed form, one matrix
     product per band of the d_k-weighted cell integrals with the geometric
     sequences e^{-(a+k) mh}."""
@@ -302,14 +302,6 @@ def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     wtab = np.array([_GL_W / 2 * eta ** d for d in range(D)])   # (D, 12)
     m_far = min(max(1, math.ceil(_NEAR_XI / h)), nlag)
     ms = np.arange(1, m_far)
-    vals = profile(((ms[:, None] + eta) * h).ravel())
-    for Pj, v in zip(P, vals):
-        Pj[:, 1:m_far] = wtab @ v.reshape(len(ms), len(eta)).T
-    # from _NEAR_XI on, each exponential term integrates in closed form,
-    # int_0^1 e^{-c eta} eta^d deta = 1F1(d+1; d+2; -c) / (d+1)
-    d = np.arange(D)
-    E = hyp1f1(d + 1, d + 2, -h * profile._rates[:, None]) / (d + 1)      # (K, D)
-    P[:, :, m_far:] = profile._series(np.arange(m_far, nlag) * h, profile._coef[:, None] * E.T)
     # singular cell m = 0: eta = e^t, t in [t_lo, 0] on equal 12-node panels no
     # wider than 0.75 (so e^{9t} to round-off).  phi ~ xi^pw + const, pw = N-1-alpha,
     # leaves < e^{-37} below -T; where `_near`'s c-floor stops the rule short of -T,
@@ -320,13 +312,22 @@ def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     t_lo = max(-T, math.log(math.sqrt(2 * _C_FLOOR) / h))
     K = math.ceil(-t_lo / 0.75)
     t = (t_lo / K * (np.arange(K)[:, None] + eta)).ravel()   # counted down from 0
-    wt = np.tile(_GL_W, K) * (-t_lo / (2 * K)) * profile(h * np.exp(t))
+    regular = ((ms[:, None] + eta) * h).ravel()
+    vals = profile(np.concatenate([regular, h * np.exp(t)]))
+    for Pj, v in zip(P, vals[:, :regular.size]):
+        Pj[:, 1:m_far] = wtab @ v.reshape(len(ms), len(eta)).T
+    wt = np.tile(_GL_W, K) * (-t_lo / (2 * K)) * vals[:, regular.size:]
     powers = np.exp(np.outer(np.arange(1, D + 1), t))
     for Pj, w in zip(P, wt):
         Pj[:, 0] = powers @ w
     if t_lo > -T:   # only for N - alpha < 0.12, where pw < -0.88
         q = pw + 1 + np.arange(D)
         P[:, :, 0] += 2 ** (a0 - pw / 2) * beta(a0 + 1, -pw / 2) * h ** pw * np.exp(q * t_lo) / q
+    # from _NEAR_XI on, each exponential term integrates in closed form,
+    # int_0^1 e^{-c eta} eta^d deta = 1F1(d+1; d+2; -c) / (d+1)
+    d = np.arange(D)
+    E = hyp1f1(d + 1, d + 2, -h * profile._rates[:, None]) / (d + 1)      # (K, D)
+    P[:, :, m_far:] = profile._series(np.arange(m_far, nlag) * h, profile._coef[:, None] * E.T)
     return P
 
 

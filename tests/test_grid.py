@@ -159,6 +159,18 @@ def test_h1_inner_symmetric_and_positive(grid_1024):
     assert nl.h1_inner(z, z, 0, 3) == 0.0
 
 
+def test_h1_inner_of_a_field_with_itself_is_bit_identical(grid_1024):
+    # h1_inner(u, u) differentiates u once and reuses it for v
+    g = grid_1024
+    bubble_like = nl.RadialField(grid=g, values=(1 + g.nodes ** 2) ** -1.0,
+                                 tail_exponent=2.0, head_value=1.0)
+    for u in (bump_field(g, 0.3, 0.7, -1.5), bubble_like):
+        twin = nl.RadialField(grid=g, values=u.values.copy(), tail_exponent=u.tail_exponent,
+                              head_value=u.head_value)
+        for ell, N in ((0, 3), (1, 4), (2, 4)):
+            assert nl.h1_inner(u, u, ell, N) == nl.h1_inner(u, twin, ell, N)
+
+
 @pytest.mark.parametrize("ell", [0, 2])
 def test_h1_inner_divergent_gradient_tail(ell):
     # u ~ r^{-0.2}: u' u' r^{N-1} ~ r^{-1.4} is not integrable at infinity for N = 3

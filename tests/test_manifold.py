@@ -146,6 +146,119 @@ def test_dist_h1_inner_call_budget(p42, grid_default, monkeypatch):
     assert len(calls) <= 4
 
 
+def _sweep_field(p, grid, k, eps):
+    """u = U + eps w with w the sweep's `random-<k>` direction."""
+    w = _direction_field(f"random-{k}", SweepConfig(params=p, grid=grid), grid)
+    return _sum(unit_bubble(p, grid), w, eps)
+
+
+def _tight_root(u, p, t):
+    """brentq on dist_to_manifold's stationarity function near log lambda = t,
+    run to the last bits."""
+    from scipy.optimize import brentq
+    import nlsobolev.manifold as manifold
+    rep = manifold._overlap_representer(u, p.N)
+
+    def stationarity(s):
+        return float(rep @ manifold._dlam_bubble(p, math.exp(s), u.grid).values)
+
+    return brentq(stationarity, t - 0.05, t + 0.05, xtol=1e-17, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 1.0), (4, 2.0), (5, 3.0), (6, 4.0)])
+def test_dist_newton_root_is_the_tight_brentq_root(N, alpha, grid_default):
+    # the Newton polish stops once a step is <= 2e-14; it landed within 7.5e-15
+    # of the tight root on these fields, and brentq at xtol = 1e-14 within 4.5e-15
+    p = nl.make_params(N, alpha)
+    for k in range(1, 5):
+        for eps in (1e-2, 1e-3):
+            u = _sweep_field(p, grid_default, k, eps)
+            t = math.log(nl.dist_to_manifold(u, p).best.lam)
+            assert abs(t - _tight_root(u, p, t)) <= 2e-14
+
+
+def test_dist_stationarity_call_budget(p42, grid_default, monkeypatch):
+    # Newton from the parabola vertex takes 3 steps, one stationarity value
+    # each; brentq on the scan cells took ~10 (the two cell ends and ~8 steps)
+    import nlsobolev.manifold as manifold
+    calls = []
+    dlam = manifold._dlam_bubble
+    monkeypatch.setattr(manifold, "_dlam_bubble",
+                        lambda *a: calls.append(1) or dlam(*a))
+    for k in range(1, 5):
+        for eps in (1e-2, 1e-3):
+            calls.clear()
+            nl.dist_to_manifold(_sweep_field(p42, grid_default, k, eps), p42)
+            assert len(calls) <= 4
+
+
+def test_dist_newton_falls_back_to_brentq(p42, grid_default, monkeypatch):
+    # a slope of the wrong sign sends every Newton step away from the root,
+    # out of the scan cells or past 8 steps; brentq on the cells then finds it
+    import nlsobolev.manifold as manifold
+    u = _sweep_field(p42, grid_default, 1, 1e-3)
+    slope = manifold._dlam2_bubble
+    monkeypatch.setattr(manifold, "_dlam2_bubble", lambda *a: -slope(*a))
+    calls = []
+    brentq = manifold.brentq
+    monkeypatch.setattr(manifold, "brentq", lambda *a, **k: calls.append(1) or brentq(*a, **k))
+    t = math.log(nl.dist_to_manifold(u, p42).best.lam)
+    assert calls
+    assert abs(t - _tight_root(u, p42, t)) <= 2e-14
+
+
+def test_dlam2_bubble_is_the_log_lambda_derivative(p42, p31, grid_default):
+    import nlsobolev.manifold as manifold
+    for p in (p31, p42, nl.make_params(6, 4.0)):
+        for lam in (0.05, 1.0, 30.0):
+            dt = 1e-5
+            fd = (manifold._dlam_bubble(p, lam * math.exp(dt), grid_default).values
+                  - manifold._dlam_bubble(p, lam * math.exp(-dt), grid_default).values) / (2 * dt)
+            got = manifold._dlam2_bubble(p, lam, grid_default)
+            assert np.max(np.abs(got - fd)) <= 1e-8 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("n", [2048, 256, 64])
+def test_overlap_scan_matches_strided_product(n):
+    # the FFT correlation reads the same |p| as the strided window product it
+    # replaced, with the same candidates, and rep @ U_lambda at the nodes.  Both
+    # sums round at eps sum_i |f_i q_i|: that is 200 max|p| for the N = 3 fields
+    # and 3.2e3 max|p| for the slow tail at N = 3, where the two differ by
+    # 1.1e-12 max|p|; elsewhere they agree to 6.2e-14 max|p|
+    from numpy.lib.stride_tricks import sliding_window_view
+    import nlsobolev.manifold as manifold
+    g = nl.make_log_grid(1e-3, 1e3, n)
+
+    def candidates(absp):
+        mid = absp[1:-1]
+        return sorted(np.flatnonzero((mid >= absp[:-2]) & (mid >= absp[2:])) + 1,
+                      key=lambda j: -absp[j])[:3]
+
+    for N, alpha in ((3, 1.0), (4, 2.0), (6, 4.0)):
+        p = nl.make_params(N, alpha)
+        amp = nl.hls_sobolev_constant(p).bubble_amp
+        fields = list(_fields(p, g).values())
+        fields.append(_sum(unit_bubble(p, g), unit_bubble(p, g, 50.0), 1.2))
+        if n == 2048:
+            fields.append(_sweep_field(p, g, 1, 1e-3))
+        for u in fields:
+            rep = manifold._overlap_representer(u, N)
+            xs, absp = manifold._overlap_scan(rep, math.log(manifold._half_height_scale(p, u)),
+                                              N, g)
+            m, K = manifold._scan_steps(g.h)
+            e = (N - 2) / 2
+            y = g.x[0] + xs[0] + g.h * np.arange(n + 2 * K * m)
+            windows = sliding_window_view(np.exp(-e * np.logaddexp(0.0, 2.0 * y)), n)[::m]
+            want = np.abs(np.exp(e * xs) * (windows @ rep))
+            terms = np.exp(e * xs) * (np.abs(windows) @ np.abs(rep))
+            bound = 1e-13 * np.max(want) + 4 * np.finfo(float).eps * np.max(terms)
+            assert np.max(np.abs(absp - want)) <= bound
+            assert candidates(absp) == candidates(want)
+            for k in (0, K // 2, K, 2 * K):
+                direct = abs(rep @ unit_bubble(p, g, lam=math.exp(xs[k])).values) / amp
+                assert absp[k] == pytest.approx(direct, abs=bound)
+
+
 def _oracle_dist(u, p):
     """The per-lambda search the representer replaced: a 121-node linspace
     scan of h1_inner overlaps over lam0 * [1/100, 100], then brentq on
