@@ -181,7 +181,7 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
     g = u.grid
     if v.grid is not g and v.grid.key() != g.key():
         raise ValidationError("h1_inner requires both fields on the same grid")
-    if ell < 0:
+    if _as_int("ell", ell) < 0:
         raise ValidationError("ell must be nonnegative")
     D = derivative_matrix(g.n, g.h, 1)
     ux = D @ u.values

@@ -10,11 +10,10 @@ profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.optimize import brentq
 
 from ._quadrature import derivative_matrix
 from .errors import BracketingError, NumericsError, ValidationError
@@ -24,8 +23,7 @@ from .params import Params, hls_sobolev_constant, sphere_area
 __all__ = ["BubbleParams", "Decomposition", "bubble", "tangent_basis",
            "dist_to_manifold", "project_orthogonal"]
 
-_SCAN_HALF_WIDTH = math.log(100.0)          # the scan covers lam0 * [1/100, 100]
-_SCAN_SPACING = 2 * _SCAN_HALF_WIDTH / 120  # target node spacing in log lambda
+_SCAN_HALF_WIDTH = math.log(100.0)   # the scan covers lam0 * [1/100, 100]
 
 
 @dataclass(frozen=True)
@@ -100,16 +98,12 @@ def _dr_bubble(p: Params, lam: float, grid: RadialGrid) -> RadialField:
 def tangent_basis(p: Params, lam: float, grid: RadialGrid) -> list[tuple[int, RadialField]]:
     """Radial profiles of the tangent directions at U_{lam,0}, unit-normalized
     in the Dirichlet form of their sector: (0, U), (0, d/dlam U), (1, d/dr U)."""
-    if not 0 < lam < math.inf:
-        raise ValidationError(f"lambda must be positive and finite, got {lam}")
     out = []
     for ell, f in ((0, bubble(p, BubbleParams(c=1.0, lam=lam), grid)),
                    (0, _dlam_bubble(p, lam, grid)),
                    (1, _dr_bubble(p, lam, grid))):
         nrm = math.sqrt(h1_inner(f, f, ell, p.N))
-        f = RadialField(grid=grid, values=f.values / nrm,
-                        tail_exponent=f.tail_exponent, head_value=f.head_value / nrm)
-        out.append((ell, f))
+        out.append((ell, replace(f, values=f.values / nrm, head_value=f.head_value / nrm)))
     return out
 
 
@@ -142,34 +136,26 @@ def _overlap_representer(u: RadialField, N: int) -> np.ndarray:
     return sphere_area(N) * (D.T @ gw)
 
 
-def _scan_steps(h: float) -> tuple[int, int]:
-    """(m, K) for the lambda-scan nodes log lam0 + k m h, k = -K..K: m h is
-    the grid multiple nearest _SCAN_SPACING (h itself on coarser grids), and
-    K m h reaches _SCAN_HALF_WIDTH."""
-    m = max(1, round(_SCAN_SPACING / h))
-    return m, math.ceil(_SCAN_HALF_WIDTH / (m * h))
-
-
 def _overlap_scan(rep: np.ndarray, x0: float, N: int,
                   grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The scan nodes xs = x0 + k m h, k = -K..K, and |<u, U_lambda>| / a on
-    them, a the bubble amplitude.  With e = (N-2)/2 and x = log r,
-    U_lambda = a e^{-e x} f(x + log lambda), f(y) = (2 cosh y)^{-e}, so node
-    k reads the window of f from index k m of its samples on the extended
-    grid, and the scan is every m-th lag of one real-FFT cross-correlation
+    """The scan nodes xs = x0 + k h, k = -K..K, K = ceil(log 100 / h), and
+    |<u, U_lambda>| / a on them, a the bubble amplitude.  With e = (N-2)/2
+    and x = log r, U_lambda = a e^{-e x} f(x + log lambda), f(y) = (2 cosh y)^{-e},
+    so node k reads the window of f from index k of its samples on the
+    extended grid, and the scan is every lag of one real-FFT cross-correlation
     sum_i f[i + l] q[i], q = e^{-e x} rep.  Both factors peak at x = 0 and
     decay on both sides, so the FFT's rounding, of order eps |f| |q|, stays
     at that of the direct sums."""
-    m, K = _scan_steps(grid.h)
-    xs = x0 + m * grid.h * np.arange(-K, K + 1)
+    K = math.ceil(_SCAN_HALF_WIDTH / grid.h)
+    xs = x0 + grid.h * np.arange(-K, K + 1)
     e = (N - 2) / 2.0
-    nf = grid.n + 2 * K * m
+    nf = grid.n + 2 * K
     y = grid.x[0] + xs[0] + grid.h * np.arange(nf)
     with np.errstate(over="ignore"):   # cosh overflows to inf, and f to 0, past |y| = 710
         f = (2.0 * np.cosh(y)) ** -e
-    L = next_fast_len(nf, True)   # >= nf, so no lag up to 2 K m wraps
+    L = next_fast_len(nf, True)   # >= nf, so no lag up to 2 K wraps
     q = np.exp(-e * grid.x) * rep
-    return xs, np.abs(irfft(rfft(f, L) * np.conj(rfft(q, L)), L)[:nf - grid.n + 1:m])
+    return xs, np.abs(irfft(rfft(f, L) * np.conj(rfft(q, L)), L)[:2 * K + 1])
 
 
 def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
@@ -181,22 +167,21 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     d^2 = ||u||^2 - c^2 ||U||^2 are the maxima of |p|.  The form is linear in
     U_lambda, so u is differentiated once: every overlap is rep @ U_lambda
     with rep = `_overlap_representer(u)`, the same discrete form as h1_inner.
-    The scan of p runs over log lambda = log lam0 + k m h, multiples of the
-    grid step h nearest the spacing 2 log 100 / 120 (the step is h itself on
-    grids coarser than that), and spans at least lam0 * [1/100, 100].  On
-    those nodes U_lambda is a window of the bubble profile sampled once on
-    the extended grid, so the scan is every m-th lag of one real-FFT
-    cross-correlation of that profile with rep (`_overlap_scan`).  It picks
-    the (at most 3) best interior maxima of |p|.  On the two scan cells
-    around each, Newton in log lambda solves the stationarity equation
-    <u, d/dlambda U_lambda> = 0, which, unlike d^2, does not cancel, on its
-    exact derivative <u, lambda d^2/dlambda^2 U_lambda>, from the vertex of
-    the parabola through |p| at the three nodes until a step is <= 2e-14.
-    An iterate outside the cells, a zero or non-finite derivative, or 8
-    steps without converging fall back to brentq on the cells, if their
-    ends bracket a root.  The root with the largest |p| wins.  A scan with
-    no interior maximum, or with no candidate whose cells hold a root, raises
-    BracketingError.
+    The scan of p runs over log lambda = log lam0 + k h, every multiple of
+    the grid step h out to lam0 * [1/100, 100].  On those nodes U_lambda is
+    a window of the bubble profile sampled once on the extended grid, so the
+    scan is every lag of one real-FFT cross-correlation of that profile with
+    rep (`_overlap_scan`).  It picks the (at most 3) best interior maxima of
+    |p|.  On the two scan cells around each, Newton in log lambda solves the
+    stationarity equation <u, d/dlambda U_lambda> = 0, which, unlike d^2,
+    does not cancel, on its exact derivative <u, lambda d^2/dlambda^2 U_lambda>,
+    from the vertex of the parabola through |p| at the three nodes, until a
+    step is at most 2e-14 or at most the rounding of the stationarity value
+    over its derivative (2 steps on the sweep fields).  A
+    candidate whose iterate leaves its cells, whose derivative is zero or
+    not finite, or that takes 8 steps, is dropped.  The root with the
+    largest |p| wins.  A scan with no interior maximum, or with every
+    candidate dropped, raises BracketingError.
     """
     grid = u.grid
     uu = h1_inner(u, u, 0, p.N)
@@ -205,10 +190,6 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     U1 = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
     EU = h1_inner(U1, U1, 0, p.N)
     rep = _overlap_representer(u, p.N)
-
-    def stationarity(loglam: float) -> float:
-        return float(rep @ _dlam_bubble(p, math.exp(loglam), grid).values)
-
     xs, absp = _overlap_scan(rep, math.log(_half_height_scale(p, u)), p.N, grid)
     mid = absp[1:-1]
     interior = np.flatnonzero((mid >= absp[:-2]) & (mid >= absp[2:])) + 1
@@ -224,58 +205,55 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
         for _ in range(8):
             slope = float(rep @ _dlam2_bubble(p, math.exp(t), grid))
             if slope == 0.0 or not math.isfinite(slope):
-                break
-            step = stationarity(t) / slope
+                return None
+            dU = _dlam_bubble(p, math.exp(t), grid).values
+            value = float(rep @ dU)
+            step = value / slope
             t -= step
             if not lo <= t <= hi:
-                break
-            if abs(step) <= 2e-14:
+                return None
+            # a value at its rounding, ~eps sum |rep dU|, can 2-cycle the steps above 2e-14
+            if (abs(step) <= 2e-14
+                    or abs(value) <= 8 * np.finfo(float).eps * float(np.abs(rep) @ np.abs(dU))):
                 return t
-        if stationarity(lo) * stationarity(hi) > 0:
-            return None
-        return brentq(stationarity, lo, hi, xtol=1e-14)
+        return None
 
     best = None
     for j in sorted(interior, key=lambda j: -absp[j])[:3]:
         ll = root(j)
         if ll is None:
             continue
-        pl = float(rep @ bubble(p, BubbleParams(c=1.0, lam=math.exp(ll)), grid).values)
+        U = bubble(p, BubbleParams(c=1.0, lam=math.exp(ll)), grid)
+        pl = float(rep @ U.values)
         if best is None or abs(pl) > abs(best[0]):
-            best = (pl, ll)
+            best = (pl, ll, U)
     if best is None:
         raise BracketingError("no stationarity root over lambda; distance not bracketed")
-    pl, ll = best
-    c, lam = pl / EU, math.exp(ll)
+    pl, ll, U = best
+    c = pl / EU
     # at the final lambda, d = ||u - c U_lambda|| directly: unlike
     # uu - c^2 EU it does not cancel, and w gets unit norm by construction
-    Ub = bubble(p, BubbleParams(c=c, lam=lam), grid)
-    resid = RadialField(grid=grid, values=u.values - Ub.values,
+    resid = RadialField(grid=grid, values=u.values - c * U.values,
                         tail_exponent=min(u.tail_exponent, p.N - 2.0),
-                        head_value=u.head_value - Ub.head_value)
+                        head_value=u.head_value - c * U.head_value)
     d = math.sqrt(h1_inner(resid, resid, 0, p.N))
     if d > 1e-9 * math.sqrt(uu):
-        w = RadialField(grid=grid, values=resid.values / d,
-                        tail_exponent=resid.tail_exponent, head_value=resid.head_value / d)
+        w = replace(resid, values=resid.values / d, head_value=resid.head_value / d)
     else:
         d = 0.0
         w = RadialField(grid=grid, values=np.zeros(grid.n),
                         tail_exponent=np.inf, head_value=0.0)
-    return Decomposition(best=BubbleParams(c=c, lam=lam), d=d, w=w)
+    return Decomposition(best=BubbleParams(c=c, lam=math.exp(ll)), d=d, w=w)
 
 
 def project_orthogonal(w: RadialField, p: Params, lam: float, ell: int) -> RadialField:
     """Remove the sector-ell tangent components of w (in the Dirichlet form)
     and renormalize to unit norm."""
-    if ell < 0:
-        raise ValidationError("ell must be nonnegative")
-    dirs = [t for k, t in tangent_basis(p, lam, w.grid) if k == ell]
-    nrm0 = math.sqrt(h1_inner(w, w, ell, p.N))
+    nrm0 = math.sqrt(h1_inner(w, w, ell, p.N))   # h1_inner validates ell
     if nrm0 == 0.0:
         raise ValidationError("cannot project the zero field")
-    vals = w.values.copy()
-    out = RadialField(grid=w.grid, values=vals, tail_exponent=w.tail_exponent,
-                      head_value=w.head_value)
+    dirs = [t for k, t in tangent_basis(p, lam, w.grid) if k == ell]
+    out = w
     for _ in range(2):   # re-orthogonalize once for 1e-12 residuals
         for t in dirs:
             coef = h1_inner(out, t, ell, p.N)   # t has unit norm
@@ -285,5 +263,4 @@ def project_orthogonal(w: RadialField, p: Params, lam: float, ell: int) -> Radia
     nrm = math.sqrt(max(h1_inner(out, out, ell, p.N), 0.0))
     if nrm < 1e-10 * nrm0:
         raise ValidationError("direction lies entirely inside the tangent space")
-    return RadialField(grid=w.grid, values=out.values / nrm,
-                       tail_exponent=out.tail_exponent, head_value=out.head_value / nrm)
+    return replace(out, values=out.values / nrm, head_value=out.head_value / nrm)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nlsobolev as nl
 from nlsobolev.errors import BracketingError, ValidationError
 from nlsobolev.experiments import SweepConfig, _direction_field
-from conftest import bump_field, unit_bubble
+from conftest import bump_field, src_env, unit_bubble
 
 
 def test_bubble_params_validation():
@@ -178,33 +180,64 @@ def test_dist_newton_root_is_the_tight_brentq_root(N, alpha, grid_default):
 
 
 def test_dist_stationarity_call_budget(p42, grid_default, monkeypatch):
-    # Newton from the parabola vertex takes 3 steps, one stationarity value
-    # each; brentq on the scan cells took ~10 (the two cell ends and ~8 steps)
+    # Newton from the vertex of the parabola through adjacent scan lags takes
+    # 2 steps, one stationarity value each; the bubbles are U_1 for ||U||^2
+    # and one at the root, reused for the residual
     import nlsobolev.manifold as manifold
-    calls = []
-    dlam = manifold._dlam_bubble
+    calls, builds = [], []
+    dlam, bubble = manifold._dlam_bubble, manifold.bubble
     monkeypatch.setattr(manifold, "_dlam_bubble",
                         lambda *a: calls.append(1) or dlam(*a))
+    monkeypatch.setattr(manifold, "bubble", lambda *a: builds.append(1) or bubble(*a))
     for k in range(1, 5):
         for eps in (1e-2, 1e-3):
+            u = _sweep_field(p42, grid_default, k, eps)
             calls.clear()
-            nl.dist_to_manifold(_sweep_field(p42, grid_default, k, eps), p42)
-            assert len(calls) <= 4
+            builds.clear()
+            nl.dist_to_manifold(u, p42)
+            assert len(calls) <= 2
+            assert len(builds) <= 2
 
 
-def test_dist_newton_falls_back_to_brentq(p42, grid_default, monkeypatch):
+def test_dist_newton_stops_at_the_rounding_floor(p31):
+    # on this slow tail the stationarity value rounds at ~3.9e-14 of a step,
+    # so Newton 2-cycles there and never meets a fixed 2e-14; the step test
+    # scales with that rounding and accepts the root
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    u = nl.RadialField(grid=g, values=(1.0 + (6.8 * g.nodes) ** 2) ** -0.3,
+                       tail_exponent=0.6, head_value=1.0)
+    t = math.log(nl.dist_to_manifold(u, p31).best.lam)
+    assert abs(t - _tight_root(u, p31, t)) <= 2e-13
+
+
+def test_dist_drops_a_diverging_newton(p42, grid_default, monkeypatch):
     # a slope of the wrong sign sends every Newton step away from the root,
-    # out of the scan cells or past 8 steps; brentq on the cells then finds it
+    # out of the scan cells or past 8 steps; the candidate is dropped, and
+    # with none left the distance is not bracketed
     import nlsobolev.manifold as manifold
     u = _sweep_field(p42, grid_default, 1, 1e-3)
     slope = manifold._dlam2_bubble
     monkeypatch.setattr(manifold, "_dlam2_bubble", lambda *a: -slope(*a))
-    calls = []
-    brentq = manifold.brentq
-    monkeypatch.setattr(manifold, "brentq", lambda *a, **k: calls.append(1) or brentq(*a, **k))
-    t = math.log(nl.dist_to_manifold(u, p42).best.lam)
-    assert calls
-    assert abs(t - _tight_root(u, p42, t)) <= 2e-14
+    with pytest.raises(BracketingError):
+        nl.dist_to_manifold(u, p42)
+
+
+def test_import_leaves_out_scipy_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nlsobolev, nlsobolev.cli; print('scipy.optimize' in sys.modules)"],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("ell", [0.5, True, np.float64(1.0)])
+def test_non_integer_ell_is_validation_error(p42, grid_default, ell):
+    U = unit_bubble(p42, grid_default)
+    with pytest.raises(ValidationError, match="ell must be an integer"):
+        nl.h1_inner(U, U, ell, p42.N)
+    with pytest.raises(ValidationError, match="ell must be an integer"):
+        nl.project_orthogonal(bump_field(grid_default), p42, 1.0, ell)
 
 
 def test_dlam2_bubble_is_the_log_lambda_derivative(p42, p31, grid_default):
@@ -220,11 +253,11 @@ def test_dlam2_bubble_is_the_log_lambda_derivative(p42, p31, grid_default):
 
 @pytest.mark.parametrize("n", [2048, 256, 64])
 def test_overlap_scan_matches_strided_product(n):
-    # the FFT correlation reads the same |p| as the strided window product it
-    # replaced, with the same candidates, and rep @ U_lambda at the nodes.  Both
-    # sums round at eps sum_i |f_i q_i|: that is 200 max|p| for the N = 3 fields
-    # and 3.2e3 max|p| for the slow tail at N = 3, where the two differ by
-    # 1.1e-12 max|p|; elsewhere they agree to 6.2e-14 max|p|
+    # the FFT correlation reads the same |p| at every lag as the sliding
+    # window product it replaced, with the same candidates, and rep @ U_lambda
+    # at the nodes.  Both sums round at eps sum_i |f_i q_i|: that is 200 max|p|
+    # for the N = 3 fields and 3.2e3 max|p| for the slow tail at N = 3, where
+    # the two differ by 1.1e-12 max|p|; elsewhere they agree to 6.2e-14 max|p|
     from numpy.lib.stride_tricks import sliding_window_view
     import nlsobolev.manifold as manifold
     g = nl.make_log_grid(1e-3, 1e3, n)
@@ -245,10 +278,10 @@ def test_overlap_scan_matches_strided_product(n):
             rep = manifold._overlap_representer(u, N)
             xs, absp = manifold._overlap_scan(rep, math.log(manifold._half_height_scale(p, u)),
                                               N, g)
-            m, K = manifold._scan_steps(g.h)
+            K = len(xs) // 2
             e = (N - 2) / 2
-            y = g.x[0] + xs[0] + g.h * np.arange(n + 2 * K * m)
-            windows = sliding_window_view(np.exp(-e * np.logaddexp(0.0, 2.0 * y)), n)[::m]
+            y = g.x[0] + xs[0] + g.h * np.arange(n + 2 * K)
+            windows = sliding_window_view(np.exp(-e * np.logaddexp(0.0, 2.0 * y)), n)
             want = np.abs(np.exp(e * xs) * (windows @ rep))
             terms = np.exp(e * xs) * (np.abs(windows) @ np.abs(rep))
             bound = 1e-13 * np.max(want) + 4 * np.finfo(float).eps * np.max(terms)
@@ -331,13 +364,17 @@ def test_overlap_representer_is_h1_inner(p42, p31, grid_default, tail):
 
 @pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048, 8192])
 def test_dist_scan_spans_two_decades(n):
-    # the scan nodes log lam0 + k m h, k = -K..K, are grid multiples that
-    # reach lam0 / 100 and 100 lam0, no coarser than the 121-node linspace
+    # the scan nodes log lam0 + k h, k = -K..K, step by the grid's h and
+    # reach lam0 / 100 and 100 lam0, no further than one step beyond
     import nlsobolev.manifold as manifold
-    h = nl.make_log_grid(1e-3, 1e3, n).h
-    m, K = manifold._scan_steps(h)
-    assert m >= 1 and K * m * h >= math.log(100.0)
-    assert m * h <= max(h, 1.5 * 2 * math.log(100.0) / 120)
+    g = nl.make_log_grid(1e-3, 1e3, n)
+    rep = manifold._overlap_representer(unit_bubble(nl.make_params(4, 2.0), g), 4)
+    xs, absp = manifold._overlap_scan(rep, 0.3, 4, g)
+    assert len(xs) == len(absp) and len(xs) % 2 == 1
+    assert xs[len(xs) // 2] == 0.3
+    assert np.allclose(np.diff(xs), g.h, rtol=1e-12, atol=0.0)
+    for reach in (xs[-1] - 0.3, 0.3 - xs[0]):
+        assert math.log(100.0) <= reach <= math.log(100.0) + g.h + 1e-12
 
 
 def test_dist_of_orthogonal_perturbation(p42, grid_default):
