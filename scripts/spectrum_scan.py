@@ -29,9 +29,8 @@ def main():
     for n, a in pairs:
         p = nl.make_params(n, a)
         print(f"\nN={p.N} alpha={p.alpha}  (2*_alpha = {p.two_star_alpha:.6g})")
-        # each sector is solved once and the reports merged as spectral_gap does
-        reps = [nl.solve_generalized(op, args.k)
-                for op in nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid)]
+        # the sectors are solved together and the reports merged as spectral_gap does
+        reps = nl.solve_sectors(nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid), args.k)
         for rep in reps:
             print(f"  ell={rep.ell}: {np.round(rep.eigenvalues, 6).tolist()}")
         merged = nl.merge_sectors(p, reps)

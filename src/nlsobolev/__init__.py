@@ -18,7 +18,7 @@ from .functional import DeficitReport, deficit, el_residual, hls_energy, weak_no
 from .manifold import (BubbleParams, Decomposition, bubble, dist_to_manifold,
                        project_orthogonal, tangent_basis)
 from .spectrum import (SectorOperator, SpectrumReport, assemble_sector, assemble_sectors,
-                       merge_sectors, solve_generalized, spectral_gap)
+                       merge_sectors, solve_generalized, solve_sectors, spectral_gap)
 from .experiments import (BoundedDomainReport, SweepConfig, SweepRow,
                           bounded_domain_experiment, ratio_sweep, summarize_sweep,
                           tail_energy)
@@ -48,7 +48,7 @@ __all__ = [
     "BubbleParams", "Decomposition", "bubble", "dist_to_manifold",
     "project_orthogonal", "tangent_basis",
     "SectorOperator", "SpectrumReport", "assemble_sector", "assemble_sectors",
-    "merge_sectors", "solve_generalized", "spectral_gap",
+    "merge_sectors", "solve_generalized", "solve_sectors", "spectral_gap",
     "BoundedDomainReport", "SweepConfig", "SweepRow", "bounded_domain_experiment",
     "ratio_sweep", "summarize_sweep", "tail_energy",
     "run_cli",

@@ -63,21 +63,28 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 
 from ._quadrature import staggered_derivative_matrix
 from .errors import IndefiniteOperatorError, NumericsError, ValidationError
 from .grid import RadialGrid, _check_resolution, make_log_grid
 from .manifold import BubbleParams, bubble
 from .params import Params, _as_int, sphere_area
-from .riesz import _fft_len, _lag_convolve, angular_kernels
+from .riesz import angular_kernels
 
 __all__ = ["SectorOperator", "SpectrumReport", "assemble_sector", "assemble_sectors",
-           "merge_sectors", "solve_generalized", "spectral_gap", "SECTOR_ELLS"]
+           "merge_sectors", "solve_generalized", "solve_sectors", "spectral_gap",
+           "SECTOR_ELLS"]
 
 SECTOR_ELLS = (0, 1, 2)   # the sectors spectral_gap merges; ell >= 3 cannot carry the gap
 _MATCH_TOL = 1e-3      # identification tolerance against {1, 2*_alpha}
+# Lanczos passed the Ritz test for k pairs after 2k + 12 to 2k + 22 steps at
+# k = 8 and 30 (N = 3..12, 64 to 4096 nodes), and after 2k - 7 to 2k + 2 at
+# k = 100.  A test costs about 2/3 of a step per sector, so a sector takes it at
+# every other step from step 2k + 12 on, and gives up after 4k + 64 steps, over
+# twice the most it took, unless the n steps that span R^n come first.
+_CHECK_EVERY = 2
+_STEP_CAP = (4, 64)
 
 
 @dataclass(eq=False)
@@ -90,14 +97,13 @@ class SectorOperator:
 
     so that T and B are symmetric by construction; the factors must be finite,
     a_band of shape (8, n) and the others of length n.  `apply_b` multiplies
-    by B with one FFT convolution; B is never materialized."""
+    by B with one FFT convolution (`_b_products`); B is never materialized."""
     ell: int
     a_band: np.ndarray
     b_scale: np.ndarray
     b_col: np.ndarray
     b_diag: np.ndarray
     params: Params
-    _lags: np.ndarray = dc_field(init=False, repr=False)
     _lags_hat: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -108,14 +114,21 @@ class SectorOperator:
                 raise ValidationError(f"sector form {name} has shape {np.shape(a)}, not {shape}")
             if not np.all(np.isfinite(a)):
                 raise NumericsError(f"sector form {name} has non-finite entries")
-        self._lags = np.concatenate((self.b_col[:0:-1], self.b_col))
-        self._lags_hat = rfft(self._lags, _fft_len(n, 2 * n - 1, n - 1))
+        self._lags_hat = rfft(np.concatenate((self.b_col[:0:-1], self.b_col)),
+                              2 * next_fast_len(n, True))
 
     def apply_b(self, x: np.ndarray) -> np.ndarray:
-        """B x for a vector x, by one FFT convolution with T's lags -(n-1)..(n-1)."""
-        m = self.b_scale
-        return m * _lag_convolve(m * x, self._lags, len(m) - 1, self._lags_hat) \
-            + self.b_diag * x
+        """B x for a vector x: the one-row case of `_b_products`."""
+        return _b_products(self.b_scale, self._lags_hat, self.b_diag, x)
+
+
+def _b_products(scale, lags_hat, diag, X: np.ndarray) -> np.ndarray:
+    """B X row by row, each row of X against its own sector's factors (rows of
+    scale, lags_hat and diag, or one row for all): one batched real FFT of
+    length L = 2 (len(lags_hat) - 1) >= 2n convolves every row with its T's
+    lags -(n-1)..(n-1), as `riesz._lag_convolve` does one."""
+    n, L = X.shape[-1], 2 * lags_hat.shape[-1] - 2
+    return scale * irfft(rfft(scale * X, L) * lags_hat, L)[..., n - 1:2 * n - 1] + diag * X
 
 
 @dataclass(eq=False)
@@ -283,50 +296,105 @@ def _psd_to_tolerance(op: SectorOperator) -> None:
 
 
 def solve_generalized(op: SectorOperator, k: int) -> SpectrumReport:
-    """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors.
+    """k smallest eigenvalues of A v = mu B v with B-normalized eigenvectors:
+    `solve_sectors` on the one sector op."""
+    return solve_sectors([op], k)[0]
 
-    B is certified positive semidefinite to tolerance (`_psd_to_tolerance`:
-    one FFT of a circulant that holds its Toeplitz factor, and the Schur
-    recursion only where that is inconclusive) and acts only by FFT matvecs
-    (`SectorOperator.apply_b`); no n x n array is formed.  A = U^T U is
-    factored once as a band, and Lanczos (ARPACK, standard mode) finds the k
-    largest nu = 1/mu of C = U^{-T} B U^{-1}, one B-matvec and two banded
-    triangular solves per step.  An eigenvector y of C gives
-    v = U^{-1} y / sqrt(nu), with v^T B v = y^T C y / nu = 1.  B's numerical
-    kernel (far-field nodes where the weights underflow) lands at nu = 0 and
-    is cut at 1e-13 nu_max.  k is clamped to n - 1, ARPACK's limit.  Each
-    eigenvector's largest-magnitude entry is positive.
+
+def solve_sectors(ops: list[SectorOperator], k: int) -> list[SpectrumReport]:
+    """The k smallest eigenvalues of A v = mu B v, with B-normalized
+    eigenvectors, of each sector of ops (all on one grid), in order.
+
+    B is certified positive semidefinite to tolerance (`_psd_to_tolerance`)
+    and acts only by FFT products; no n x n array is formed.  A = U^T U is
+    factored once as a band.  Lanczos with full reorthogonalization (Paige
+    1972; Parlett 1980) finds the k largest nu = 1/mu of C = U^{-T} B U^{-1},
+    all sectors in lockstep: a step makes one batched FFT product with B
+    (`_b_products`), two banded triangular solves per sector and two
+    classical Gram-Schmidt passes.  A sector stops once its k Ritz pairs pass
+    ARPACK's tol = 0 test, beta |s_i| <= eps max(eps^(2/3), |theta_i|), so its
+    steps and digits do not depend on the other sectors.  It also stops when
+    the second pass cuts the residual below 0.717 of the first, to rounding
+    ("twice is enough"): its Krylov space is then invariant and holds every
+    simple eigenvalue, exactly.  n steps span R^n, so k is clamped to n.  An
+    eigenvector y of C gives v = U^{-1} y / sqrt(nu), with v^T B v = 1.  B's
+    numerical kernel (far-field nodes where the weights underflow) lands at
+    nu = 0 and is cut at 1e-13 nu_max.  Each eigenvector's largest-magnitude
+    entry is positive.
     """
     if _as_int("k", k) < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
-    _psd_to_tolerance(op)
-    m = op.a_band.shape[1]
-    try:
-        cb = sla.cholesky_banded(op.a_band, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise IndefiniteOperatorError("A is not positive definite") from exc
-    tbtrs = sla.lapack.dtbtrs      # U x = y, or U^T x = y with trans="T"
-    C = spla.LinearOperator((m, m), dtype=float, matvec=lambda y: tbtrs(
-        cb, op.apply_b(tbtrs(cb, y)[0]), trans="T")[0])
-    k = min(k, m - 1)
+    if len({op.a_band.shape[1] for op in ops}) != 1:
+        raise ValidationError("solve_sectors needs one or more sectors on one grid")
+    cbs, n, s = [], ops[0].a_band.shape[1], len(ops)
+    for op in ops:
+        _psd_to_tolerance(op)
+        try:
+            cbs.append(sla.cholesky_banded(op.a_band, check_finite=False))
+        except np.linalg.LinAlgError as exc:
+            raise IndefiniteOperatorError("A is not positive definite") from exc
+    k, tbtrs, eps = min(k, n), sla.lapack.dtbtrs, np.finfo(float).eps
+    cap = min(n, _STEP_CAP[0] * k + _STEP_CAP[1])
+    act, ritz = list(range(s)), [None] * s
+    Q = np.empty((s, min(cap, 2 * k + 24), n))    # the Lanczos basis by rows, doubled when full
     # a fixed start vector keeps the output digits the same from call to call
-    v0 = np.random.default_rng(0).standard_normal(m)
-    try:
-        nu, Y = spla.eigsh(C, k, which="LA", tol=0, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericsError(f"Lanczos did not converge for k={k}: {exc}") from exc
-    order = np.argsort(nu)[::-1]
-    order = order[nu[order] > 1e-13 * nu[order[0]]]
-    nu, k = nu[order], len(order)
-    vecs = tbtrs(cb, Y[:, order])[0] / np.sqrt(nu)
-    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
-    # a grid-frequency (sawtooth) eigenvector means a defective Dirichlet stencil
-    rough = np.linalg.norm(np.diff(vecs, 2, axis=0), axis=0) / np.linalg.norm(vecs, axis=0)
-    if np.any(rough > 1.0):
-        j = int(np.argmax(rough > 1.0))
-        raise IndefiniteOperatorError(
-            f"eigenvector {j} oscillates at the grid scale (mu={1.0 / nu[j]:.6g})")
-    return _report(op.params, op.ell, 1.0 / nu, vecs)
+    Q[:, 0] = np.random.default_rng(0).standard_normal(n)
+    Q[:, 0] /= np.linalg.norm(Q[:, 0], axis=1)[:, None]
+    alphas, betas = np.zeros((s, cap)), np.zeros((s, cap))
+    scale, diag, lags_hat = (np.array([getattr(op, f) for op in ops])
+                             for f in ("b_scale", "b_diag", "_lags_hat"))
+    for j in range(cap):
+        W = Q[:, j].copy()
+        for r, i in enumerate(act):
+            tbtrs(cbs[i], W[r], overwrite_b=True)               # U x = y
+        W = _b_products(scale, lags_hat, diag, W)
+        for r, i in enumerate(act):
+            tbtrs(cbs[i], W[r], trans="T", overwrite_b=True)    # U^T x = y
+        Qj, norms = Q[:, :j + 1], []
+        for _ in range(2):
+            h = Qj @ W[:, :, None]
+            W -= (h.transpose(0, 2, 1) @ Qj)[:, 0]
+            alphas[:, j] += h[:, j, 0]
+            norms.append(np.linalg.norm(W, axis=1))
+        # beta = 0: an invariant subspace, where the second pass leaves rounding
+        betas[:, j] = np.where(norms[1] > 0.717 * norms[0], norms[1], 0.0)
+        due = j + 1 == n or (j + 1 >= 2 * k + 12 and (j + 1) % _CHECK_EVERY == 0)
+        done = []
+        for r in np.flatnonzero((betas[:, j] == 0) | due):
+            theta, S, info = sla.lapack.dstevd(alphas[r, :j + 1], betas[r, :max(j, 1)])
+            if info:
+                raise NumericsError(f"the Lanczos tridiagonal eigensolve failed (info={info})")
+            bound = betas[r, j] * np.abs(S[-1, -k:])
+            if j + 1 == n or np.all(bound <= eps * np.maximum(eps ** (2 / 3), np.abs(theta[-k:]))):
+                ritz[act[r]] = theta[:-k - 1:-1], Qj[r].T @ S[:, :-k - 1:-1]
+                done.append(r)
+        if done:
+            live = [r for r in range(len(act)) if r not in done]
+            act = [act[r] for r in live]
+            Q, W, alphas, betas, scale, diag, lags_hat = (
+                a[live] for a in (Q, W, alphas, betas, scale, diag, lags_hat))
+        if not act:
+            break
+        if j + 1 < cap:
+            if j + 1 == Q.shape[1]:
+                Q = np.concatenate((Q, np.empty((len(act), min(cap, 2 * j + 2) - j - 1, n))), 1)
+            Q[:, j + 1] = W / betas[:, j, None]
+    if act:
+        raise NumericsError(f"Lanczos did not converge for k={k} in {cap} steps")
+    reports = []
+    for op, cb, (nu, Y) in zip(ops, cbs, ritz):
+        keep = nu > 1e-13 * nu[0]
+        nu, k = nu[keep], int(keep.sum())
+        vecs = tbtrs(cb, Y[:, keep])[0] / np.sqrt(nu)
+        vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
+        # a grid-frequency (sawtooth) eigenvector means a defective Dirichlet stencil
+        rough = np.linalg.norm(np.diff(vecs, 2, axis=0), axis=0) / np.linalg.norm(vecs, axis=0)
+        if np.any(rough > 1.0):
+            j = int(np.argmax(rough > 1.0))
+            raise IndefiniteOperatorError(
+                f"eigenvector {j} oscillates at the grid scale (mu={1.0 / nu[j]:.6g})")
+        reports.append(_report(op.params, op.ell, 1.0 / nu, vecs))
+    return reports
 
 
 def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> SpectrumReport:
@@ -337,12 +405,11 @@ def spectral_gap(p: Params, grid: RadialGrid | None = None, k: int = 10) -> Spec
     gap.  Eigenvalues are listed once per sector, without the angular
     multiplicities.  The default grid serves every N: its worst error,
     sector 0 at N = 3, is 5.9e-5 relative.  The sectors are assembled
-    together (`assemble_sectors`).
+    together (`assemble_sectors`) and solved together (`solve_sectors`).
     """
     if grid is None:
         grid = make_log_grid(1e-3, 1e3, 1024)
-    return merge_sectors(p, [solve_generalized(op, k)
-                             for op in assemble_sectors(p, SECTOR_ELLS, grid)])
+    return merge_sectors(p, solve_sectors(assemble_sectors(p, SECTOR_ELLS, grid), k))
 
 
 def merge_sectors(p: Params, reports: list[SpectrumReport]) -> SpectrumReport:

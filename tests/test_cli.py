@@ -249,11 +249,28 @@ def test_flag_not_read_by_subcommand_exit_code(argv, capsys):
 
 @pytest.mark.parametrize("k, codes", [("0", {1}), ("-2", {1}), ("5000", {0, 2})])
 def test_spectrum_k_exit_code(k, codes, capsys):
-    # k < 1 is a validation error; k beyond the n - 1 unknowns is clamped
+    # k < 1 is a validation error; k beyond the n unknowns is clamped
     code = run_cli(["spectrum", "--dim", "6", "--alpha", "4", "--grid-n", "256", "--k", k])
     assert code in codes
     if code == 1:
         assert "error: need k >= 1" in capsys.readouterr().err
+
+
+def test_spectrum_k_at_the_krylov_limit_exit_code(capsys):
+    # k = 63 of 64 unknowns: Lanczos spans R^64, and the grid-scale
+    # eigenvectors it then returns fail the roughness check
+    argv = ["spectrum", "--dim", "4", "--alpha", "2", "--grid-min", "0.1", "--grid-max", "10",
+            "--grid-n", "64", "--k", "63"]
+    assert run_cli(argv) == 2
+    assert "oscillates at the grid scale" in capsys.readouterr().err
+
+
+def test_spectrum_hundred_eigenvalues(tmp_path):
+    code, _, env = run_to_json(["spectrum", "--dim", "4", "--alpha", "2", "--ell", "0",
+                                "--k", "100"], tmp_path, "s.json")
+    assert code == 0
+    mu = env["payload"]["eigenvalues"]
+    assert len(mu) == 100 and mu == sorted(mu)
 
 
 @pytest.mark.parametrize("eps", ["1e-2,0", "1e-2,nan", "inf,1e-2"])

@@ -223,12 +223,13 @@ def test_dist_drops_a_diverging_newton(p42, grid_default, monkeypatch):
 
 
 def test_import_leaves_out_scipy_optimize():
+    # nor scipy.sparse.linalg, since the eigensolver runs its own Lanczos
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, nlsobolev, nlsobolev.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", "import sys, nlsobolev, nlsobolev.cli; "
+         "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"],
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("ell", [0.5, True, np.float64(1.0)])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 import nlsobolev as nl
@@ -342,17 +341,19 @@ def test_eigenvectors_b_orthonormal(sector, request):
 
 
 @pytest.mark.parametrize("N, alpha", [(6, 4.0), (4, 2.0), (3, 1.0), (5, 1.2)])
-def test_b_matvec_budget(N, alpha, grid64):
+def test_b_matvec_budget(N, alpha, grid64, monkeypatch):
     # standard-form Lanczos over the banded Cholesky of A, with no lambda_max
-    # eigensolve, needs at most 48 B-matvecs per sector at n = 1024, k = 8
-    p = nl.make_params(N, alpha)
-    for ell in nl.spectrum.SECTOR_ELLS:
-        op = nl.assemble_sector(p, ell, grid64)
-        calls = []
-        apply_b = op.apply_b
-        op.apply_b = lambda x: calls.append(1) or apply_b(x)
-        nl.solve_generalized(op, 8)
-        assert len(calls) <= 48, (ell, len(calls))
+    # eigensolve: the sectors share one batched B product per step, one row per
+    # sector still running, and no sector runs more than 40 steps at
+    # n = 1024, k = 8 (34 measured)
+    rows = []
+    b_products = nl.spectrum._b_products
+    monkeypatch.setattr(nl.spectrum, "_b_products",
+                        lambda *args: rows.append(len(args[3])) or b_products(*args))
+    ops = nl.assemble_sectors(nl.make_params(N, alpha), nl.spectrum.SECTOR_ELLS, grid64)
+    nl.spectrum.solve_sectors(ops, 8)
+    assert rows[0] == len(ops) and rows == sorted(rows, reverse=True)
+    assert len(rows) <= 40 and sum(rows) <= 40 * len(ops), rows
 
 
 def test_solve_forms_no_dense_matrix(op64_s0):
@@ -372,12 +373,73 @@ def test_negative_a_rejected(op64_s0):
 
 
 def test_lanczos_no_convergence_is_numerics_error(op64_s0, monkeypatch):
-    def pencil_fails(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", pencil_fails)
-    with pytest.raises(NumericsError, match="did not converge"):
+    # a step cap of 20 stops Lanczos before its first Ritz test at k = 8
+    monkeypatch.setattr(nl.spectrum, "_STEP_CAP", (0, 20))
+    with pytest.raises(NumericsError, match="did not converge for k=8 in 20 steps"):
         nl.solve_generalized(op64_s0, 8)
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 1.0), (4, 2.0), (6, 4.0)])
+def test_spectral_gap_sectors_match_one_at_a_time(N, alpha, grid64, monkeypatch):
+    # every sector of the lockstep solve is the one-sector solve to the bit:
+    # each row of the batch runs its own steps, transforms and BLAS calls
+    batch = []
+    solve_sectors = nl.spectrum.solve_sectors
+    monkeypatch.setattr(nl.spectrum, "solve_sectors",
+                        lambda ops, k: batch.append((ops, solve_sectors(ops, k))) or batch[-1][1])
+    nl.spectral_gap(nl.make_params(N, alpha), grid64)
+    (ops, reps), = batch
+    assert [op.ell for op in ops] == list(nl.spectrum.SECTOR_ELLS)
+    for op, rep in zip(ops, reps):
+        one = nl.solve_generalized(op, 10)
+        assert one.eigenvalues == rep.eigenvalues
+        assert np.array_equal(one.eigenvectors, rep.eigenvectors)
+
+
+@pytest.fixture(scope="module")
+def grid_small():
+    return nl.make_log_grid(0.1, 10, 64)
+
+
+def _count_b_products(monkeypatch):
+    steps = []
+    b_products = nl.spectrum._b_products
+    monkeypatch.setattr(nl.spectrum, "_b_products",
+                        lambda *args: steps.append(1) or b_products(*args))
+    return steps
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_krylov_space_exhausted_matches_dense_solve(grid_small, ell, monkeypatch):
+    # k = 30 on 64 nodes runs Lanczos to all 64 steps, where the last
+    # residual is rounding: every Ritz pair is exact there
+    op = nl.assemble_sector(nl.make_params(4, 2.0), ell, grid_small)
+    nu = sla.eigh(dense_b(op), dense_a(op), eigvals_only=True)[::-1][:30]
+    steps = _count_b_products(monkeypatch)
+    rep = nl.solve_generalized(op, 30)
+    assert len(steps) == 64
+    np.testing.assert_allclose(rep.eigenvalues, 1.0 / nu, rtol=1e-12, atol=0)
+
+
+def test_invariant_krylov_space_stops_the_sector(grid_small, monkeypatch):
+    # B kept on nodes 20..39 has rank 20, so the Krylov space is invariant
+    # after 22 steps, before the first Ritz test due at 2k + 12 = 36: the
+    # residual is rounding there, and the Ritz pairs are already exact
+    op = nl.assemble_sector(nl.make_params(4, 2.0), 0, grid_small)
+    band = (np.arange(64) >= 20) & (np.arange(64) < 40)
+    op = dataclasses.replace(op, b_scale=op.b_scale * band, b_diag=op.b_diag * band)
+    steps = _count_b_products(monkeypatch)
+    rep = nl.solve_generalized(op, 12)
+    assert len(steps) == 22
+    nu = sla.eigh(dense_b(op), dense_a(op), eigvals_only=True)[::-1][:12]
+    np.testing.assert_allclose(rep.eigenvalues, 1.0 / nu, rtol=1e-12, atol=0)
+
+
+def test_solve_sectors_needs_sectors_on_one_grid(op64_s0, grid_small):
+    other = nl.assemble_sector(nl.make_params(6, 4.0), 0, grid_small)
+    for ops in ([], [op64_s0, other]):
+        with pytest.raises(ValidationError, match="on one grid"):
+            nl.solve_sectors(ops, 8)
 
 
 @given(case=st.sampled_from([3, 4, 5, 6]).flatmap(
@@ -545,7 +607,7 @@ def test_non_integer_sector_rejected(p64, grid64, ell):
 
 
 def test_non_integer_k_rejected(p64, grid64, op64_s0):
-    # ARPACK used to fail with SystemError on a float k
+    # a float k used to reach the eigensolver and fail there with SystemError
     with pytest.raises(ValidationError, match="k must be an integer"):
         nl.solve_generalized(op64_s0, 2.5)
     with pytest.raises(ValidationError, match="k must be an integer"):
