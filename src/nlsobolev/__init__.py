@@ -9,7 +9,7 @@ from .errors import (BracketingError, DivergentTailError, IndefiniteOperatorErro
                      NumericsError, ValidationError)
 from .params import (Params, SharpConstants, gamma_fn, hls_sharp_constant,
                      hls_sobolev_constant, make_params, sobolev_constant, sphere_area)
-from .grid import (RadialField, RadialGrid, differentiate, dilate, field_abs_pow,
+from .grid import (RadialField, RadialGrid, differentiate, field_abs_pow,
                    field_signed_pow, h1_inner, indicator_field, integrate,
                    make_log_grid, read_field_csv, write_field_csv)
 from .riesz import (AngularKernel, angular_kernel, angular_kernels, interaction_energy,
@@ -39,7 +39,7 @@ __all__ = [
     "NumericsError", "ValidationError",
     "Params", "SharpConstants", "gamma_fn", "hls_sharp_constant",
     "hls_sobolev_constant", "make_params", "sobolev_constant", "sphere_area",
-    "RadialField", "RadialGrid", "differentiate", "dilate", "field_abs_pow",
+    "RadialField", "RadialGrid", "differentiate", "field_abs_pow",
     "field_signed_pow", "h1_inner", "indicator_field", "integrate",
     "make_log_grid", "read_field_csv", "write_field_csv",
     "AngularKernel", "angular_kernel", "angular_kernels", "interaction_energy",

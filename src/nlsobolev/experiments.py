@@ -14,7 +14,7 @@ from .functional import deficit, weak_norm
 from .grid import (RadialField, RadialGrid, _check_resolution, differentiate,
                    field_abs_pow, h1_inner, integrate, make_log_grid)
 from .manifold import BubbleParams, bubble, dist_to_manifold, project_orthogonal
-from .params import Params, hls_sobolev_constant, sphere_area
+from .params import Params, _as_int, hls_sobolev_constant, sphere_area
 
 __all__ = ["SweepConfig", "SweepRow", "BoundedDomainReport", "ratio_sweep",
            "summarize_sweep", "tail_energy", "bounded_domain_experiment"]
@@ -47,7 +47,7 @@ class SweepConfig:
         eps = self.epsilons
         if not all(0 < e < math.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValidationError("epsilons must be finite, positive and strictly decreasing")
-        if self.seed < 0:
+        if _as_int("seed", self.seed) < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 

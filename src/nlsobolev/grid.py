@@ -31,7 +31,7 @@ from .params import _as_int, sphere_area
 
 __all__ = [
     "RadialGrid", "RadialField", "make_log_grid", "integrate", "differentiate", "h1_inner",
-    "field_abs_pow", "field_signed_pow", "dilate", "indicator_field", "write_field_csv",
+    "field_abs_pow", "field_signed_pow", "indicator_field", "write_field_csv",
     "read_field_csv",
 ]
 
@@ -74,8 +74,9 @@ class RadialGrid:
 
     def index_of(self, r: float) -> int:
         """Index of the node at radius r (must match to 1e-9 in log)."""
-        i = int(np.argmin(np.abs(self.x - math.log(r))))
-        if abs(self.x[i] - math.log(r)) > 1e-9:
+        lr = math.log(r) if r > 0 else math.nan   # r <= 0 and NaN r match no node
+        i = int(np.argmin(np.abs(self.x - lr)))
+        if not abs(self.x[i] - lr) <= 1e-9:
             raise ValidationError(f"radius {r} does not coincide with a grid node")
         return i
 
@@ -104,12 +105,6 @@ class RadialField:
             if not (0 <= _as_int("jump node", b) < self.grid.n and math.isfinite(drop)):
                 raise ValidationError(f"jump marker {(b, drop)} needs a node in "
                                       f"0..{self.grid.n - 1} and a finite drop")
-
-    def tail_value(self, r: np.ndarray) -> np.ndarray:
-        v = self.values[-1]
-        if v == 0.0 or np.isinf(self.tail_exponent):
-            return np.zeros_like(r)
-        return v * (r / self.grid.r_max) ** (-self.tail_exponent)
 
 
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
@@ -220,44 +215,6 @@ def field_signed_pow(f: RadialField, q: float) -> RadialField:
     a = field_abs_pow(f, q)
     return replace(a, values=np.sign(f.values) * a.values,
                    head_value=math.copysign(a.head_value, f.head_value))
-
-
-def _resample_uniform(g: RadialGrid, values: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Local Lagrange interpolation of degree 7 (8 nodes) on the grid's x.
-
-    Smoother than a cubic spline (whose knot-scale noise pollutes subsequent
-    high-order differentiation)."""
-    order = 8
-    t = (xq - g.x[0]) / g.h
-    j0 = np.clip(np.floor(t).astype(int) - order // 2 + 1, 0, g.n - order)
-    loc = t - j0
-    out = np.zeros(len(xq))
-    for k in range(order):
-        lk = np.ones(len(xq))
-        for m in range(order):
-            if m != k:
-                lk *= (loc - m) / (k - m)
-        out += lk * values[j0 + k]
-    return out
-
-
-def dilate(f: RadialField, lam: float, N: int) -> RadialField:
-    """Energy-normalized dilation lam^{(N-2)/2} f(lam r), resampled on the grid."""
-    if not 0 < lam < math.inf:
-        raise ValidationError(f"dilation parameter must be positive and finite, got {lam}")
-    _reject_jumps("dilate", f)
-    g = f.grid
-    xq = g.x + math.log(lam)
-    vals = np.empty(g.n)
-    inside = (xq >= g.x[0]) & (xq <= g.x[-1])
-    vals[inside] = _resample_uniform(g, f.values, xq[inside])
-    vals[xq < g.x[0]] = f.head_value
-    above = xq > g.x[-1]
-    if np.any(above):
-        vals[above] = f.tail_value(np.exp(xq[above]))
-    scale = lam ** ((N - 2) / 2.0)
-    return RadialField(grid=g, values=scale * vals, tail_exponent=f.tail_exponent,
-                       head_value=scale * f.head_value)
 
 
 def indicator_field(grid: RadialGrid, r_cut: float) -> RadialField:

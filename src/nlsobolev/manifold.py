@@ -23,8 +23,6 @@ from .params import Params, hls_sobolev_constant, sphere_area
 __all__ = ["BubbleParams", "Decomposition", "bubble", "tangent_basis",
            "dist_to_manifold", "project_orthogonal"]
 
-_SCAN_HALF_WIDTH = math.log(100.0)   # the scan covers lam0 * [1/100, 100]
-
 
 @dataclass(frozen=True)
 class BubbleParams:
@@ -35,6 +33,8 @@ class BubbleParams:
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ValidationError(f"bubble scale must be positive and finite, got {self.lam}")
+        if not math.isfinite(self.c):
+            raise ValidationError(f"bubble coefficient must be finite, got {self.c}")
 
 
 @dataclass(eq=False)
@@ -107,22 +107,6 @@ def tangent_basis(p: Params, lam: float, grid: RadialGrid) -> list[tuple[int, Ra
     return out
 
 
-def _half_height_scale(p: Params, u: RadialField) -> float:
-    """Initial lambda guess matching the half-height radius of |u| to the bubble's."""
-    absu = np.abs(u.values)
-    peak = float(absu.max())
-    if peak == 0.0:
-        return 1.0
-    below = np.nonzero(absu <= 0.5 * peak)[0]
-    start = int(np.argmax(absu))
-    below = below[below > start]
-    if len(below) == 0:
-        return 1.0
-    r_half_u = u.grid.nodes[below[0]]
-    r_half_bubble = math.sqrt(2.0 ** (2.0 / (p.N - 2)) - 1.0)
-    return r_half_bubble / r_half_u
-
-
 def _overlap_representer(u: RadialField, N: int) -> np.ndarray:
     """The vector rep with rep @ v.values == h1_inner(u, v, 0, N) for every v
     of tail exponent N - 2 (the bubbles and their lambda-derivatives):
@@ -136,18 +120,18 @@ def _overlap_representer(u: RadialField, N: int) -> np.ndarray:
     return sphere_area(N) * (D.T @ gw)
 
 
-def _overlap_scan(rep: np.ndarray, x0: float, N: int,
-                  grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The scan nodes xs = x0 + k h, k = -K..K, K = ceil(log 100 / h), and
-    |<u, U_lambda>| / a on them, a the bubble amplitude.  With e = (N-2)/2
-    and x = log r, U_lambda = a e^{-e x} f(x + log lambda), f(y) = (2 cosh y)^{-e},
-    so node k reads the window of f from index k of its samples on the
-    extended grid, and the scan is every lag of one real-FFT cross-correlation
-    sum_i f[i + l] q[i], q = e^{-e x} rep.  Both factors peak at x = 0 and
-    decay on both sides, so the FFT's rounding, of order eps |f| |q|, stays
-    at that of the direct sums."""
-    K = math.ceil(_SCAN_HALF_WIDTH / grid.h)
-    xs = x0 + grid.h * np.arange(-K, K + 1)
+def _overlap_scan(rep: np.ndarray, N: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The scan nodes xs = x0 + k h, k = -K..K, x0 = -(x_0 + x_{n-1}) / 2 and
+    K = floor((n - 1) / 2) + 1: every log lambda whose bubble peak 1 / lambda
+    lies on the grid, and |<u, U_lambda>| / a on them, a the bubble amplitude.
+    With e = (N-2)/2 and x = log r, U_lambda = a e^{-e x} f(x + log lambda),
+    f(y) = (2 cosh y)^{-e}, so node k reads the window of f from index k of its
+    samples on the extended grid, and the scan is every lag of one real-FFT
+    cross-correlation sum_i f[i + l] q[i], q = e^{-e x} rep.  Both factors
+    peak at x = 0 and decay on both sides, so the FFT's rounding, of order
+    eps |f| |q|, stays at that of the direct sums."""
+    K = (grid.n - 1) // 2 + 1
+    xs = -0.5 * (grid.x[0] + grid.x[-1]) + grid.h * np.arange(-K, K + 1)
     e = (N - 2) / 2.0
     nf = grid.n + 2 * K
     y = grid.x[0] + xs[0] + grid.h * np.arange(nf)
@@ -167,21 +151,22 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     d^2 = ||u||^2 - c^2 ||U||^2 are the maxima of |p|.  The form is linear in
     U_lambda, so u is differentiated once: every overlap is rep @ U_lambda
     with rep = `_overlap_representer(u)`, the same discrete form as h1_inner.
-    The scan of p runs over log lambda = log lam0 + k h, every multiple of
-    the grid step h out to lam0 * [1/100, 100].  On those nodes U_lambda is
-    a window of the bubble profile sampled once on the extended grid, so the
-    scan is every lag of one real-FFT cross-correlation of that profile with
-    rep (`_overlap_scan`).  It picks the (at most 3) best interior maxima of
-    |p|.  On the two scan cells around each, Newton in log lambda solves the
-    stationarity equation <u, d/dlambda U_lambda> = 0, which, unlike d^2,
-    does not cancel, on its exact derivative <u, lambda d^2/dlambda^2 U_lambda>,
-    from the vertex of the parabola through |p| at the three nodes, until a
-    step is at most 2e-14 or at most the rounding of the stationarity value
-    over its derivative (2 steps on the sweep fields).  A
-    candidate whose iterate leaves its cells, whose derivative is zero or
-    not finite, or that takes 8 steps, is dropped.  The root with the
-    largest |p| wins.  A scan with no interior maximum, or with every
-    candidate dropped, raises BracketingError.
+    The scan of p runs over log lambda = x0 + k h in steps of the grid's h,
+    across every scale whose bubble peak 1 / lambda lies on the grid, from
+    -log r_max to -log r_min (at most one step beyond).  On those nodes
+    U_lambda is a window of the bubble profile sampled once on the extended
+    grid, so the scan is every lag of one real-FFT cross-correlation of that
+    profile with rep (`_overlap_scan`).  It picks the (at most 3) best
+    interior maxima of |p|.  On the two scan cells around each, Newton in
+    log lambda solves the stationarity equation <u, d/dlambda U_lambda> = 0,
+    which, unlike d^2, does not cancel, on its exact derivative
+    <u, lambda d^2/dlambda^2 U_lambda>, from the vertex of the parabola
+    through |p| at the three nodes, until a step is at most 2e-14 or at most
+    the rounding of the stationarity value over its derivative (2 steps on
+    the sweep fields).  A candidate whose iterate leaves its cells, whose
+    derivative is zero or not finite, or that takes 8 steps, is dropped.
+    The root with the largest |p| wins.  A scan with no interior maximum, or
+    with every candidate dropped, raises BracketingError.
     """
     grid = u.grid
     uu = h1_inner(u, u, 0, p.N)
@@ -190,7 +175,7 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     U1 = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
     EU = h1_inner(U1, U1, 0, p.N)
     rep = _overlap_representer(u, p.N)
-    xs, absp = _overlap_scan(rep, math.log(_half_height_scale(p, u)), p.N, grid)
+    xs, absp = _overlap_scan(rep, p.N, grid)
     mid = absp[1:-1]
     interior = np.flatnonzero((mid >= absp[:-2]) & (mid >= absp[2:])) + 1
     if len(interior) == 0:

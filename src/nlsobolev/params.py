@@ -126,9 +126,9 @@ def sobolev_constant(N: int, grid_n: int = 4096) -> float:
     q = cosh(x)^{-N} formed from its logarithm: no power of r or of 2 is
     formed, so a large N neither overflows nor loses the integrals.
     """
-    if N < 3:
+    if _as_int("dimension", N) < 3:
         raise ValidationError(f"sobolev_constant requires N >= 3, got {N}")
-    if grid_n < 64:
+    if _as_int("grid_n", grid_n) < 64:
         raise ValidationError("grid_n too small for a stable quotient")
     x = np.linspace(math.log(1e-4), math.log(1e4), grid_n)
     w = uniform_weights(grid_n, x[1] - x[0])

@@ -364,6 +364,21 @@ def test_run_cli_reexported():
     assert "run_cli" in nl.__all__
 
 
+def test_every_exported_name_resolves():
+    # a removal that leaves a name in an __all__ breaks `from nlsobolev import *`
+    import importlib
+    import pkgutil
+    mods = [nl] + [importlib.import_module(f"nlsobolev.{m.name}")
+                   for m in pkgutil.iter_modules(nl.__path__)]
+    for mod in mods:
+        names = getattr(mod, "__all__", [])
+        assert len(names) == len(set(names)), mod.__name__
+        for name in names:
+            assert getattr(mod, name, None) is not None, f"{mod.__name__}.{name}"
+        assert "dilate" not in names, mod.__name__
+    assert not hasattr(nl, "dilate")
+
+
 @pytest.mark.parametrize("case", ["missing-input", "unwritable-out", "malformed-csv"])
 def test_file_error_exit_code(case, tmp_path, p42, capsys):
     path = os.path.join(tmp_path, "field.csv")

@@ -27,6 +27,11 @@ def test_sweep_config_validation(p64):
     for eps in ((1e-2, math.nan), (math.inf, 1e-2), (1e-2, 0.0), (math.nan,), (0.0,)):
         with pytest.raises(ValidationError, match="finite, positive"):
             nl.SweepConfig(params=p64, epsilons=eps)
+    # a non-integer seed must fail here, not as a TypeError from default_rng
+    # inside ratio_sweep, outside its row-note handler
+    for seed in (1.5, True, "1", None):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            nl.SweepConfig(params=p64, seed=seed)
 
 
 def test_sweep_rows_invariants(sweep_rows):

@@ -73,13 +73,18 @@ def test_deficit_scaling_quadratic(p42, grid_default):
 
 
 def test_deficit_dilation_invariant(p42, grid_default):
-    U = unit_bubble(p42, grid_default)
-    w = bump_field(grid_default, -0.2, 0.6)
-    u = nl.RadialField(grid=grid_default, values=U.values + 0.1 * w.values,
-                       tail_exponent=U.tail_exponent, head_value=U.head_value)
-    base = nl.deficit(u, p42).deficit
+    # the dilation lam^{(N-2)/2} u(lam r) of u = U + 0.1 bump in closed form:
+    # the bubble at scale lam plus the bump moved to centre -0.2 - log lam
+    # with amplitude lam^{(N-2)/2}
+    def dilated(lam):
+        U = unit_bubble(p42, grid_default, lam)
+        w = bump_field(grid_default, -0.2 - math.log(lam), 0.6, lam ** ((p42.N - 2) / 2))
+        return nl.RadialField(grid=grid_default, values=U.values + 0.1 * w.values,
+                              tail_exponent=U.tail_exponent, head_value=U.head_value)
+
+    base = nl.deficit(dilated(1.0), p42).deficit
     for lam in (0.5, 2.0, 10.0):
-        d = nl.deficit(nl.dilate(u, lam, p42.N), p42).deficit
+        d = nl.deficit(dilated(lam), p42).deficit
         assert d == pytest.approx(base, rel=1e-4)
 
 

@@ -213,21 +213,6 @@ def test_field_rejects_nonfinite_metadata(tail, head):
     nl.RadialField(grid=g, values=np.ones(g.n), tail_exponent=math.inf, head_value=1.0)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0])
-def test_dilate_rejects_nonfinite_or_nonpositive_scale(lam, p42, grid_default):
-    U = nl.bubble(p42, nl.BubbleParams(c=1.0, lam=1.0), grid_default)
-    with pytest.raises(ValidationError, match="positive and finite"):
-        nl.dilate(U, lam, p42.N)
-
-
-def test_dilate_preserves_gradient_norm(p42, grid_default):
-    U = nl.bubble(p42, nl.BubbleParams(c=1.0, lam=1.0), grid_default)
-    base = nl.h1_inner(U, U, 0, p42.N)
-    for lam in (0.5, 2.0, 10.0):
-        Ul = nl.dilate(U, lam, p42.N)
-        assert nl.h1_inner(Ul, Ul, 0, p42.N) == pytest.approx(base, rel=1e-4)
-
-
 def test_csv_round_trip(tmp_path):
     g = nl.make_log_grid(1e-3, 1e3, 128)
     rng = np.random.default_rng(11)
@@ -340,12 +325,11 @@ def test_kernel_padding_is_the_grid_span():
     lambda ind, p: nl.integrate(ind, p.N),
     lambda ind, p: nl.field_abs_pow(ind, 2.0),
     lambda ind, p: nl.field_signed_pow(ind, 2.0),
-    lambda ind, p: nl.dilate(ind, 2.0, p.N),
     lambda ind, p: nl.interaction_energy(ind, ind, p),
     lambda ind, p: nl.deficit(ind, p),
     lambda ind, p: nl.dist_to_manifold(ind, p),
 ], ids=["h1_inner", "differentiate", "integrate", "field_abs_pow", "field_signed_pow",
-        "dilate", "interaction_energy", "deficit", "dist_to_manifold"])
+        "interaction_energy", "deficit", "dist_to_manifold"])
 def test_jump_marked_fields_are_rejected(call):
     # a ball indicator's jump makes its gradient energy infinite and its
     # node quadrature wrong; only the Riesz potential and the weak norm
@@ -380,6 +364,17 @@ def test_indicator_requires_node():
     assert ind.jumps == ((g.index_of(1.0), 1.0),)
     with pytest.raises(ValidationError):
         nl.indicator_field(g, 1.234567)
+
+
+@pytest.mark.parametrize("r", [math.nan, 0.0, -1.0, -math.inf, math.inf])
+def test_index_of_rejects_nan_and_nonpositive_radius(r):
+    # a NaN radius must not match node 0 (indicator_field would return the
+    # indicator of B_{r_min}), and r <= 0 must not reach math.log
+    g = nl.make_log_grid(1e-2, 1e2, 257)
+    with pytest.raises(ValidationError, match="does not coincide with a grid node"):
+        g.index_of(r)
+    with pytest.raises(ValidationError, match="does not coincide with a grid node"):
+        nl.indicator_field(g, r)
 
 
 def test_quadrature_second_order_or_better(p42):

@@ -15,6 +15,10 @@ from conftest import bump_field, src_env, unit_bubble
 def test_bubble_params_validation():
     with pytest.raises(ValidationError):
         nl.BubbleParams(c=1.0, lam=0.0)
+    # a non-finite c is invalid input (exit 1), not a bubble overflow (NumericsError, exit 2)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="coefficient must be finite"):
+            nl.BubbleParams(c=c, lam=1.0)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0])
@@ -256,9 +260,10 @@ def test_dlam2_bubble_is_the_log_lambda_derivative(p42, p31, grid_default):
 def test_overlap_scan_matches_strided_product(n):
     # the FFT correlation reads the same |p| at every lag as the sliding
     # window product it replaced, with the same candidates, and rep @ U_lambda
-    # at the nodes.  Both sums round at eps sum_i |f_i q_i|: that is 200 max|p|
-    # for the N = 3 fields and 3.2e3 max|p| for the slow tail at N = 3, where
-    # the two differ by 1.1e-12 max|p|; elsewhere they agree to 6.2e-14 max|p|
+    # at the nodes.  Both sums round at eps sum_i |f_i q_i|: that is up to
+    # 450 max|p| for the N = 3 fields and 5.3e3 max|p| for the slow tail at
+    # N = 3, where the two differ by 1.8e-12 max|p|; the other N = 3 fields
+    # agree to 1.3e-13 max|p|, and those at N >= 4 to 3.7e-14 max|p|
     from numpy.lib.stride_tricks import sliding_window_view
     import nlsobolev.manifold as manifold
     g = nl.make_log_grid(1e-3, 1e3, n)
@@ -277,8 +282,7 @@ def test_overlap_scan_matches_strided_product(n):
             fields.append(_sweep_field(p, g, 1, 1e-3))
         for u in fields:
             rep = manifold._overlap_representer(u, N)
-            xs, absp = manifold._overlap_scan(rep, math.log(manifold._half_height_scale(p, u)),
-                                              N, g)
+            xs, absp = manifold._overlap_scan(rep, N, g)
             K = len(xs) // 2
             e = (N - 2) / 2
             y = g.x[0] + xs[0] + g.h * np.arange(n + 2 * K)
@@ -294,9 +298,10 @@ def test_overlap_scan_matches_strided_product(n):
 
 
 def _oracle_dist(u, p):
-    """The per-lambda search the representer replaced: a 121-node linspace
-    scan of h1_inner overlaps over lam0 * [1/100, 100], then brentq on
-    h1_inner stationarity values."""
+    """The per-lambda search the representer replaced: a linspace scan of
+    h1_inner overlaps over the grid-resolved range -log r_max .. -log r_min,
+    with spacing no coarser than 2 log 100 / 120, then brentq on h1_inner
+    stationarity values."""
     from scipy.optimize import brentq
     import nlsobolev.manifold as manifold
     grid, N = u.grid, p.N
@@ -309,10 +314,10 @@ def _oracle_dist(u, p):
     def stationarity(s):
         return nl.h1_inner(u, manifold._dlam_bubble(p, math.exp(s), grid), 0, N)
 
-    x0 = math.log(manifold._half_height_scale(p, u))
-    xs = np.linspace(x0 - math.log(100.0), x0 + math.log(100.0), 121)
+    span = grid.x[-1] - grid.x[0]
+    xs = np.linspace(-grid.x[-1], -grid.x[0], math.ceil(span / (2 * math.log(100.0) / 120)) + 1)
     absp = np.abs([overlap(x) for x in xs])
-    interior = sorted((j for j in range(1, 120)
+    interior = sorted((j for j in range(1, len(xs) - 1)
                        if absp[j] >= absp[j - 1] and absp[j] >= absp[j + 1]),
                       key=lambda j: -absp[j])
     best = None
@@ -363,19 +368,31 @@ def test_overlap_representer_is_h1_inner(p42, p31, grid_default, tail):
                 assert rep @ v.values == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048, 8192])
-def test_dist_scan_spans_two_decades(n):
-    # the scan nodes log lam0 + k h, k = -K..K, step by the grid's h and
-    # reach lam0 / 100 and 100 lam0, no further than one step beyond
+@pytest.mark.parametrize("n", [16, 17, 64, 256, 1023, 1024, 2048, 8192])
+def test_dist_scan_covers_every_grid_scale(n):
+    # the scan nodes step by the grid's h and reach the scales whose bubble
+    # peak 1 / lambda is an end node, -x_{n-1} and -x_0, no further than
+    # one step beyond, on a centred and an off-centre grid
     import nlsobolev.manifold as manifold
-    g = nl.make_log_grid(1e-3, 1e3, n)
-    rep = manifold._overlap_representer(unit_bubble(nl.make_params(4, 2.0), g), 4)
-    xs, absp = manifold._overlap_scan(rep, 0.3, 4, g)
-    assert len(xs) == len(absp) and len(xs) % 2 == 1
-    assert xs[len(xs) // 2] == 0.3
-    assert np.allclose(np.diff(xs), g.h, rtol=1e-12, atol=0.0)
-    for reach in (xs[-1] - 0.3, 0.3 - xs[0]):
-        assert math.log(100.0) <= reach <= math.log(100.0) + g.h + 1e-12
+    for r_min, r_max in ((1e-3, 1e3), (1e-4, 10.0)):
+        g = nl.make_log_grid(r_min, r_max, n)
+        rep = manifold._overlap_representer(unit_bubble(nl.make_params(4, 2.0), g), 4)
+        xs, absp = manifold._overlap_scan(rep, 4, g)
+        assert len(xs) == len(absp) and len(xs) % 2 == 1
+        assert np.allclose(np.diff(xs), g.h, rtol=1e-12, atol=0.0)
+        assert -g.x[-1] - g.h - 1e-12 <= xs[0] <= -g.x[-1]
+        assert -g.x[0] <= xs[-1] <= -g.x[0] + g.h + 1e-12
+
+
+def test_dist_picks_the_larger_of_two_distant_maxima(p31):
+    # u = U_0.4054 - 0.985 U_26.01: |p| peaks at log lambda = 3.561 (d = 2.5175)
+    # and higher at -1.197, 4.6 below the half-height scale of |u| (3.421), so
+    # a two-decade window around that scale misses the minimum
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    u = _sum(unit_bubble(p31, g, 0.4054), unit_bubble(p31, g, 26.01), -0.985)
+    dec = nl.dist_to_manifold(u, p31)
+    assert dec.d == pytest.approx(2.4793, abs=1e-4)
+    assert math.log(dec.best.lam) == pytest.approx(-1.197, abs=1e-3)
 
 
 def test_dist_of_orthogonal_perturbation(p42, grid_default):
@@ -436,14 +453,18 @@ def test_dist_allocates_no_dense_stencil(p42, grid_default):
 
 
 def test_dist_rescaling_invariance(p42, grid_default):
-    U = unit_bubble(p42, grid_default)
-    w = nl.project_orthogonal(bump_field(grid_default, -0.3, 0.9), p42, 1.0, 0)
-    u = nl.RadialField(grid=grid_default, values=U.values + 0.05 * w.values,
-                       tail_exponent=U.tail_exponent,
-                       head_value=U.head_value + 0.05 * w.head_value)
-    d0 = nl.dist_to_manifold(u, p42).d
+    # the dilation lam^{(N-2)/2} u(lam r) of u = U + 0.05 P_1 bump, built in
+    # closed form: the bubble at scale lam plus the bump moved to centre
+    # -0.3 - log lam with amplitude lam^{(N-2)/2}, projected at lam (the
+    # dilation is a D^{1,2} isometry and maps the tangent space at 1 to that at lam)
+    def dilated(lam):
+        w = nl.project_orthogonal(bump_field(grid_default, -0.3 - math.log(lam), 0.9,
+                                             lam ** ((p42.N - 2) / 2)), p42, lam, 0)
+        return _sum(unit_bubble(p42, grid_default, lam), w, 0.05)
+
+    d0 = nl.dist_to_manifold(dilated(1.0), p42).d
     for lam in (0.5, 2.0):
-        d1 = nl.dist_to_manifold(nl.dilate(u, lam, p42.N), p42).d
+        d1 = nl.dist_to_manifold(dilated(lam), p42).d
         assert d1 == pytest.approx(d0, rel=1e-4)
 
 
@@ -501,21 +522,26 @@ _DILATION_GRID = nl.make_log_grid(1e-3, 1e3, 2048)
        shift=st.integers(min_value=-40, max_value=60))
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_dilation_by_whole_grid_steps_is_invisible(pair, k, eps, shift):
-    # lam = e^{shift h} makes `dilate` a shift by whole nodes, so the deficit,
-    # the distance and the optimal scale of u = U + eps w move only by the
-    # end extrapolation and rounding.  dilate fills the ends from the declared
-    # head and tail models, and the one-sided end stencils read the seam: at
-    # (4, 2), eps = 1e-3, the distance moves by up to 6.2e-8 for |shift| <= 5,
-    # and by <= 5e-10 at N >= 5.  N = 3 is left out: its sector-0 end closure
-    # is first order, and there the distance moves by ~1e-6.
+    # lam = e^{shift h} makes the dilation lam^{(N-2)/2} u(lam r) a shift by
+    # whole nodes: u and v are two windows of one field F = U + eps w on a
+    # grid extended by |shift| nodes, so F, not a head or tail model, supplies
+    # the nodes v shifts in, and the deficit, the distance and the optimal
+    # scale move only by the end extrapolation and rounding: at (4, 2),
+    # eps = 1e-3, the distance moves by <= 1.7e-11.  N = 3 is left out: its
+    # sector-0 end closure is first order, and there the optimal scale moves
+    # by ~2e-8.
     g = _DILATION_GRID
     p = nl.make_params(*pair)
-    w = _direction_field(f"random-{k}", SweepConfig(params=p, grid=g), g)
-    U = unit_bubble(p, g)
-    u = nl.RadialField(grid=g, values=U.values + eps * w.values,
-                       tail_exponent=U.tail_exponent, head_value=U.head_value + eps * w.head_value)
-    lam = math.exp(shift * g.h)
-    v = nl.dilate(u, lam, p.N)
+    ext = nl.make_log_grid(g.r_min * math.exp(min(shift, 0) * g.h),
+                           g.r_max * math.exp(max(shift, 0) * g.h), g.n + abs(shift))
+    w = _direction_field(f"random-{k}", SweepConfig(params=p, grid=ext), ext)
+    F = _sum(unit_bubble(p, ext), w, eps)
+    lam, a = math.exp(shift * g.h), max(-shift, 0)
+    scale = lam ** ((p.N - 2) / 2)
+    u = nl.RadialField(grid=g, values=F.values[a:a + g.n], tail_exponent=F.tail_exponent,
+                       head_value=F.head_value)
+    v = nl.RadialField(grid=g, values=scale * F.values[a + shift:a + shift + g.n],
+                       tail_exponent=F.tail_exponent, head_value=scale * F.head_value)
     ru, rv = nl.deficit(u, p), nl.deficit(v, p)
     assert abs(rv.deficit - ru.deficit) <= 1e-10 * ru.grad_energy
     du, dv = nl.dist_to_manifold(u, p), nl.dist_to_manifold(v, p)

@@ -116,6 +116,13 @@ def test_sobolev_constant_refinement_stable():
         assert abs(s1 - s2) <= 1e-8 * s2
 
 
+@pytest.mark.parametrize("N, grid_n", [(3, 100.5), (3, True), (3.5, 4096), (3, "4096")])
+def test_sobolev_constant_rejects_non_integer_arguments(N, grid_n):
+    # a non-integer grid_n must not reach np.linspace (a raw TypeError)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        nl.sobolev_constant(N, grid_n=grid_n)
+
+
 def test_sharp_constants_relation(p32, p42, p64):
     for p in (p32, p42, p64):
         c = nl.hls_sobolev_constant(p)

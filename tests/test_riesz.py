@@ -127,19 +127,18 @@ def test_kernel_vs_angular_quadrature_oracle(N, alpha, ell):
 
 
 def test_potential_scaling(p42, grid_default):
-    # potential of f(lam .) at r equals lam^{alpha-N} (potential of f)(lam r)
-    lam = 3.0
-    N, al = p42.N, p42.alpha
+    # potential of F(lam .) at r equals lam^{alpha-N} (potential of F)(lam r);
+    # lam = e^{k h} near 3 puts lam r_i on node i + k, so both sides are node arrays
     g = grid_default
-    f = unit_bubble(p42, g)
-    F = nl.field_abs_pow(f, p42.two_star_alpha)
-    pot = nl.riesz_potential(F, p42, 0)
-    f_scaled = nl.dilate(F, lam, N)   # lam^{(N-2)/2} F(lam r)
-    pot_scaled = nl.riesz_potential(f_scaled, p42, 0)
-    # remove the dilate prefactor: potential of F(lam .) = pot_scaled / lam^{(N-2)/2}
-    inner = slice(400, 1400)
-    lhs = pot_scaled.values[inner] / lam ** ((N - 2) / 2)
-    pot_at = nl.dilate(pot, lam, N).values[inner] / lam ** ((N - 2) / 2)  # pot(lam r)
+    N, al = p42.N, p42.alpha
+    k = round(math.log(3.0) / g.h)
+    lam = math.exp(k * g.h)
+    ts = p42.two_star_alpha
+    pot = nl.riesz_potential(nl.field_abs_pow(unit_bubble(p42, g), ts), p42, 0)
+    # F(lam r) = U(lam r)^ts = (lam^{-(N-2)/2} U_lam(r))^ts
+    F_lam = nl.field_abs_pow(unit_bubble(p42, g, lam, c=lam ** (-(N - 2) / 2)), ts)
+    lhs = nl.riesz_potential(F_lam, p42, 0).values[400:1400]
+    pot_at = pot.values[400 + k:1400 + k]   # pot(lam r)
     assert np.max(np.abs(lhs - lam ** (al - N) * pot_at) / np.abs(lhs)) < 1e-6
 
 
