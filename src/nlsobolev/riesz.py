@@ -22,14 +22,14 @@ From _NEAR_XI on, the Gegenbauer generating function (DLMF 18.12.4) turns
 phi_ell into the exponential sum 2^{alpha/2} sum_{k<K} d_k e^{-(alpha/2+k) xi},
 whose d_k the Gegenbauer connection formula (DLMF 18.18.16) gives in closed
 form.  So every cell but the few dozen below _NEAR_XI and the singular one
-has moments in closed form, one matrix product per band of xi; each band's
-K follows from the bound |C_k^{(a)}| <= (2a)_k/k! (DLMF 18.14.4) at its
-lower edge, for every N and alpha.  Fields carrying jump markers are split
-into a continuous part plus exact exponential-step contributions so that
-ball indicators lose no accuracy.
-Both the smooth part and the step parts are one FFT convolution with a lag
-table (`_lag_convolve`); the smooth part's table is transformed once per
-kernel, and built kernels sit in a small LRU cache.  Since ell enters
+has moments in closed form, one matrix product per sector and band of xi;
+the bound |C_k^{(a)}| <= (2a)_k/k! (DLMF 18.14.4) at a band's lower edge
+sets each sector's K there against its leading term, for every N and alpha.
+Fields carrying jump markers are split into a continuous part plus exact
+exponential-step contributions so that ball indicators lose no accuracy.
+Both parts are one FFT convolution with a lag table placed about lag 0
+(`_lag_convolve`); the smooth part's table is transformed once per kernel,
+when first applied, and built kernels sit in a small LRU cache.  Since ell enters
 phi_ell only through G_ell, sectors requested together (`angular_kernels`)
 share one profile evaluation: every power of (cosh xi - t) and every
 singular moment is formed once, and each sector adds only its weighted sums.
@@ -63,9 +63,9 @@ __all__ = ["AngularKernel", "angular_kernel", "angular_kernels", "riesz_potentia
 
 MAX_ELL = 3
 _NEAR_XI = 0.33
-# lower edges of the far field's bands, each with its own series term count
-_SERIES_EDGES = (_NEAR_XI, 0.5, 1.0, 2.0, 4.0)
-_LOG_TAIL = math.log(np.finfo(float).eps / 16)   # series tail allowed, relative to term 0
+# lower edges of the far field's bands, each with its own term count per sector
+_SERIES_EDGES = (_NEAR_XI, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+_LOG_TAIL = math.log(np.finfo(float).eps / 16)   # series tail allowed, relative to the leading term
 _SERIES_MAX_CANCEL = 1e3   # sum |terms| / |sum| at _NEAR_XI: about 1e3 ulps lost at most
 _MOMENT_DEGREE = 8
 _KERNEL_CACHE_SIZE = 8
@@ -81,21 +81,28 @@ _LAGRANGE4 = np.array([[0.0, -1 / 3, 1 / 2, -1 / 6],
 
 
 def _fft_len(nseq: int, nlags: int, half: int) -> int:
-    """The shortest fast circular length that keeps `_lag_convolve`'s outputs,
-    the linear indices half .. half + nseq - 1, clear of wrap-around: the
-    linear ones above them (up to nseq + nlags - 2) must not fold back onto
-    them, nor may they wrap onto the linear ones below."""
+    """The shortest fast circular length at which no lag of the table, -half ..
+    nlags - 1 - half, lies a multiple of L from another lag i - j that an
+    output i < nseq of `_lag_convolve` reads, so placing lag m at m mod L is exact."""
     return next_fast_len(max(nseq + nlags - 1 - half, half + nseq), True)
 
 
 def _lag_convolve(seq: np.ndarray, lags: np.ndarray, half: int,
                   lags_hat: np.ndarray | None = None) -> np.ndarray:
     """out[i] = sum_j lags[half + i - j] seq[j] for i < len(seq), by one real FFT;
-    a caller that reuses `lags` passes lags_hat = rfft(lags, _fft_len(...))."""
+    a caller that reuses `lags` passes lags_hat = _lags_hat(lags, half, len(seq))."""
     L = _fft_len(len(seq), len(lags), half)
     if lags_hat is None:
-        lags_hat = rfft(lags, L)
-    return irfft(rfft(seq, L) * lags_hat, L)[half:half + len(seq)]
+        lags_hat = _lags_hat(lags, half, len(seq))
+    return irfft(rfft(seq, L) * lags_hat, L)[:len(seq)]
+
+
+def _lags_hat(lags: np.ndarray, half: int, nseq: int) -> np.ndarray:
+    """rfft of the lags m, |m| < nseq, that reach an output, m at index m mod L."""
+    lo, hi = max(0, half - nseq + 1), min(len(lags), half + nseq)
+    placed = np.zeros(_fft_len(nseq, len(lags), half))
+    placed[(np.arange(lo, hi) - half) % len(placed)] = lags[lo:hi]
+    return rfft(placed)
 
 
 @lru_cache(maxsize=64)
@@ -160,7 +167,7 @@ class KernelProfile:
                       * self._i2_u ** self.a0 for g in gcoefs]
         # A0 = int_0^1 v^{a0} (1+v)^{-alpha/2} dv, in closed form
         self._A0 = hyp2f1(self.alpha / 2, self.a0 + 1, self.a0 + 2, -1.0) / (self.a0 + 1)
-        self._init_m_start()
+        self._init_m_start(0)
 
     # -- far field: exponential sum -------------------------------------------
     def _init_series(self) -> None:
@@ -172,30 +179,31 @@ class KernelProfile:
         orthogonality of the C^{(lam)} leave, for k = ell + 2j, one cumulative
         product, d_k = B(1/2, lam+1/2) (a-lam)_j/j! (a)_{ell+j}/(lam+1)_{ell+j},
         and d_k = 0 otherwise; at xi = _NEAR_XI, where the sum converges
-        slowest, the terms may cancel by at most _SERIES_MAX_CANCEL.  As
-        |C_k^{(a)}| <= (2a)_k / k! (DLMF 18.14.4), whose ratios (2a+k) z / (k+1)
-        tend to z monotonically, the tail from K is at most term_K / (1 -
-        max(ratio_K, z)); band b takes the first K below eps/16 at its edge."""
+        slowest, the terms may cancel by at most _SERIES_MAX_CANCEL.  |d_k| z^k /
+        B(1/2, lam+1/2) <= b_k = (2a)_k z^k / k! (DLMF 18.14.4, |G_ell| <= 1), whose
+        ratios fall to z: the tail from K is at most b_K / (1 - max(b_{K+1}/b_K, z)).
+        Band b gives each sector the first K with it below eps/16 of d_ell z^ell at its edge."""
         a, lam = self.alpha / 2, (self.N - 2) / 2
         xi, n = np.array(_SERIES_EDGES)[:, None], 256
+        first = [math.prod((a + i) / (lam + 1 + i) for i in range(ell)) for ell in self.ells]
+        lead = np.log(first)[:, None] - np.outer(self.ells, _SERIES_EDGES)   # log d_ell z^ell / B
         while True:
             k = np.arange(n)
             growth = (2 * a + k) / (k + 1)
             log_term = np.concatenate([[0.0], np.cumsum(np.log(growth[:-1]))]) - k * xi
             sup = np.maximum(growth, 1.0) * np.exp(-xi)
             with np.errstate(divide="ignore", invalid="ignore"):   # sup >= 1 fails
-                done = (sup < 1) & (log_term - np.log1p(-sup) <= _LOG_TAIL)
-            if np.all(np.any(done, axis=1)):
+                done = (sup < 1) & (log_term - np.log1p(-sup) <= _LOG_TAIL + lead[:, :, None])
+            if np.all(np.any(done, axis=2)):
                 break
             n *= 2
-        self._terms = np.argmax(done, axis=1)
-        K = self._terms[0]
+        self._terms = np.argmax(done, axis=2)    # (sector, band), falling with the band
+        K = self._terms[:, 0].max()
         self._coef = np.zeros((len(self.ells), K))
-        for row, ell in zip(self._coef, self.ells):
+        for row, ell, first_ell in zip(self._coef, self.ells, first):
             j = np.arange((K - 1 - ell) // 2)
             steps = (a - lam + j) / (j + 1) * (a + ell + j) / (lam + 1 + ell + j)
-            d0 = 2.0 ** a * beta(0.5, lam + 0.5) * math.prod(
-                (a + i) / (lam + 1 + i) for i in range(ell))
+            d0 = 2.0 ** a * beta(0.5, lam + 0.5) * first_ell
             row[ell::2] = d0 * np.cumprod(np.concatenate([[1.0], steps]))
         self._rates = a + np.arange(K)
         terms = self._coef * math.exp(-_NEAR_XI) ** np.arange(K)
@@ -208,21 +216,21 @@ class KernelProfile:
 
     def _series(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[j, :, k] e^{-(a+k) x} of each sector j for ascending
-        x >= _NEAR_XI, on the first _terms[b] terms in band b of _SERIES_EDGES;
+        x >= _NEAR_XI, on its first _terms[j, b] terms in band b of _SERIES_EDGES:
         one product per sector, so its bits do not depend on the batch."""
         out = np.empty(weights.shape[:2] + x.shape)
         cuts = list(np.searchsorted(x, _SERIES_EDGES[1:]))
-        for lo, hi, K in zip([0] + cuts, cuts + [len(x)], self._terms):
-            geo = np.exp(-np.outer(self._rates[:K], x[lo:hi]))
-            for row, w in zip(out, weights):
-                row[:, lo:hi] = w[:, :K] @ geo
+        for lo, hi, Ks in zip([0] + cuts, cuts + [len(x)], self._terms.T):
+            geo = np.exp(-np.outer(self._rates[:Ks.max()], x[lo:hi]))
+            for row, w, K in zip(out, weights, Ks):
+                row[:, lo:hi] = w[:, :K] @ geo[:K]
         return out
 
     # -- near branch --------------------------------------------------------
-    def _init_m_start(self) -> None:
-        """Panel sums shared by every `_m_start` node.  With sigma = alpha/2 -
-        a0 - 1 and w = c/u, M_{a0}(c) = c^{-sigma} [A0 + int_c^1 w^{sigma-1}
-        (1+w)^{-alpha/2} dw], and the integrand no longer depends on c.  In
+    def _init_m_start(self, panels: int) -> None:
+        """Sums on the first `panels` panels, shared by every `_m_start` node.
+        With sigma = alpha/2 - a0 - 1 and w = c/u, M_{a0}(c) = c^{-sigma} [A0 +
+        int_c^1 w^{sigma-1} (1+w)^{-alpha/2} dw], with a c-free integrand.  In
         x = log w it is integrated once, on 12 Gauss nodes per panel
         [T_{i+1}, T_i], T_i = -_M_PANEL i, as J_i = int e^{sigma (x - T_{i+1})}
         (1+e^x)^{-alpha/2} dx.  The sums
@@ -237,25 +245,28 @@ class KernelProfile:
         sig = self.sigma = self.alpha / 2 - self.a0 - 1
         lam = min(sig, 0.0)
         s = (_GL_X + 1) / 2 * _M_PANEL                   # offsets within a panel
-        x = _M_PANEL * np.arange(1, _M_PANELS + 1)       # -T_{i+1}, exact
+        x = _M_PANEL * np.arange(1, panels + 1)          # -T_{i+1}, exact
         vals = np.exp(sig * s) * (1 + np.exp(s - x[:, None])) ** (-self.alpha / 2)
-        sums = np.exp((lam - sig) * x) * (vals @ _GL_W) * (_M_PANEL / 2)
+        # einsum, not gemv: row bits, and with the scan each C_j, do not depend on `panels`
+        sums = np.exp((lam - sig) * x) * np.einsum("ij,j->i", vals, _GL_W) * (_M_PANEL / 2)
         k = 1
-        while k < _M_PANELS:
+        while k < panels:
             sums[k:] = sums[k:] + np.exp(lam * _M_PANEL * k) * sums[:-k]
             k *= 2
         self._m_sums = np.concatenate([[0.0], sums])
 
     def _m_start(self, c: np.ndarray) -> np.ndarray:
         """M_{a0}(c) = int_0^1 u^{a0} (c+u)^{-alpha/2} du from the shared panel
-        sums (`_init_m_start`): with j = floor(-log(c) / _M_PANEL) and
-        R = e^{T_j}/c in [1, e^{_M_PANEL}),
+        sums (`_init_m_start`, out to the deepest j asked for): with
+        j = floor(-log(c) / _M_PANEL) and R = e^{T_j}/c in [1, e^{_M_PANEL}),
             M = c^{-sigma} A0 + s_j C_j + int_0^{log R} e^{sigma v} (1 + c e^v)^{-alpha/2} dv,
         s_j = c^{-sigma} or R^sigma as C_j is unscaled or scaled, the last
         integral on 12 Gauss nodes.  R comes from e^{T_j} and c, not from
         log c, whose rounding would carry into R^sigma."""
         al, sig = self.alpha, self.sigma
         j = np.clip(np.floor(np.log(c) / -_M_PANEL), 0, _M_PANELS).astype(np.intp)
+        if j.max(initial=0) >= len(self._m_sums):
+            self._init_m_start(int(j.max()))
         R = np.exp(-_M_PANEL * j) / c
         lnR = np.log(R)
         v = lnR[:, None] * ((_GL_X + 1) / 2)
@@ -342,9 +353,9 @@ class AngularKernel:
     P (`_moment_tables`, cells of width h = grid.h) carries the Funk-Hecke
     factor kappa = omega_{N-2} 2^{-alpha/2}, and so does everything formed
     from it: `weights`, the symmetric Toeplitz weight sequence exact for
-    piecewise-cubic psi with lag 0 at index `half`, transformed once, and the
-    exponential cell integrals of step (jump) fields.  `apply` integrates a
-    field against the kernel; nothing dense of size n x n is kept."""
+    piecewise-cubic psi with lag 0 at index `half`, transformed on first use,
+    and the exponential cell integrals of step (jump) fields.  `apply`
+    integrates a field against the kernel; nothing dense of size n x n is kept."""
     ell: int
     params: Params
     grid: RadialGrid
@@ -361,9 +372,11 @@ class AngularKernel:
         w = self.weights = np.zeros(2 * M + 1)
         w[M - 1:] += wpos
         w[:M + 2] += wpos[::-1]
-        # every psi spans the nlag padded nodes, so the weights transform once
         self._L = _fft_len(nlag, len(w), M)
-        self._weights_hat = rfft(w, self._L)
+
+    @cached_property
+    def _weights_hat(self) -> np.ndarray:   # every psi spans the nlag padded nodes
+        return _lags_hat(self.weights, self.half, self.nlag)
 
     def convolve(self, psi: np.ndarray) -> np.ndarray:
         return _lag_convolve(psi, self.weights, self.half, self._weights_hat)
@@ -372,11 +385,10 @@ class AngularKernel:
     def symbol(self) -> np.ndarray:
         """s with psi_f @ convolve(psi_g) = sum_k s_k Re(conj(F_k) G_k), F, G =
         rfft(psi, L): by Parseval, as `convolve` does not wrap, the form is
-        sum_k conj(F_k) W_k G_k / L on the full spectrum, W_k = rfft(weights)_k
-        e^{2 pi i k half / L}, real as the lags the form reaches are symmetric."""
-        L, k = self._L, np.arange(len(self._weights_hat))
-        s = (self._weights_hat * np.exp(2j * np.pi * (k * self.half % L) / L)).real / L
-        s[1:(L + 1) // 2] *= 2
+        sum_k conj(F_k) W_k G_k / L on the full spectrum, W = `_weights_hat`,
+        real as the weights, placed about lag 0, are symmetric."""
+        s = self._weights_hat.real / self._L
+        s[1:(self._L + 1) // 2] *= 2
         return s
 
     def form(self, psi_f: np.ndarray, psi_g: np.ndarray) -> float:
@@ -442,19 +454,17 @@ class AngularKernel:
         table holds CE(m, -gam) at lags m >= 0, CE(m, c) = int_0^1
         phi((m+eta)h) e^{c eta h} deta a power series in the moments P, and
         e^{-gam h} CE(-1-m, gam) at lags m < 0, continued by reflection."""
-        p, g, M, nlag = self.params, self.grid, self.half, self.nlag
+        p, g, nlag = self.params, self.grid, self.nlag
         gam = p.N - p.alpha / 2
         d = np.arange(len(self.P))
         coef = (np.array([[-gam], [gam]]) * g.h) ** d / [math.factorial(k) for k in d]
         ce_pos, ce_neg = coef @ self.P
-        ce = np.zeros(2 * M + 1)
-        ce[M:M + nlag] = ce_pos
-        ce[M - nlag:M] = math.exp(-gam * g.h) * ce_neg[::-1]
+        ce = np.concatenate([math.exp(-gam * g.h) * ce_neg[::-1], ce_pos])   # lags -nlag .. nlag-1
         xe = self.x_extended()
         seq = np.zeros(len(xe))
         nb = self.npad + b
         seq[1:nb + 1] = np.exp(gam * xe[1:nb + 1])
-        return _lag_convolve(seq, ce, M)[self.npad:self.npad + g.n] * g.h
+        return _lag_convolve(seq, ce, nlag)[self.npad:self.npad + g.n] * g.h
 
 
 def angular_kernels(p: Params, ells, grid: RadialGrid) -> list[AngularKernel]:

@@ -573,10 +573,10 @@ def test_phi_reference_matches_direct_quadrature():
                                          (40, 20.0, 4e-14), (40, 1.0, 4e-14), (20, 18.5, 4e-14)])
 def test_far_profile_matches_mpmath(N, alpha, tol):
     """phi_ell from _NEAR_XI on, sectors 0-3, against the 40-digit reference:
-    relative to each value in the bands below 4, and, from the last band edge
-    on, relative to the sector-0 value, the scale the term counts are set
-    for (at (40, 1), phi_3(4) is 1e-9 of phi_0(4)).  Up to N = 40, where the
-    terms cancel by ~2e2 at _NEAR_XI."""
+    relative to each value below the last band edge, which lies past every xi
+    here, as each sector's term counts are set against its own leading term
+    (at (40, 1), phi_3(4) is 1e-9 of phi_0(4)), and relative to the sector-0
+    value beyond it.  Up to N = 40, where the terms cancel by ~2e2 at _NEAR_XI."""
     mp = pytest.importorskip("mpmath")
     xi = np.array([riesz._NEAR_XI, 0.5, 1.0, 2.0, 3.9, 4.0, 9.0])
     got = riesz.KernelProfile(N, alpha, (0, 1, 2, 3))(xi)
@@ -665,3 +665,101 @@ def test_energy_form_matches_convolution(tail):
     for a, b in [(psi_f, psi_f), (psi_f, psi_h), (psi_h, psi_f)]:
         direct = a @ kernel.convolve(b)
         assert kernel.form(a, b) == pytest.approx(direct, rel=1e-14, abs=0)
+
+
+def _series_reference(mp, N, alpha, ell, xi):
+    """phi_ell(xi) = 2^a sum_k d_k e^{-(a+k) xi} from the closed-form d_k
+    (DLMF 18.18.16) in mpmath, summed until a term is 1e-40 of the sum, far
+    past the profile's tail bound.  Each exponent is the double (a + k) * xi
+    that the profile forms: phi's condition number in the exponent is about
+    (a + ell) xi, so a half-ulp rounding of it alone is 30 eps of phi_3 at
+    (12, 6), xi = 16.01, more than the truncation this reference checks."""
+    lam, a = mp.mpf(N - 2) / 2, mp.mpf(alpha) / 2
+    d = mp.beta(mp.mpf(1) / 2, lam + mp.mpf(1) / 2) * mp.rf(a, ell) / mp.rf(lam + 1, ell)
+    total, j = mp.mpf(0), 0
+    while True:
+        term = d * mp.exp(-mp.mpf((alpha / 2 + (ell + 2 * j)) * xi))
+        total += term
+        if j > 4 and abs(term) <= mp.mpf(10) ** -40 * abs(total):
+            return 2 ** a * total
+        d *= (a - lam + j) / (j + 1) * (a + ell + j) / (lam + 1 + ell + j)
+        j += 1
+
+
+@pytest.mark.parametrize("N,alpha", [(3, 0.3), (3, 2.5), (4, 2.0), (5, 3.0), (6, 4.0),
+                                     (8, 3.0), (12, 6.0), (20, 1.0)])
+def test_far_profile_is_exact_in_every_sector(N, alpha):
+    """phi_ell of sectors 0-3 in the far bands, each value within 4 eps of
+    the fully summed series: every sector's term count is set against its
+    own leading term d_ell e^{-(a+ell) xi}, not sector 0's, so a higher
+    sector keeps its digits where it is orders below phi_0 (off by up to 64
+    eps at xi = 4.01 when the counts follow term 0), and no far value of a
+    sector ell >= 2 drops to 0 where fewer than ell + 1 terms would do for
+    sector 0 (past xi ~ 16)."""
+    mp = pytest.importorskip("mpmath")
+    xi = np.array([2.01, 4.01, 8.01, 16.01, 33.0])
+    got = riesz.KernelProfile(N, alpha, (0, 1, 2, 3))(xi)
+    with mp.workdps(40):
+        ref = np.array([[float(_series_reference(mp, N, alpha, ell, x)) for x in xi]
+                        for ell in range(4)])
+    assert np.all(ref > 0)
+    assert np.max(np.abs(got / ref - 1)) <= 4 * np.finfo(float).eps
+
+
+def test_far_series_exponentials_are_capped():
+    """The sector-0 table at (4, 1.3), n = 2048 on [1e-3, 1e3] forms at most
+    45,000 far-field exponentials sum_b K_b cells_b (77,082 while the last
+    band, from xi = 4, kept its 10 terms out to the table's end at xi ~ 41.6)."""
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    profile = riesz.KernelProfile(4, 1.3, (0,))
+    nlag = g.n + 2 * (g.n + 7)    # the padded table `angular_kernels` builds
+    x = np.arange(math.ceil(riesz._NEAR_XI / g.h), nlag) * g.h
+    cells = np.diff([0, *np.searchsorted(x, riesz._SERIES_EDGES[1:]), len(x)])
+    assert profile._terms[0] @ cells <= 45_000
+
+
+@pytest.mark.parametrize("N,alpha", [(3, 1.0), (4, 2.0), (5, 4.02), (6, 1.5), (3, 2.99)])
+def test_m_start_sums_are_built_as_deep_as_asked(N, alpha, monkeypatch):
+    """`_m_start` on the near-branch nodes of a default-grid build takes the
+    panel sums only as deep as those nodes reach (at most 60 of the 430 down
+    to the c-floor, except for N - alpha < 0.12, where the singular cell's
+    rule meets the floor), and its values equal, bit for bit, those of a
+    profile that built the full table first."""
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    nodes = []
+    call = riesz.KernelProfile.__call__
+
+    def recorded(self, xi):
+        nodes.append(np.atleast_1d(xi))
+        return call(self, xi)
+
+    monkeypatch.setattr(riesz.KernelProfile, "__call__", recorded)
+    nl.angular_kernel(nl.make_params(N, alpha), 0, nl.make_log_grid(1e-3, 1e3, 2048))
+    xi = np.concatenate(nodes)
+    c = np.maximum(2.0 * np.sinh(xi[xi < riesz._NEAR_XI] / 2) ** 2, riesz._C_FLOOR)
+    lazy, full = riesz.KernelProfile(N, alpha, (0,)), riesz.KernelProfile(N, alpha, (0,))
+    full._init_m_start(riesz._M_PANELS)
+    assert np.array_equal(lazy._m_start(c), full._m_start(c))
+    panels = len(lazy._m_sums) - 1
+    assert panels == math.floor(-math.log(c.min()) / riesz._M_PANEL)
+    assert panels <= 60 or N - alpha < 0.12   # where the graded rule meets the c-floor
+    assert np.array_equal(lazy._m_sums, full._m_sums[:panels + 1])
+
+
+@pytest.mark.parametrize("op", ["potential", "energy"])
+def test_spectrum_never_transforms_a_kernel(op, monkeypatch):
+    """`spectral_gap` reads each sector kernel's weights alone, so no kernel
+    it builds takes the rfft of its lag table; the first potential or energy
+    on a kernel takes it, and only on that kernel."""
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    p, g = nl.make_params(4, 2.0), nl.make_log_grid(1e-3, 1e3, 256)
+    nl.spectral_gap(p, g, k=4)
+    kernels = list(riesz._kernel_cache.values())
+    assert sorted(k.ell for k in kernels) == [0, 1, 2]
+    assert not any("_weights_hat" in vars(k) for k in kernels)
+    f = bump_field(g, 0.2, 0.8)
+    if op == "potential":
+        nl.riesz_potential(f, p, 0)
+    else:
+        nl.interaction_energy(f, f, p)
+    assert [k.ell for k in kernels if "_weights_hat" in vars(k)] == [0]
