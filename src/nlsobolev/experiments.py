@@ -12,8 +12,8 @@ from scipy.special import beta as beta_fn, betainc
 from .errors import NumericsError, ValidationError
 from .functional import deficit, weak_norm
 from .grid import (RadialField, RadialGrid, _check_resolution, differentiate,
-                   field_abs_pow, h1_inner, integrate, make_log_grid)
-from .manifold import BubbleParams, bubble, dist_to_manifold, project_orthogonal
+                   field_abs_pow, integrate, make_log_grid)
+from .manifold import BubbleParams, _bubble_energy, bubble, dist_to_manifold, project_orthogonal
 from .params import Params, _as_int, hls_sobolev_constant, sphere_area
 
 __all__ = ["SweepConfig", "SweepRow", "BoundedDomainReport", "ratio_sweep",
@@ -101,7 +101,7 @@ def ratio_sweep(cfg: SweepConfig) -> list[SweepRow]:
     grid = cfg.grid if cfg.grid is not None else make_log_grid(1e-3, 1e3, 2048)
     _check_resolution(grid)
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
-    h1_inner(U, U, 0, p.N)
+    _bubble_energy(p, grid)
     rows: list[SweepRow] = []
     for spec in cfg.directions:
         try:

@@ -39,7 +39,8 @@ __all__ = [
 @dataclass(eq=False)
 class RadialGrid:
     """n >= 16 nodes r_min e^{i h}, h = log(r_max / r_min) / (n - 1), with x = log r,
-    h and the read-only Gregory-corrected log_weights of int g(x) dx set once."""
+    h and the read-only Gregory-corrected log_weights of int g(x) dx set once; what
+    derives from them and a few arguments is memoized, read-only, per instance."""
     r_min: float
     r_max: float
     nodes: np.ndarray
@@ -60,6 +61,7 @@ class RadialGrid:
             raise ValidationError("grid nodes are not log-uniform from r_min to r_max")
         self.log_weights = uniform_weights(n, self.h)
         self.x.flags.writeable = self.log_weights.flags.writeable = False
+        self._memo = {}
 
     @property
     def n(self) -> int:
@@ -68,6 +70,22 @@ class RadialGrid:
     def weights(self, N: int) -> np.ndarray:
         """Quadrature weights for int_{r_min}^{r_max} f(r) r^{N-1} dr."""
         return self.log_weights * self.nodes ** N
+
+    def memo(self, key: tuple, build):
+        """build(), run once per grid under key (a name and its arguments), arrays read-only."""
+        if key not in self._memo:
+            value = self._memo[key] = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        return self._memo[key]
+
+    def dirichlet_weights(self, N: int) -> np.ndarray:
+        """log_weights e^{(N-2) x}, the weights of int g(r) r^{N-3} dr, memoized."""
+        def build():
+            with np.errstate(over="ignore"):
+                return self.log_weights * np.exp((N - 2) * self.x)
+        return self.memo(("dirichlet_weights", N), build)
 
     def key(self) -> tuple:
         return (self.n, round(math.log(self.r_min), 12), round(math.log(self.r_max), 12))
@@ -94,7 +112,7 @@ class RadialField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n,):
             raise ValidationError("values must have one entry per grid node")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValidationError("field values must be finite at every node")
         if math.isnan(self.tail_exponent) or self.tail_exponent == -math.inf:
             raise ValidationError(f"tail_exponent must be finite or +inf, "
@@ -169,10 +187,9 @@ def differentiate(f: RadialField) -> RadialField:
 
 
 def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
-    """Dirichlet form of degree-ell modes:
+    """Dirichlet form of degree-ell modes, on the grid's memoized `dirichlet_weights`:
     omega_{N-1} * int (u'v' + ell(ell+N-2) u v / r^2) r^{N-1} dr;
     a non-finite result (r^{N-2} overflowing on the grid) is a NumericsError."""
-    _reject_jumps("h1_inner", u, v)
     g = u.grid
     if v.grid is not g and v.grid.key() != g.key():
         raise ValidationError("h1_inner requires both fields on the same grid")
@@ -180,9 +197,15 @@ def h1_inner(u: RadialField, v: RadialField, ell: int, N: int) -> float:
         raise ValidationError("ell must be nonnegative")
     D = derivative_matrix(g.n, g.h, 1)
     ux = D @ u.values
-    vx = ux if v is u else D @ v.values
+    return _h1_form(u, v, ux, ux if v is u else D @ v.values, ell, N)
+
+
+def _h1_form(u: RadialField, v: RadialField, ux, vx, ell: int, N: int) -> float:
+    """h1_inner(u, v, ell, N) from ux = D u and vx = D v, for callers that reuse ux."""
+    _reject_jumps("h1_inner", u, v)
+    g = u.grid
     with np.errstate(over="ignore", invalid="ignore"):   # r^{N-2} may overflow
-        ew = g.log_weights * np.exp((N - 2) * g.x)
+        ew = g.dirichlet_weights(N)
         total = float(ew @ (ux * vx))
         # gradient tail: u' ~ u'(r_max) (r/r_max)^{-(tail_exponent+1)}, likewise v'
         du_end, dv_end = ux[-1] / g.r_max, vx[-1] / g.r_max

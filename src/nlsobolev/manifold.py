@@ -17,7 +17,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from ._quadrature import derivative_matrix
 from .errors import BracketingError, NumericsError, ValidationError
-from .grid import RadialField, RadialGrid, _tail_correction, h1_inner
+from .grid import RadialField, RadialGrid, _h1_form, _tail_correction, h1_inner
 from .params import Params, hls_sobolev_constant, sphere_area
 
 __all__ = ["BubbleParams", "Decomposition", "bubble", "tangent_basis",
@@ -67,9 +67,8 @@ def _dlam_bubble(p: Params, lam: float, grid: RadialGrid) -> RadialField:
     amp = hls_sobolev_constant(p).bubble_amp
     N = p.N
     r2 = (lam * grid.nodes) ** 2
-    vals = ((N - 2) / (2 * lam) * amp * lam ** ((N - 2) / 2.0)
-            * (1.0 - r2) * (1.0 + r2) ** (-N / 2.0))
     head = (N - 2) / (2 * lam) * amp * lam ** ((N - 2) / 2.0)
+    vals = head * (1.0 - r2) * (1.0 + r2) ** (-N / 2.0)
     return RadialField(grid=grid, values=vals, tail_exponent=float(N - 2), head_value=head)
 
 
@@ -107,17 +106,24 @@ def tangent_basis(p: Params, lam: float, grid: RadialGrid) -> list[tuple[int, Ra
     return out
 
 
-def _overlap_representer(u: RadialField, N: int) -> np.ndarray:
-    """The vector rep with rep @ v.values == h1_inner(u, v, 0, N) for every v
-    of tail exponent N - 2 (the bubbles and their lambda-derivatives):
-    omega_{N-1} D^T (ew * Du), with h1_inner's gradient-tail term, linear in
-    v's end slope Dv[-1] / r_max, folded into the last stencil row."""
+def _bubble_energy(p: Params, grid: RadialGrid) -> float:
+    """||U_lambda||^2 = h1_inner(U_1, U_1, 0, N), memoized on the grid per Params."""
+    def build():
+        U1 = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
+        return h1_inner(U1, U1, 0, p.N)
+    return grid.memo(("bubble_energy", p), build)
+
+
+def _overlap_representer(u: RadialField, ux: np.ndarray, N: int) -> np.ndarray:
+    """The vector rep with rep @ v.values == h1_inner(u, v, 0, N) for every v of
+    tail exponent N - 2 (the bubbles and their lambda-derivatives): from ux = D u,
+    omega_{N-1} D^T (ew * ux), D^T memoized on the grid, with h1_inner's gradient
+    tail, linear in v's end slope Dv[-1] / r_max, folded into the last row."""
     g = u.grid
-    D = derivative_matrix(g.n, g.h, 1)
-    ux = D @ u.values
-    gw = g.log_weights * np.exp((N - 2) * g.x) * ux
+    gw = g.dirichlet_weights(N) * ux
     gw[-1] += _tail_correction(ux[-1] / g.r_max, u.tail_exponent + N, N, g.r_max) / g.r_max
-    return sphere_area(N) * (D.T @ gw)
+    DT = g.memo(("stencil_transpose",), lambda: derivative_matrix(g.n, g.h, 1).T)
+    return sphere_area(N) * (DT @ gw)
 
 
 def _overlap_scan(rep: np.ndarray, N: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -129,17 +135,21 @@ def _overlap_scan(rep: np.ndarray, N: int, grid: RadialGrid) -> tuple[np.ndarray
     samples on the extended grid, and the scan is every lag of one real-FFT
     cross-correlation sum_i f[i + l] q[i], q = e^{-e x} rep.  Both factors
     peak at x = 0 and decay on both sides, so the FFT's rounding, of order
-    eps |f| |q|, stays at that of the direct sums."""
-    K = (grid.n - 1) // 2 + 1
-    xs = -0.5 * (grid.x[0] + grid.x[-1]) + grid.h * np.arange(-K, K + 1)
+    eps |f| |q|, stays at that of the direct sums.  The nodes, f's rfft and
+    e^{-e x} are memoized on the grid per N: a scan is one rfft and one irfft."""
+    def build():
+        K = (grid.n - 1) // 2 + 1
+        xs = -0.5 * (grid.x[0] + grid.x[-1]) + grid.h * np.arange(-K, K + 1)
+        nf = grid.n + 2 * K
+        y = grid.x[0] + xs[0] + grid.h * np.arange(nf)
+        with np.errstate(over="ignore"):   # cosh overflows to inf, and f to 0, past |y| = 710
+            f = (2.0 * np.cosh(y)) ** -e
+        L = next_fast_len(nf, True)   # >= nf, so no lag up to 2 K wraps
+        return xs, L, rfft(f, L), np.exp(-e * grid.x)
+
     e = (N - 2) / 2.0
-    nf = grid.n + 2 * K
-    y = grid.x[0] + xs[0] + grid.h * np.arange(nf)
-    with np.errstate(over="ignore"):   # cosh overflows to inf, and f to 0, past |y| = 710
-        f = (2.0 * np.cosh(y)) ** -e
-    L = next_fast_len(nf, True)   # >= nf, so no lag up to 2 K wraps
-    q = np.exp(-e * grid.x) * rep
-    return xs, np.abs(irfft(rfft(f, L) * np.conj(rfft(q, L)), L)[:2 * K + 1])
+    xs, L, F, emx = grid.memo(("overlap_scan", N), build)
+    return xs, np.abs(irfft(F * np.conj(rfft(emx * rep, L)), L)[:len(xs)])
 
 
 def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
@@ -148,9 +158,9 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     For fixed lambda the optimal coefficient is closed-form,
     c(lambda) = p(lambda) / ||U||^2 with p(lambda) = <u, U_lambda>_{D^{1,2}},
     and ||U_lambda|| does not depend on lambda, so the minima of
-    d^2 = ||u||^2 - c^2 ||U||^2 are the maxima of |p|.  The form is linear in
-    U_lambda, so u is differentiated once: every overlap is rep @ U_lambda
-    with rep = `_overlap_representer(u)`, the same discrete form as h1_inner.
+    d^2 = ||u||^2 - c^2 ||U||^2 (||U||^2 memoized on the grid) are the maxima
+    of |p|.  The form is linear in U_lambda, so u is differentiated once, for
+    ||u||^2 and every overlap rep @ U_lambda, rep = `_overlap_representer(u)`.
     The scan of p runs over log lambda = x0 + k h in steps of the grid's h,
     across every scale whose bubble peak 1 / lambda lies on the grid, from
     -log r_max to -log r_min (at most one step beyond).  On those nodes
@@ -169,12 +179,11 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     with every candidate dropped, raises BracketingError.
     """
     grid = u.grid
-    uu = h1_inner(u, u, 0, p.N)
+    ux = derivative_matrix(grid.n, grid.h, 1) @ u.values
+    uu = _h1_form(u, u, ux, ux, 0, p.N)
     if uu <= 0.0:
         raise ValidationError("distance to the manifold is undefined for the zero field")
-    U1 = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
-    EU = h1_inner(U1, U1, 0, p.N)
-    rep = _overlap_representer(u, p.N)
+    rep = _overlap_representer(u, ux, p.N)
     xs, absp = _overlap_scan(rep, p.N, grid)
     mid = absp[1:-1]
     interior = np.flatnonzero((mid >= absp[:-2]) & (mid >= absp[2:])) + 1
@@ -215,9 +224,9 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
     if best is None:
         raise BracketingError("no stationarity root over lambda; distance not bracketed")
     pl, ll, U = best
-    c = pl / EU
+    c = pl / _bubble_energy(p, grid)
     # at the final lambda, d = ||u - c U_lambda|| directly: unlike
-    # uu - c^2 EU it does not cancel, and w gets unit norm by construction
+    # uu - c^2 ||U||^2 it does not cancel, and w gets unit norm by construction
     resid = RadialField(grid=grid, values=u.values - c * U.values,
                         tail_exponent=min(u.tail_exponent, p.N - 2.0),
                         head_value=u.head_value - c * U.head_value)

@@ -206,11 +206,10 @@ def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
         dirichlet = om * np.bincount(((7 + a - b) * n + j0[:, None] + b).ravel(),
                                      (g[:, a] * g[:, b]).ravel(), 8 * n).reshape(8, n)
         mw = om * (wl * np.exp(N * x) * W)
-        centrifugal = wl * np.exp((N - 2) * x)
         mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
         for kern in kernels:
             ell = kern.ell
-            diag = om * ell * (ell + N - 2) * centrifugal + mw
+            diag = om * ell * (ell + N - 2) * grid.dirichlet_weights(N) + mw
             diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
             ops.append(SectorOperator(
                 ell=ell, a_band=np.vstack((dirichlet[:-1], dirichlet[-1] + diag)),

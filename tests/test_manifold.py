@@ -139,8 +139,9 @@ def test_dist_raises_when_no_root_bracketed(p42, grid_default, monkeypatch):
 
 
 def test_dist_h1_inner_call_budget(p42, grid_default, monkeypatch):
-    # ||u||^2, ||U||^2 and the residual norm; every overlap goes through u's
-    # representer, so a scan of per-lambda h1_inner calls (~135) fails this
+    # the residual norm, and ||U||^2 if the grid has not memoized it yet;
+    # ||u||^2 and every overlap come from u's one derivative, so a second
+    # h1_inner on u or a scan of per-lambda calls (~135) fails this
     import nlsobolev.manifold as manifold
     U = unit_bubble(p42, grid_default)
     w = nl.project_orthogonal(bump_field(grid_default, 0.4, 0.7), p42, 1.0, 0)
@@ -149,7 +150,14 @@ def test_dist_h1_inner_call_budget(p42, grid_default, monkeypatch):
     inner = manifold.h1_inner
     monkeypatch.setattr(manifold, "h1_inner", lambda *a: calls.append(1) or inner(*a))
     nl.dist_to_manifold(u, p42)
-    assert len(calls) <= 4
+    assert len(calls) <= 2
+
+
+def _rep(u, N):
+    """dist_to_manifold's overlap representer of u, from u's log-derivative."""
+    import nlsobolev.manifold as manifold
+    from nlsobolev._quadrature import derivative_matrix
+    return manifold._overlap_representer(u, derivative_matrix(u.grid.n, u.grid.h, 1) @ u.values, N)
 
 
 def _sweep_field(p, grid, k, eps):
@@ -163,7 +171,7 @@ def _tight_root(u, p, t):
     run to the last bits."""
     from scipy.optimize import brentq
     import nlsobolev.manifold as manifold
-    rep = manifold._overlap_representer(u, p.N)
+    rep = _rep(u, p.N)
 
     def stationarity(s):
         return float(rep @ manifold._dlam_bubble(p, math.exp(s), u.grid).values)
@@ -185,8 +193,9 @@ def test_dist_newton_root_is_the_tight_brentq_root(N, alpha, grid_default):
 
 def test_dist_stationarity_call_budget(p42, grid_default, monkeypatch):
     # Newton from the vertex of the parabola through adjacent scan lags takes
-    # 2 steps, one stationarity value each; the bubbles are U_1 for ||U||^2
-    # and one at the root, reused for the residual
+    # 2 steps, one stationarity value each; the bubbles are U_1 for ||U||^2,
+    # if the grid has not memoized it yet, and one at the root, reused for
+    # the residual
     import nlsobolev.manifold as manifold
     calls, builds = [], []
     dlam, bubble = manifold._dlam_bubble, manifold.bubble
@@ -281,7 +290,7 @@ def test_overlap_scan_matches_strided_product(n):
         if n == 2048:
             fields.append(_sweep_field(p, g, 1, 1e-3))
         for u in fields:
-            rep = manifold._overlap_representer(u, N)
+            rep = _rep(u, N)
             xs, absp = manifold._overlap_scan(rep, N, g)
             K = len(xs) // 2
             e = (N - 2) / 2
@@ -360,7 +369,7 @@ def test_overlap_representer_is_h1_inner(p42, p31, grid_default, tail):
     import nlsobolev.manifold as manifold
     for p in (p31, p42):
         u = _fields(p, grid_default)[tail]
-        rep = manifold._overlap_representer(u, p.N)
+        rep = _rep(u, p.N)
         for lam in (0.03, 0.5, 1.0, 7.0, 60.0):
             for v in (unit_bubble(p, grid_default, lam=lam),
                       manifold._dlam_bubble(p, lam, grid_default)):
@@ -376,7 +385,7 @@ def test_dist_scan_covers_every_grid_scale(n):
     import nlsobolev.manifold as manifold
     for r_min, r_max in ((1e-3, 1e3), (1e-4, 10.0)):
         g = nl.make_log_grid(r_min, r_max, n)
-        rep = manifold._overlap_representer(unit_bubble(nl.make_params(4, 2.0), g), 4)
+        rep = _rep(unit_bubble(nl.make_params(4, 2.0), g), 4)
         xs, absp = manifold._overlap_scan(rep, 4, g)
         assert len(xs) == len(absp) and len(xs) % 2 == 1
         assert np.allclose(np.diff(xs), g.h, rtol=1e-12, atol=0.0)
@@ -433,14 +442,16 @@ def test_dist_is_direct_residual_norm(p42, grid_default):
 
 
 def test_dist_allocates_no_dense_stencil(p42, grid_default):
-    # a dense 2048 x 2048 derivative matrix alone is 33.6 MB; the CSR band
-    # and every field of one distance evaluation fit in well under 4 MB
+    # a dense 2048 x 2048 derivative matrix alone is 33.6 MB; the CSR band, its
+    # transpose, the grid's memoized arrays and every field of one distance
+    # evaluation fit in well under 4 MB.  u lives on a grid that nothing has
+    # touched, so the memo is built inside the trace
     import tracemalloc
     from nlsobolev._quadrature import derivative_matrix
     U = unit_bubble(p42, grid_default)
     w = nl.project_orthogonal(bump_field(grid_default, 0.4, 0.7), p42, 1.0, 0)
-    u = nl.RadialField(grid=grid_default, values=U.values + 1e-3 * w.values,
-                       tail_exponent=U.tail_exponent,
+    u = nl.RadialField(grid=nl.make_log_grid(1e-3, 1e3, 2048),
+                       values=U.values + 1e-3 * w.values, tail_exponent=U.tail_exponent,
                        head_value=U.head_value + 1e-3 * w.head_value)
     derivative_matrix.cache_clear()
     tracemalloc.start()
@@ -547,3 +558,60 @@ def test_dilation_by_whole_grid_steps_is_invisible(pair, k, eps, shift):
     du, dv = nl.dist_to_manifold(u, p), nl.dist_to_manifold(v, p)
     assert dv.d == pytest.approx(du.d, rel=1e-7)
     assert dv.best.lam == pytest.approx(lam * du.best.lam, rel=1e-9)
+
+
+def test_grid_memo_is_read_only_and_per_instance(p42):
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    twin = nl.make_log_grid(1e-3, 1e3 * (1 + 1e-14), 2048)   # the same key(), rounded
+    assert twin.key() == g.key()
+    u = _sweep_field(p42, g, 1, 1e-3)
+    nl.dist_to_manifold(u, p42)
+    arrays = [a for v in g._memo.values() for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 4   # the Dirichlet weights and the scan geometry
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert twin._memo == {}
+    np.testing.assert_array_equal(g.dirichlet_weights(4),
+                                  g.log_weights * np.exp(2 * g.x))
+
+
+def test_dist_reuses_the_grid_memo(p42, monkeypatch):
+    # a second distance on the same grid builds no scan profile (one rfft, of
+    # the representer, instead of two) and no unit bubble; u sits near lambda = 3,
+    # so the root's bubble is not the unit one
+    import nlsobolev.manifold as manifold
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    w = nl.project_orthogonal(bump_field(g, -1.0, 0.7), p42, 3.0, 0)
+    u = _sum(unit_bubble(p42, g, lam=3.0), w, 1e-3)
+    builds, ffts = [], []
+    bubble, rfft = manifold.bubble, manifold.rfft
+    monkeypatch.setattr(manifold, "bubble", lambda p, bp, grid: builds.append(bp) or
+                        bubble(p, bp, grid))
+    monkeypatch.setattr(manifold, "rfft", lambda *a: ffts.append(1) or rfft(*a))
+    unit = nl.BubbleParams(c=1.0, lam=1.0)
+    first = nl.dist_to_manifold(u, p42)
+    assert unit in builds and len(ffts) == 2
+    builds.clear()
+    ffts.clear()
+    second = nl.dist_to_manifold(u, p42)
+    assert unit not in builds and len(ffts) == 1
+    assert (second.d, second.best) == (first.d, first.best)
+
+
+def test_sweep_rows_do_not_depend_on_a_warm_memo():
+    # a grid warmed by sweeps at the same N and at another N, with other alphas,
+    # gives rows bitwise equal to a cold grid's: the memo keys on every argument
+    def rows(p, grid):
+        cfg = SweepConfig(params=p, directions=("eigen-gap", "random-3"), grid=grid, seed=5)
+        return [(r.deficit, r.dist, r.ratio, r.note) for r in nl.ratio_sweep(cfg)]
+
+    p = nl.make_params(4, 2.0)
+    cold = rows(p, nl.make_log_grid(1e-3, 1e3, 2048))
+    warm = nl.make_log_grid(1e-3, 1e3, 2048)
+    rows(nl.make_params(4, 1.0), warm)
+    rows(nl.make_params(5, 3.0), warm)
+    assert rows(p, warm) == cold
+    assert rows(p, warm) == cold
+    assert all(r[2] is not None for r in cold)
