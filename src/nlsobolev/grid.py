@@ -2,6 +2,7 @@
 
 Every grid, from `make_log_grid` or a CSV, is at least 16 log-uniform nodes:
 `RadialGrid` checks them and derives x = log r, the step h and the weights once.
+`make_log_grid` shares one grid, and its memo, between calls with equal values.
 
 A field stores node values together with a declared far-field decay exponent
 (`tail_exponent`: the field behaves like values[-1] * (r/r_max)^{-tail_exponent}
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,17 +37,20 @@ __all__ = [
     "read_field_csv",
 ]
 
+_GRID_CACHE_SIZE = 8   # shared make_log_grid grids, least recently used dropped first
+
 
 @dataclass(eq=False)
 class RadialGrid:
-    """n >= 16 nodes r_min e^{i h}, h = log(r_max / r_min) / (n - 1), with x = log r,
-    h and the read-only Gregory-corrected log_weights of int g(x) dx set once; what
-    derives from them and a few arguments is memoized, read-only, per instance."""
+    """n >= 16 nodes r_min e^{i h}, h = log(r_max / r_min) / (n - 1), with x = log r, h
+    and the Gregory-corrected log_weights of int g(x) dx set once, all arrays read-only
+    (nodes copied); what derives from them and a few arguments is memoized per instance."""
     r_min: float
     r_max: float
     nodes: np.ndarray
 
     def __post_init__(self):
+        self.nodes = np.array(self.nodes, dtype=float)   # a copy, locked below
         n = len(self.nodes)
         if n < 16:
             raise ValidationError(f"need n >= 16 nodes, got {n}")
@@ -60,7 +65,7 @@ class RadialGrid:
         if not np.max(np.abs(self.x - lo - self.h * np.arange(n))) <= tol:
             raise ValidationError("grid nodes are not log-uniform from r_min to r_max")
         self.log_weights = uniform_weights(n, self.h)
-        self.x.flags.writeable = self.log_weights.flags.writeable = False
+        _lock((self.nodes, self.x, self.log_weights))
         self._memo = {}
 
     @property
@@ -74,10 +79,8 @@ class RadialGrid:
     def memo(self, key: tuple, build):
         """build(), run once per grid under key (a name and its arguments), arrays read-only."""
         if key not in self._memo:
-            value = self._memo[key] = build()
-            for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
+            self._memo[key] = build()
+            _lock(self._memo[key])
         return self._memo[key]
 
     def dirichlet_weights(self, N: int) -> np.ndarray:
@@ -125,13 +128,31 @@ class RadialField:
                                       f"0..{self.grid.n - 1} and a finite drop")
 
 
+def _lock(value) -> None:
+    """Make read-only an array, a field's values, or those in a (nested) tuple of them."""
+    if isinstance(value, tuple):
+        for v in value:
+            _lock(v)
+    elif isinstance(value, (np.ndarray, RadialField)):
+        getattr(value, "values", value).flags.writeable = False
+
+
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
-    """n log-spaced nodes from r_min to r_max; RadialGrid rejects n < 16."""
+    """n log-spaced nodes from r_min to r_max; RadialGrid rejects n < 16.  Equal
+    (float(r_min), float(r_max), n) give one shared grid, and with it its memo,
+    while it is among the last _GRID_CACHE_SIZE asked for."""
     if not (0 < r_min < r_max < math.inf):
         raise ValidationError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
-    n = _as_int("n", n)
-    nodes = np.exp(np.linspace(math.log(r_min), math.log(r_max), max(n, 0)))
-    return RadialGrid(r_min=float(r_min), r_max=float(r_max), nodes=nodes)
+    return _shared_grid(float(r_min), float(r_max), _as_int("n", n))
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _shared_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
+    try:
+        nodes = np.exp(np.linspace(math.log(r_min), math.log(r_max), max(n, 0)))
+    except (ValueError, IndexError):   # n past the largest array numpy can index
+        raise ValidationError(f"n = {n} is too large for an array") from None
+    return RadialGrid(r_min=r_min, r_max=r_max, nodes=nodes)
 
 
 def _reject_jumps(name: str, *fields: RadialField) -> None:

@@ -242,15 +242,19 @@ def dist_to_manifold(u: RadialField, p: Params) -> Decomposition:
 
 def project_orthogonal(w: RadialField, p: Params, lam: float, ell: int) -> RadialField:
     """Remove the sector-ell tangent components of w (in the Dirichlet form)
-    and renormalize to unit norm."""
+    and renormalize to unit norm; the unit tangent directions t and their
+    derivatives D t are memoized on the grid per (Params, lam)."""
     nrm0 = math.sqrt(h1_inner(w, w, ell, p.N))   # h1_inner validates ell
     if nrm0 == 0.0:
         raise ValidationError("cannot project the zero field")
-    dirs = [t for k, t in tangent_basis(p, lam, w.grid) if k == ell]
+    D = derivative_matrix(w.grid.n, w.grid.h, 1)
+    basis = w.grid.memo(("tangent_basis", p, lam), lambda: tuple(
+        (k, t, D @ t.values) for k, t in tangent_basis(p, lam, w.grid)))
+    dirs = [(t, Dt) for k, t, Dt in basis if k == ell]
     out = w
     for _ in range(2):   # re-orthogonalize once for 1e-12 residuals
-        for t in dirs:
-            coef = h1_inner(out, t, ell, p.N)   # t has unit norm
+        for t, Dt in dirs:
+            coef = _h1_form(out, t, D @ out.values, Dt, ell, p.N)   # t has unit norm
             out = RadialField(grid=w.grid, values=out.values - coef * t.values,
                               tail_exponent=min(out.tail_exponent, t.tail_exponent),
                               head_value=out.head_value - coef * t.head_value)

@@ -38,6 +38,13 @@ def grid_1024():
     return nl.make_log_grid(1e-3, 1e3, 1024)
 
 
+def cold_grid(r_min=1e-3, r_max=1e3, n=2048):
+    """A grid with make_log_grid's nodes whose memo starts empty: a direct
+    RadialGrid, not the grid that make_log_grid shares between calls."""
+    nodes = np.exp(np.linspace(math.log(r_min), math.log(r_max), n))
+    return nl.RadialGrid(r_min=r_min, r_max=r_max, nodes=nodes)
+
+
 def bump_field(grid, center=0.0, width=1.0, amp=1.0):
     """Smooth compactly-concentrated test field (Gaussian bump in log r)."""
     vals = amp * np.exp(-0.5 * ((grid.x - center) / width) ** 2)

@@ -227,6 +227,14 @@ def test_coarse_grid_exit_code(argv, capsys):
     assert capsys.readouterr().err == "error: grid too coarse: need >= 32 nodes per decade\n"
 
 
+@pytest.mark.parametrize("n", [str(10 ** 20), str(2 ** 63)])
+def test_grid_n_past_numpy_exit_code(n, capsys):
+    # both fail inside numpy before anything is allocated; they used to
+    # print a raw ValueError or IndexError traceback
+    assert run_cli(["spectrum", "--dim", "4", "--alpha", "2", "--grid-n", n]) == 1
+    assert capsys.readouterr().err == f"error: n = {n} is too large for an array\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--seed", "0"],
     ["verify-bubble", "--seed", "0"],

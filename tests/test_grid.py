@@ -30,6 +30,35 @@ def test_make_log_grid_rejects(args):
         nl.make_log_grid(*args)
 
 
+def test_make_log_grid_shares_one_grid_per_value():
+    # the memo is the grid's, so equal values share it; an int or numpy
+    # argument names the same grid as its float
+    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    assert nl.make_log_grid(np.float64(1e-3), 1000, np.int64(2048)) is g
+    others = [nl.make_log_grid(*a) for a in ((2e-3, 1e3, 2048), (1e-3, 2e3, 2048),
+                                              (1e-3, 1e3, 2047))]
+    assert len({id(o) for o in others + [g]}) == 4
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[0] = 1.0
+
+
+def test_radial_grid_locks_a_copy_of_the_nodes():
+    nodes = np.exp(np.linspace(0.0, 1.0, 32))
+    g = nl.RadialGrid(r_min=1.0, r_max=math.e, nodes=nodes)
+    nodes[0] = 2.0
+    assert g.nodes[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[0] = 2.0
+
+
+def test_make_log_grid_holds_the_last_eight_grids():
+    import gc
+    import weakref
+    refs = [weakref.ref(nl.make_log_grid(1.0, 2.0, n)) for n in range(1016, 1028)]
+    gc.collect()
+    assert [r() is not None for r in refs] == [False] * 4 + [True] * 8
+
+
 def test_weights_reproduce_monomial():
     # int_1^2 r^2 dr = 7/3 for N = 3
     g = nl.make_log_grid(1.0, 2.0, 256)

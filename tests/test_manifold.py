@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nlsobolev as nl
 from nlsobolev.errors import BracketingError, ValidationError
 from nlsobolev.experiments import SweepConfig, _direction_field
-from conftest import bump_field, src_env, unit_bubble
+from conftest import bump_field, cold_grid, src_env, unit_bubble
 
 
 def test_bubble_params_validation():
@@ -450,7 +450,7 @@ def test_dist_allocates_no_dense_stencil(p42, grid_default):
     from nlsobolev._quadrature import derivative_matrix
     U = unit_bubble(p42, grid_default)
     w = nl.project_orthogonal(bump_field(grid_default, 0.4, 0.7), p42, 1.0, 0)
-    u = nl.RadialField(grid=nl.make_log_grid(1e-3, 1e3, 2048),
+    u = nl.RadialField(grid=cold_grid(),
                        values=U.values + 1e-3 * w.values, tail_exponent=U.tail_exponent,
                        head_value=U.head_value + 1e-3 * w.head_value)
     derivative_matrix.cache_clear()
@@ -561,8 +561,8 @@ def test_dilation_by_whole_grid_steps_is_invisible(pair, k, eps, shift):
 
 
 def test_grid_memo_is_read_only_and_per_instance(p42):
-    g = nl.make_log_grid(1e-3, 1e3, 2048)
-    twin = nl.make_log_grid(1e-3, 1e3 * (1 + 1e-14), 2048)   # the same key(), rounded
+    g = cold_grid()
+    twin = cold_grid(1e-3, 1e3 * (1 + 1e-14))   # the same key(), rounded
     assert twin.key() == g.key()
     u = _sweep_field(p42, g, 1, 1e-3)
     nl.dist_to_manifold(u, p42)
@@ -582,7 +582,7 @@ def test_dist_reuses_the_grid_memo(p42, monkeypatch):
     # the representer, instead of two) and no unit bubble; u sits near lambda = 3,
     # so the root's bubble is not the unit one
     import nlsobolev.manifold as manifold
-    g = nl.make_log_grid(1e-3, 1e3, 2048)
+    g = cold_grid()
     w = nl.project_orthogonal(bump_field(g, -1.0, 0.7), p42, 3.0, 0)
     u = _sum(unit_bubble(p42, g, lam=3.0), w, 1e-3)
     builds, ffts = [], []
@@ -600,6 +600,45 @@ def test_dist_reuses_the_grid_memo(p42, monkeypatch):
     assert (second.d, second.best) == (first.d, first.best)
 
 
+def test_warm_projection_differentiates_only_the_direction(p42, monkeypatch):
+    # the unit tangent directions and their derivatives come from the grid
+    # memo, read-only: no profile is built, and h1_inner runs only for the
+    # norms of w before and after, so each coefficient differentiates one field
+    import nlsobolev.manifold as manifold
+    g = cold_grid()
+    w = bump_field(g, 0.4, 0.7)
+    first = nl.project_orthogonal(w, p42, 1.0, 0)
+    basis = g._memo[("tangent_basis", p42, 1.0)]
+    assert [k for k, _, _ in basis] == [0, 0, 1]
+    for _, t, Dt in basis:
+        for a in (t.values, Dt):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    calls = []
+    for name in ("h1_inner", "bubble", "_dlam_bubble", "_dr_bubble"):
+        f = getattr(manifold, name)
+        monkeypatch.setattr(manifold, name, lambda *a, f=f, name=name:
+                            calls.append(name) or f(*a))
+    second = nl.project_orthogonal(w, p42, 1.0, 0)
+    assert calls == ["h1_inner", "h1_inner"]
+    np.testing.assert_array_equal(second.values, first.values)
+
+
+def test_sweep_rows_on_a_warm_shared_grid_equal_a_cold_grid():
+    # make_log_grid's grid keeps its memo between sweeps; rows on it, warmed
+    # at this and at other (N, alpha), are bitwise those of a cold grid
+    def rows(p, grid):
+        return [(r.deficit, r.dist, r.ratio, r.note)
+                for r in nl.ratio_sweep(SweepConfig(params=p, grid=grid, seed=7))]
+
+    p = nl.make_params(5, 3.0)
+    shared = nl.make_log_grid(1e-3, 1e3, 2048)
+    rows(nl.make_params(4, 2.0), shared)
+    rows(p, nl.make_log_grid(1e-3, 1e3, 2048))
+    assert ("tangent_basis", p, 1.0) in shared._memo
+    assert rows(p, nl.make_log_grid(1e-3, 1e3, 2048)) == rows(p, cold_grid())
+
+
 def test_sweep_rows_do_not_depend_on_a_warm_memo():
     # a grid warmed by sweeps at the same N and at another N, with other alphas,
     # gives rows bitwise equal to a cold grid's: the memo keys on every argument
@@ -608,8 +647,8 @@ def test_sweep_rows_do_not_depend_on_a_warm_memo():
         return [(r.deficit, r.dist, r.ratio, r.note) for r in nl.ratio_sweep(cfg)]
 
     p = nl.make_params(4, 2.0)
-    cold = rows(p, nl.make_log_grid(1e-3, 1e3, 2048))
-    warm = nl.make_log_grid(1e-3, 1e3, 2048)
+    cold = rows(p, cold_grid())
+    warm = cold_grid()
     rows(nl.make_params(4, 1.0), warm)
     rows(nl.make_params(5, 3.0), warm)
     assert rows(p, warm) == cold
