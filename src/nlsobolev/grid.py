@@ -141,8 +141,12 @@ def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     """n log-spaced nodes from r_min to r_max; RadialGrid rejects n < 16.  Equal
     (float(r_min), float(r_max), n) give one shared grid, and with it its memo,
     while it is among the last _GRID_CACHE_SIZE asked for."""
-    if not (0 < r_min < r_max < math.inf):
-        raise ValidationError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
+    try:   # a Python int past the largest double overflows float(), and numpy's comparisons
+        ok = 0 < r_min < r_max < math.inf and float(r_max) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"need 0 < r_min < r_max < inf as doubles, got ({r_min}, {r_max})")
     return _shared_grid(float(r_min), float(r_max), _as_int("n", n))
 
 

@@ -30,7 +30,7 @@ exponential-step contributions so that ball indicators lose no accuracy.
 Both parts are one FFT convolution with a lag table placed about lag 0
 (`_lag_convolve`); the smooth part's table is transformed once per kernel,
 when first applied, and built kernels sit in a small LRU cache.  Since ell enters
-phi_ell only through G_ell, sectors requested together (`angular_kernels`)
+phi_ell only through G_ell, sectors requested together (`_moment_tables`)
 share one profile evaluation: every power of (cosh xi - t) and every
 singular moment is formed once, and each sector adds only its weighted sums.
 
@@ -39,7 +39,7 @@ formula (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV): for
 unit vectors e, w and a degree-ell spherical harmonic Y,
 int_{S^{N-1}} F(e.w) Y(w) dw = Y(e) omega_{N-2} int_{-1}^{1} F(t) G_ell(t)
 (1-t^2)^{(N-3)/2} dt, applied to F(t) = (r^2 + s^2 - 2 r s t)^{-alpha/2}.
-`angular_kernels` multiplies kappa = omega_{N-2} 2^{-alpha/2} into the
+`_moment_tables` multiplies kappa = omega_{N-2} 2^{-alpha/2} into the
 moment tables once, so every lag table a kernel forms from them, and every
 potential, energy and sector form built on those, carries it already.
 """
@@ -300,8 +300,9 @@ class KernelProfile:
 
 
 def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
-    """Monomial moment tables P[j, d, m] = int_0^1 phi((m+eta)h) eta^d deta for
-    every sector j of the profile and cells m < nlag, from one profile call
+    """Monomial moment tables P[j, d, m] = kappa int_0^1 phi((m+eta)h) eta^d deta,
+    kappa = omega_{N-2} 2^{-alpha/2} (Funk-Hecke), for every sector j of the
+    profile and cells m < nlag, from one profile call
     that the sectors share, on the regular cells 1 <= m < ceil(_NEAR_XI / h)
     and the singular cell's graded rule together.  The cells beyond, all but
     a few dozen, integrate the exponential sum in closed form, one matrix
@@ -339,7 +340,31 @@ def _moment_tables(profile: KernelProfile, h: float, nlag: int) -> np.ndarray:
     d = np.arange(D)
     E = hyp1f1(d + 1, d + 2, -h * profile._rates[:, None]) / (d + 1)      # (K, D)
     P[:, :, m_far:] = profile._series(np.arange(m_far, nlag) * h, profile._coef[:, None] * E.T)
-    return P
+    return sphere_area(profile.N - 1) * 2.0 ** (-profile.alpha / 2) * P
+
+
+def _toeplitz_weights(P: np.ndarray, h: float) -> tuple[np.ndarray, int]:
+    """The symmetric Toeplitz weights w, exact for piecewise-cubic psi, of one sector's
+    moment table P over nlag cells, and w's lag 0, M: lags |m| <= nlag - 2 are complete."""
+    nlag = P.shape[1]
+    wpos = np.zeros(nlag + 3)                      # lags -1 .. nlag+1
+    contrib = h * (_LAGRANGE4 @ P[:4])             # (4, nlag): weight vs (nu, cell)
+    for j, nu in enumerate((-1, 0, 1, 2)):
+        wpos[1 + nu:1 + nu + nlag] += contrib[j]
+    M = nlag + 1                                   # w[M + m] = wpos[1 + m] + wpos[1 - m]
+    w = np.zeros(2 * M + 1)
+    w[M - 1:] += wpos
+    w[:M + 2] += wpos[::-1]
+    return w, M
+
+
+def _check_ells(ells) -> list[int]:
+    """The sectors ells as ints, each in 0..MAX_ELL, else a ValidationError."""
+    ells = [_as_int("ell", ell) for ell in ells]
+    for ell in ells:
+        if not (0 <= ell <= MAX_ELL):
+            raise ValidationError(f"ell must lie in 0..{MAX_ELL}, got {ell}")
+    return ells
 
 
 _kernel_cache: OrderedDict[tuple, "AngularKernel"] = OrderedDict()   # LRU, most recent last
@@ -363,16 +388,9 @@ class AngularKernel:
     npad: int
 
     def __post_init__(self):
-        nlag = self.nlag = self.P.shape[1]
-        wpos = np.zeros(nlag + 3)                      # lags -1 .. nlag+1
-        contrib = self.grid.h * (_LAGRANGE4 @ self.P[:4])   # (4, nlag): weight vs (nu, cell)
-        for j, nu in enumerate((-1, 0, 1, 2)):
-            wpos[1 + nu:1 + nu + nlag] += contrib[j]
-        M = self.half = nlag + 1                       # w[M + m] = wpos[1 + m] + wpos[1 - m]
-        w = self.weights = np.zeros(2 * M + 1)
-        w[M - 1:] += wpos
-        w[:M + 2] += wpos[::-1]
-        self._L = _fft_len(nlag, len(w), M)
+        self.nlag = self.P.shape[1]
+        self.weights, self.half = _toeplitz_weights(self.P, self.grid.h)
+        self._L = _fft_len(self.nlag, len(self.weights), self.half)
 
     @cached_property
     def _weights_hat(self) -> np.ndarray:   # every psi spans the nlag padded nodes
@@ -472,19 +490,14 @@ def angular_kernels(p: Params, ells, grid: RadialGrid) -> list[AngularKernel]:
     Those not in the LRU cache of the last _KERNEL_CACHE_SIZE kernels are
     built together from one profile evaluation; every returned kernel is
     filed as most recent."""
-    ells = [_as_int("ell", ell) for ell in ells]
-    for ell in ells:
-        if not (0 <= ell <= MAX_ELL):
-            raise ValidationError(f"ell must lie in 0..{MAX_ELL}, got {ell}")
+    ells = _check_ells(ells)
     keys = [(p.N, p.alpha, ell, grid.key()) for ell in ells]
     missing = tuple(dict.fromkeys(ell for ell, key in zip(ells, keys)
                                   if key not in _kernel_cache))
     built = {}
     if missing:
         npad = grid.n + 7   # the grid spans (n - 1) h; pad by that plus 8 nodes
-        kappa = sphere_area(p.N - 1) * 2.0 ** (-p.alpha / 2)   # Funk-Hecke factor
-        moments = kappa * _moment_tables(KernelProfile(p.N, p.alpha, missing), grid.h,
-                                         grid.n + 2 * npad)
+        moments = _moment_tables(KernelProfile(p.N, p.alpha, missing), grid.h, grid.n + 2 * npad)
         for ell, P in zip(missing, moments):
             built[ell] = AngularKernel(ell=ell, params=p, grid=grid, P=P, npad=npad)
     kernels = []

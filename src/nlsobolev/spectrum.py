@@ -16,11 +16,11 @@ inconclusive by an O(n^2) Schur recursion: no n x n array.
 Beyond r_max a sector-ell mode is harmonic and decays like
 (r/r_max)^{-(ell+N-2)}; its Dirichlet energy omega (ell+N-2) r_max^{N-2} v_n^2
 on A's last diagonal entry is the exact Dirichlet-to-Neumann exterior
-condition (Keller-Givoli 1989), so every node stays an unknown.  The solve
-factors A (positive definite here) once as a band, A = U^T U, and
-runs standard-form Lanczos on U^{-T} B U^{-1} for the largest 1/mu;
-factoring B instead, as one might first try, loses the low eigenvalues
-whenever B's small-eigenvalue tail carries weight of the physical modes.
+condition (Keller-Givoli 1989), so every node stays an unknown.  A, free of
+alpha, is factored once per grid, N and ell as a band, A = U^T U (positive
+definite here), and the solve runs standard-form Lanczos on U^{-T} B U^{-1}
+for the largest 1/mu; factoring B instead loses the low eigenvalues whenever
+B's small-eigenvalue tail carries weight of the physical modes.
 
 Closed form.  Stereographic projection onto S^N diagonalizes the pencil.
 Let J(x) = (2/(1+|x|^2))^N be its Jacobian, xi the image of x, and write
@@ -70,7 +70,7 @@ from .errors import IndefiniteOperatorError, NumericsError, ValidationError
 from .grid import RadialGrid, _check_resolution, make_log_grid
 from .manifold import BubbleParams, bubble
 from .params import Params, _as_int, sphere_area
-from .riesz import angular_kernels
+from .riesz import KernelProfile, _check_ells, _moment_tables, _toeplitz_weights
 
 __all__ = ["SectorOperator", "SpectrumReport", "assemble_sector", "assemble_sectors",
            "merge_sectors", "solve_generalized", "solve_sectors", "spectral_gap",
@@ -97,13 +97,15 @@ class SectorOperator:
 
     so that T and B are symmetric by construction; the factors must be finite,
     a_band of shape (8, n) and the others of length n.  `apply_b` multiplies
-    by B with one FFT convolution (`_b_products`); B is never materialized."""
+    by B with one FFT convolution (`_b_products`); B is never materialized.
+    `solve_sectors` takes A's factor from _a_chol = (band, factor) while a_band is band."""
     ell: int
     a_band: np.ndarray
     b_scale: np.ndarray
     b_col: np.ndarray
     b_diag: np.ndarray
     params: Params
+    _a_chol: tuple = dc_field(default=(None, None), repr=False)
     _lags_hat: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -174,48 +176,57 @@ def assemble_sector(p: Params, ell: int, grid: RadialGrid) -> SectorOperator:
 
 
 def assemble_sectors(p: Params, ells, grid: RadialGrid) -> list[SectorOperator]:
-    """The symmetric (A, B) pairs of the sectors ells on the given grid, in
-    request order.  The grid's resolution, and in `angular_kernels` the ells
-    (0..MAX_ELL), are checked before any kernel is built; the sector kernels
-    not cached yet are built together, and the ell-independent part of the
-    forms once: the Dirichlet form om G^T G, G = diag(sqrt(q)) D on the
-    staggered grid (no spurious Nyquist modes), as its upper band; the
-    potential W in closed form, N(N-2)(1+r^2)^{-2}, and its mass weights; the
-    nonlocal scaling m; and the centrifugal weights.  Each sector's A adds the
-    diagonal centrifugal term and, on the last node, the exact energy of the
-    decaying harmonic extension v_n (r/r_max)^{-(ell+N-2)} beyond r_max; its
-    B takes the sector kernel's Toeplitz weights, kappa included, at lags
-    0..n-1 as T's first column.  On extreme grids the forms overflow to inf,
-    which SectorOperator rejects with a NumericsError."""
+    """The symmetric (A, B) pairs of the sectors ells on the given grid, in request
+    order, once the grid's resolution and the ells (0..MAX_ELL) pass their checks.
+    A does not involve alpha: `_sector_a` memoizes it on the grid.  B's scaling m
+    comes from the bubble, its Toeplitz column (kappa included) from the sector
+    kernel's weights at lags 0..n-1, formed as `AngularKernel` forms them but from
+    moment tables over only the n + 2 cells those lags read, all sectors from one
+    profile evaluation, with no kernel built or cached.  On extreme grids the forms
+    overflow to inf, which SectorOperator rejects with a NumericsError."""
     _check_resolution(grid)
-    kernels = angular_kernels(p, ells, grid)
-    N, al, ts, n = p.N, p.alpha, p.two_star_alpha, grid.n
-    om = sphere_area(N)
-    x, wl = grid.x, grid.log_weights
+    ells = _check_ells(ells)
+    N, al, ts, n, om = p.N, p.alpha, p.two_star_alpha, grid.n, sphere_area(p.N)
+    moments = _moment_tables(KernelProfile(N, al, ells), grid.h, n + 2)
     U = bubble(p, BubbleParams(c=1.0, lam=1.0), grid)
-    ops = []
     with np.errstate(over="ignore", invalid="ignore"):   # rejected by SectorOperator
+        mvec = np.sqrt(grid.log_weights) * np.exp((N - al / 2) * grid.x) * U.values ** (ts - 1.0)
+    ops = []
+    for ell, P in zip(ells, moments):
+        (band, factor, mw), (w, half) = _sector_a(N, ell, grid), _toeplitz_weights(P, grid.h)
+        ops.append(SectorOperator(ell=ell, a_band=band, b_scale=mvec, b_col=w[half:half + n] * om,
+                                  b_diag=mw, params=p, _a_chol=(band, factor)))
+    return ops
+
+
+def _sector_a(N: int, ell: int, grid: RadialGrid) -> tuple:
+    """Sector ell's A as its upper band, its banded Cholesky factor (None if that
+    fails, for `solve_sectors` to report) and W's mass weights, memoized on the grid
+    per (N, ell) over the upper band of om G^T G, G = diag(sqrt(q)) D staggered, and
+    W = N(N-2)(1+r^2)^{-2}'s mass weights, memoized per N; A adds the centrifugal
+    diagonal and, on the last node, the exact exterior energy."""
+    n, x, om = grid.n, grid.x, sphere_area(N)
+    def parts():
         W = N * (N - 2) / (1.0 + grid.nodes ** 2) ** 2
-        x_mid = 0.5 * (x[:-1] + x[1:])
-        q_mid = grid.h * np.exp((N - 2) * x_mid)
-        rows, j0 = staggered_derivative_matrix(n, grid.h)
-        g = np.sqrt(q_mid)[:, None] * rows                 # the rows of G
+        rows, j0 = staggered_derivative_matrix(n, grid.h)   # g: G's rows, q on the midpoints
+        g = np.sqrt(grid.h * np.exp((N - 2) * (0.5 * (x[:-1] + x[1:]))))[:, None] * rows
         a, b = np.triu_indices(8)
         # G[k, j0 + a] G[k, j0 + b] into band[7 + a - b, j0 + b]; bincount adds
         # in input order, so each entry sums over ascending k, as G^T G would
         dirichlet = om * np.bincount(((7 + a - b) * n + j0[:, None] + b).ravel(),
                                      (g[:, a] * g[:, b]).ravel(), 8 * n).reshape(8, n)
-        mw = om * (wl * np.exp(N * x) * W)
-        mvec = np.sqrt(wl) * np.exp((N - al / 2) * x) * U.values ** (ts - 1.0)
-        for kern in kernels:
-            ell = kern.ell
-            diag = om * ell * (ell + N - 2) * grid.dirichlet_weights(N) + mw
-            diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
-            ops.append(SectorOperator(
-                ell=ell, a_band=np.vstack((dirichlet[:-1], dirichlet[-1] + diag)),
-                b_scale=mvec, b_col=kern.weights[kern.half:kern.half + n] * om,
-                b_diag=mw, params=p))
-    return ops
+        return dirichlet, om * (grid.log_weights * np.exp(N * x) * W)
+    def build():
+        dirichlet, mw = grid.memo(("sector_a_parts", N), parts)
+        diag = om * ell * (ell + N - 2) * grid.dirichlet_weights(N) + mw
+        diag[-1] += om * (ell + N - 2) * np.float64(grid.r_max) ** (N - 2)
+        band = np.vstack((dirichlet[:-1], dirichlet[-1] + diag))
+        try:
+            return band, sla.cholesky_banded(band, check_finite=False), mw
+        except np.linalg.LinAlgError:
+            return band, None, mw
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected by SectorOperator
+        return grid.memo(("sector_a", N, ell), build)
 
 
 def _toeplitz_pd(col: np.ndarray) -> bool:
@@ -306,21 +317,21 @@ def solve_sectors(ops: list[SectorOperator], k: int) -> list[SpectrumReport]:
 
     B is certified positive semidefinite to tolerance (`_psd_to_tolerance`)
     and acts only by FFT products; no n x n array is formed.  A = U^T U is
-    factored once as a band.  Lanczos with full reorthogonalization (Paige
-    1972; Parlett 1980) finds the k largest nu = 1/mu of C = U^{-T} B U^{-1},
-    all sectors in lockstep: a step makes one batched FFT product with B
-    (`_b_products`), two banded triangular solves per sector and two
-    classical Gram-Schmidt passes.  A sector stops once its k Ritz pairs pass
-    ARPACK's tol = 0 test, beta |s_i| <= eps max(eps^(2/3), |theta_i|), so its
-    steps and digits do not depend on the other sectors.  It also stops when
-    the second pass cuts the residual below 0.717 of the first, to rounding
-    ("twice is enough"): its Krylov space is then invariant and holds every
-    simple eigenvalue, exactly.  n steps span R^n, so k is clamped to n.  An
-    eigenvector y of C gives v = U^{-1} y / sqrt(nu), with v^T B v = 1.  B's
-    numerical kernel (far-field nodes where the weights underflow) lands at
-    nu = 0 and is cut at 1e-13 nu_max.  Each eigenvector's largest-magnitude
-    entry is positive.
-    """
+    factored as a band, unless the operator carries its a_band's factor
+    (`_sector_a` memoizes it on the grid).  Lanczos with full
+    reorthogonalization (Paige 1972; Parlett 1980) finds the k largest
+    nu = 1/mu of C = U^{-T} B U^{-1}, all sectors in lockstep: a step makes
+    one batched FFT product with B (`_b_products`), two banded triangular
+    solves per sector and two classical Gram-Schmidt passes.  A sector stops
+    once its k Ritz pairs pass ARPACK's tol = 0 test,
+    beta |s_i| <= eps max(eps^(2/3), |theta_i|), so its steps and digits do
+    not depend on the other sectors.  It also stops when the second pass cuts
+    the residual below 0.717 of the first, to rounding ("twice is enough"):
+    its Krylov space is then invariant and holds every simple eigenvalue,
+    exactly.  n steps span R^n, so k is clamped to n.  An eigenvector y of C
+    gives v = U^{-1} y / sqrt(nu), with v^T B v = 1.  B's numerical kernel
+    (far-field nodes where the weights underflow) lands at nu = 0 and is cut
+    at 1e-13 nu_max.  Each eigenvector's largest-magnitude entry is positive."""
     if _as_int("k", k) < 1:
         raise ValidationError(f"need k >= 1 eigenvalues, got k={k}")
     if len({op.a_band.shape[1] for op in ops}) != 1:
@@ -328,8 +339,10 @@ def solve_sectors(ops: list[SectorOperator], k: int) -> list[SpectrumReport]:
     cbs, n, s = [], ops[0].a_band.shape[1], len(ops)
     for op in ops:
         _psd_to_tolerance(op)
+        band, cb = op._a_chol
         try:
-            cbs.append(sla.cholesky_banded(op.a_band, check_finite=False))
+            cbs.append(cb if band is op.a_band and cb is not None
+                       else sla.cholesky_banded(op.a_band, check_finite=False))
         except np.linalg.LinAlgError as exc:
             raise IndefiniteOperatorError("A is not positive definite") from exc
     k, tbtrs, eps = min(k, n), sla.lapack.dtbtrs, np.finfo(float).eps

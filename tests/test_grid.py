@@ -30,6 +30,16 @@ def test_make_log_grid_rejects(args):
         nl.make_log_grid(*args)
 
 
+@pytest.mark.parametrize("r_min, r_max", [(1e-3, 10 ** 400), (10 ** 400, 10 ** 401),
+                                          (1e-3, 2 ** 1024), (-10 ** 400, 1.0),
+                                          (np.float64(1e-3), 10 ** 400)],
+                         ids=["r_max", "both", "2**1024", "negative-r_min", "numpy-r_min"])
+def test_make_log_grid_rejects_bounds_past_the_largest_double(r_min, r_max):
+    # a Python int compares below inf however large, but float() of it overflows
+    with pytest.raises(ValidationError, match="r_min < r_max"):
+        nl.make_log_grid(r_min, r_max, 64)
+
+
 def test_make_log_grid_shares_one_grid_per_value():
     # the memo is the grid's, so equal values share it; an int or numpy
     # argument names the same grid as its float

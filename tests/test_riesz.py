@@ -747,19 +747,30 @@ def test_m_start_sums_are_built_as_deep_as_asked(N, alpha, monkeypatch):
 
 
 @pytest.mark.parametrize("op", ["potential", "energy"])
-def test_spectrum_never_transforms_a_kernel(op, monkeypatch):
-    """`spectral_gap` reads each sector kernel's weights alone, so no kernel
-    it builds takes the rfft of its lag table; the first potential or energy
-    on a kernel takes it, and only on that kernel."""
+def test_spectrum_leaves_the_kernel_cache_alone(op, monkeypatch):
+    """`spectral_gap` forms B's Toeplitz column from moment tables of its own,
+    so it leaves the kernel cache as it found it; a later potential or energy
+    builds its sector-0 kernel itself, and transforms only that kernel."""
     monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     p, g = nl.make_params(4, 2.0), nl.make_log_grid(1e-3, 1e3, 256)
+    nl.angular_kernel(nl.make_params(5, 3.0), 1, g)     # a kernel already cached
+    before = list(riesz._kernel_cache.items())
     nl.spectral_gap(p, g, k=4)
-    kernels = list(riesz._kernel_cache.values())
-    assert sorted(k.ell for k in kernels) == [0, 1, 2]
-    assert not any("_weights_hat" in vars(k) for k in kernels)
+    assert list(riesz._kernel_cache.items()) == before
+    built = []
+    profile = riesz.KernelProfile
+
+    class Recording(profile):
+        def __init__(self, N, alpha, ells):
+            built.append((N, alpha, tuple(ells)))
+            super().__init__(N, alpha, ells)
+
+    monkeypatch.setattr(riesz, "KernelProfile", Recording)
     f = bump_field(g, 0.2, 0.8)
     if op == "potential":
         nl.riesz_potential(f, p, 0)
     else:
         nl.interaction_energy(f, f, p)
-    assert [k.ell for k in kernels if "_weights_hat" in vars(k)] == [0]
+    assert built == [(4, 2.0, (0,))]
+    new = [k for key, k in riesz._kernel_cache.items() if (key, k) not in before]
+    assert [(k.ell, k.params.alpha, "_weights_hat" in vars(k)) for k in new] == [(0, 2.0, True)]

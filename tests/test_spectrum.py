@@ -15,7 +15,7 @@ from nlsobolev._quadrature import staggered_derivative_matrix
 from nlsobolev.errors import IndefiniteOperatorError, NumericsError, ValidationError
 from nlsobolev.experiments import _direction_field
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
-from conftest import bump_field, closed_form_mu, dense_a, dense_b, unit_bubble
+from conftest import bump_field, closed_form_mu, cold_grid, dense_a, dense_b, unit_bubble
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +370,91 @@ def test_solve_forms_no_dense_matrix(op64_s0):
 def test_negative_a_rejected(op64_s0):
     with pytest.raises(IndefiniteOperatorError, match="A is not positive definite"):
         nl.solve_generalized(dataclasses.replace(op64_s0, a_band=-op64_s0.a_band), 8)
+
+
+def _solve_spectral_gap(p, grid, monkeypatch):
+    """spectral_gap's report and the sector reports it merged."""
+    batch = []
+    solve_sectors = nl.spectrum.solve_sectors
+    monkeypatch.setattr(nl.spectrum, "solve_sectors",
+                        lambda ops, k: batch.append(solve_sectors(ops, k)) or batch[-1])
+    return nl.spectral_gap(p, grid), batch[0]
+
+
+def test_second_alpha_reuses_the_memoized_a(monkeypatch):
+    """A spectral_gap at a known N and a new alpha, on the shared grid, builds
+    no Dirichlet band and factors no A: both come from the grid's memo.  Its
+    report and eigenvectors are, bit for bit, those on a grid whose memo
+    starts empty."""
+    g = nl.make_log_grid(1e-3, 1e3, 1024)
+    nl.spectral_gap(nl.make_params(5, 2.2), g, k=4)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for mod, name in [(nl.spectrum, "staggered_derivative_matrix"), (sla, "cholesky_banded"),
+                      (sla.lapack, "dpbtrf")]:
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    p = nl.make_params(5, 3.1)
+    warm, warm_sectors = _solve_spectral_gap(p, g, monkeypatch)
+    assert calls == []
+    cold, cold_sectors = _solve_spectral_gap(p, cold_grid(n=1024), monkeypatch)
+    assert calls.count("staggered_derivative_matrix") == 1
+    assert calls.count("cholesky_banded") == len(nl.spectrum.SECTOR_ELLS)
+    assert warm.to_json_dict() == cold.to_json_dict()
+    for w, c in zip(warm_sectors, cold_sectors):
+        assert w.eigenvalues == c.eigenvalues
+        assert np.array_equal(w.eigenvectors, c.eigenvectors)
+
+
+def test_memoized_a_is_read_only_and_never_outlives_its_band(grid64, monkeypatch):
+    """A's band and factor in the grid's memo are read-only, so no caller can
+    change the band under its factor; an operator given another band by
+    dataclasses.replace is factored anew: negated, A raises, and doubled,
+    every eigenvalue doubles to rounding.  A directly built operator solves
+    as the assembled one, to the bit."""
+    p = nl.make_params(4, 2.0)
+    op = nl.assemble_sector(p, 1, grid64)
+    band, factor = op._a_chol
+    assert band is op.a_band
+    for a in (band, factor, op.b_diag):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        op.a_band[7, 0] = 1.0
+    base = nl.solve_generalized(op, 8)
+    factored = []
+    cholesky = sla.cholesky_banded
+    monkeypatch.setattr(sla, "cholesky_banded",
+                        lambda *args, **kwargs: factored.append(1) or cholesky(*args, **kwargs))
+    with pytest.raises(IndefiniteOperatorError, match="A is not positive definite"):
+        nl.solve_generalized(dataclasses.replace(op, a_band=-op.a_band), 8)
+    doubled = nl.solve_generalized(dataclasses.replace(op, a_band=2 * op.a_band), 8)
+    np.testing.assert_allclose(doubled.eigenvalues, 2 * np.array(base.eigenvalues),
+                               rtol=1e-12, atol=0)
+    assert len(factored) == 2
+    direct = nl.SectorOperator(ell=1, a_band=op.a_band.copy(), b_scale=op.b_scale,
+                               b_col=op.b_col, b_diag=op.b_diag, params=p)
+    again = nl.solve_generalized(direct, 8)
+    assert len(factored) == 3
+    assert again.eigenvalues == base.eigenvalues
+    assert np.array_equal(again.eigenvectors, base.eigenvectors)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("N, alpha", [(3, 2.5), (5, 4.3), (4, 3.93), (3, 2.95), (6, 4.0)])
+def test_pencil_column_is_the_kernel_weights(N, alpha, n, monkeypatch):
+    """B's Toeplitz column, formed from moment tables over n + 2 cells, is the
+    padded sector kernel's weights at lags 0..n-1 times omega_{N-1}, bit for
+    bit, in every sector: for alpha > N - 1 and for N - alpha < 0.12, where
+    the singular cell's rule meets the c-floor."""
+    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    p = nl.make_params(N, alpha)
+    g = nl.make_log_grid(0.1, 10, n) if n == 64 else nl.make_log_grid(1e-3, 1e3, n)
+    ops = nl.assemble_sectors(p, range(riesz.MAX_ELL + 1), g)
+    for op in ops:
+        kern = nl.angular_kernel(p, op.ell, g)
+        assert np.array_equal(op.b_col, kern.weights[kern.half:kern.half + n] * nl.sphere_area(N))
 
 
 def test_lanczos_no_convergence_is_numerics_error(op64_s0, monkeypatch):
