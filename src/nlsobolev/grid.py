@@ -2,7 +2,8 @@
 
 Every grid, from `make_log_grid` or a CSV, is at least 16 log-uniform nodes:
 `RadialGrid` checks them and derives x = log r, the step h and the weights once.
-`make_log_grid` shares one grid, and its memo, between calls with equal values.
+`make_log_grid` shares one grid, and its memo (Riesz kernels included), between
+calls with equal values; a CSV grid or a direct `RadialGrid(...)` builds its own.
 
 A field stores node values together with a declared far-field decay exponent
 (`tail_exponent`: the field behaves like values[-1] * (r/r_max)^{-tail_exponent}
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._quadrature import derivative_matrix, uniform_weights
 from .errors import DivergentTailError, NumericsError, ValidationError
-from .params import _as_int, sphere_area
+from .params import Params, _as_int, sphere_area
 
 __all__ = [
     "RadialGrid", "RadialField", "make_log_grid", "integrate", "differentiate", "h1_inner",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _GRID_CACHE_SIZE = 8   # shared make_log_grid grids, least recently used dropped first
+_MEMO_PARAMS = 4       # Params whose memo entries a grid keeps, least recently asked dropped first
 
 
 @dataclass(eq=False)
@@ -66,7 +68,8 @@ class RadialGrid:
             raise ValidationError("grid nodes are not log-uniform from r_min to r_max")
         self.log_weights = uniform_weights(n, self.h)
         _lock((self.nodes, self.x, self.log_weights))
-        self._memo = {}
+        self._memo = {}          # grid-only and per-N entries
+        self._params_memo = {}   # Params -> its entries, least recently asked first
 
     @property
     def n(self) -> int:
@@ -77,11 +80,18 @@ class RadialGrid:
         return self.log_weights * self.nodes ** N
 
     def memo(self, key: tuple, build):
-        """build(), run once per grid under key (a name and its arguments), arrays read-only."""
-        if key not in self._memo:
-            self._memo[key] = build()
-            _lock(self._memo[key])
-        return self._memo[key]
+        """build(), run once per grid instance (so per CSV grid) under key, a name and its
+        arguments, arrays read-only.  A key whose second item is a Params, kernels too, is
+        kept while that Params is among the last _MEMO_PARAMS the memo was asked for."""
+        store = self._memo
+        if len(key) > 1 and isinstance(key[1], Params):
+            store = self._params_memo[key[1]] = self._params_memo.pop(key[1], {})
+            if len(self._params_memo) > _MEMO_PARAMS:
+                del self._params_memo[next(iter(self._params_memo))]
+        if key not in store:
+            store[key] = build()
+            _lock(store[key])
+        return store[key]
 
     def dirichlet_weights(self, N: int) -> np.ndarray:
         """log_weights e^{(N-2) x}, the weights of int g(r) r^{N-3} dr, memoized."""
@@ -139,8 +149,9 @@ def _lock(value) -> None:
 
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     """n log-spaced nodes from r_min to r_max; RadialGrid rejects n < 16.  Equal
-    (float(r_min), float(r_max), n) give one shared grid, and with it its memo,
-    while it is among the last _GRID_CACHE_SIZE asked for."""
+    (float(r_min), float(r_max), n) give one shared grid, and with it its memo and
+    Riesz kernels, while it is among the last _GRID_CACHE_SIZE asked for; a grid
+    dropped from there is freed with all it memoized."""
     try:   # a Python int past the largest double overflows float(), and numpy's comparisons
         ok = 0 < r_min < r_max < math.inf and float(r_max) < math.inf
     except OverflowError:

@@ -29,7 +29,7 @@ Fields carrying jump markers are split into a continuous part plus exact
 exponential-step contributions so that ball indicators lose no accuracy.
 Both parts are one FFT convolution with a lag table placed about lag 0
 (`_lag_convolve`); the smooth part's table is transformed once per kernel,
-when first applied, and built kernels sit in a small LRU cache.  Since ell enters
+when first applied, and built kernels sit in their grid's memo.  Since ell enters
 phi_ell only through G_ell, sectors requested together (`_moment_tables`)
 share one profile evaluation: every power of (cosh xi - t) and every
 singular moment is formed once, and each sector adds only its weighted sums.
@@ -46,7 +46,6 @@ potential, energy and sector form built on those, carries it already.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -68,7 +67,6 @@ _SERIES_EDGES = (_NEAR_XI, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 _LOG_TAIL = math.log(np.finfo(float).eps / 16)   # series tail allowed, relative to the leading term
 _SERIES_MAX_CANCEL = 1e3   # sum |terms| / |sum| at _NEAR_XI: about 1e3 ulps lost at most
 _MOMENT_DEGREE = 8
-_KERNEL_CACHE_SIZE = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _C_FLOOR = 1e-280        # near-branch floor on c = cosh xi - 1, reached at xi ~ sqrt(2 c)
 _M_PANEL = 1.5           # log-panel width of `_m_start`'s shared sums, exact in binary
@@ -367,9 +365,6 @@ def _check_ells(ells) -> list[int]:
     return ells
 
 
-_kernel_cache: OrderedDict[tuple, "AngularKernel"] = OrderedDict()   # LRU, most recent last
-
-
 @dataclass(eq=False)
 class AngularKernel:
     """Degree-ell projected Riesz kernel on one grid,
@@ -486,28 +481,19 @@ class AngularKernel:
 
 
 def angular_kernels(p: Params, ells, grid: RadialGrid) -> list[AngularKernel]:
-    """The sector kernels for each ell in ells on this grid, in request order.
-    Those not in the LRU cache of the last _KERNEL_CACHE_SIZE kernels are
-    built together from one profile evaluation; every returned kernel is
-    filed as most recent."""
+    """The sector kernels for each ell in ells on this grid, in request order,
+    from the grid's memo of kernels per Params (`RadialGrid.memo`, which keeps
+    the last few Params); those missing there are built together from one
+    profile evaluation.  A CSV grid or a direct `RadialGrid(...)` builds its own."""
     ells = _check_ells(ells)
-    keys = [(p.N, p.alpha, ell, grid.key()) for ell in ells]
-    missing = tuple(dict.fromkeys(ell for ell, key in zip(ells, keys)
-                                  if key not in _kernel_cache))
-    built = {}
+    kernels = grid.memo(("kernels", p), dict)
+    missing = tuple(dict.fromkeys(ell for ell in ells if ell not in kernels))
     if missing:
         npad = grid.n + 7   # the grid spans (n - 1) h; pad by that plus 8 nodes
         moments = _moment_tables(KernelProfile(p.N, p.alpha, missing), grid.h, grid.n + 2 * npad)
         for ell, P in zip(missing, moments):
-            built[ell] = AngularKernel(ell=ell, params=p, grid=grid, P=P, npad=npad)
-    kernels = []
-    for ell, key in zip(ells, keys):
-        kernel = _kernel_cache.setdefault(key, built.get(ell))
-        _kernel_cache.move_to_end(key)
-        kernels.append(kernel)
-    while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
-        _kernel_cache.popitem(last=False)
-    return kernels
+            kernels[ell] = AngularKernel(ell=ell, params=p, grid=grid, P=P, npad=npad)
+    return [kernels[ell] for ell in ells]
 
 
 def angular_kernel(p: Params, ell: int, grid: RadialGrid) -> AngularKernel:

@@ -45,6 +45,14 @@ def cold_grid(r_min=1e-3, r_max=1e3, n=2048):
     return nl.RadialGrid(r_min=r_min, r_max=r_max, nodes=nodes)
 
 
+def memo_entries(grid):
+    """Every entry of the grid's memo by key, grid-only, per-N and per-Params alike."""
+    entries = dict(grid._memo)
+    for store in grid._params_memo.values():
+        entries.update(store)
+    return entries
+
+
 def bump_field(grid, center=0.0, width=1.0, amp=1.0):
     """Smooth compactly-concentrated test field (Gaussian bump in log r)."""
     vals = amp * np.exp(-0.5 * ((grid.x - center) / width) ** 2)

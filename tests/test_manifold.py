@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nlsobolev as nl
 from nlsobolev.errors import BracketingError, ValidationError
 from nlsobolev.experiments import SweepConfig, _direction_field
-from conftest import bump_field, cold_grid, src_env, unit_bubble
+from conftest import bump_field, cold_grid, memo_entries, src_env, unit_bubble
 
 
 def test_bubble_params_validation():
@@ -608,7 +608,7 @@ def test_warm_projection_differentiates_only_the_direction(p42, monkeypatch):
     g = cold_grid()
     w = bump_field(g, 0.4, 0.7)
     first = nl.project_orthogonal(w, p42, 1.0, 0)
-    basis = g._memo[("tangent_basis", p42, 1.0)]
+    basis = memo_entries(g)[("tangent_basis", p42, 1.0)]
     assert [k for k, _, _ in basis] == [0, 0, 1]
     for _, t, Dt in basis:
         for a in (t.values, Dt):
@@ -635,7 +635,7 @@ def test_sweep_rows_on_a_warm_shared_grid_equal_a_cold_grid():
     shared = nl.make_log_grid(1e-3, 1e3, 2048)
     rows(nl.make_params(4, 2.0), shared)
     rows(p, nl.make_log_grid(1e-3, 1e3, 2048))
-    assert ("tangent_basis", p, 1.0) in shared._memo
+    assert ("tangent_basis", p, 1.0) in memo_entries(shared)
     assert rows(p, nl.make_log_grid(1e-3, 1e3, 2048)) == rows(p, cold_grid())
 
 

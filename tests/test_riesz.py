@@ -1,8 +1,11 @@
+import gc
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
-from collections import OrderedDict
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from scipy.special import gegenbauer as scipy_gegenbauer
 import nlsobolev as nl
 from nlsobolev import riesz
 from nlsobolev.errors import DivergentTailError, NumericsError, ValidationError
-from conftest import bump_field, src_env, unit_bubble
+from conftest import bump_field, cold_grid, memo_entries, src_env, unit_bubble
 
 
 def funk_hecke_factor(p):
@@ -378,7 +381,6 @@ def test_cold_build_makes_few_profile_calls(monkeypatch):
     singular cell together: 12 nodes per regular cell below _NEAR_XI, where
     the exponential sum takes over, plus the graded rule's 12-node panels, and
     not 12 per cell of the whole table."""
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     calls = []
     call = riesz.KernelProfile.__call__
 
@@ -387,7 +389,7 @@ def test_cold_build_makes_few_profile_calls(monkeypatch):
         return call(self, xi)
 
     monkeypatch.setattr(riesz.KernelProfile, "__call__", counted)
-    N, alpha, g = 5, 4.02, nl.make_log_grid(1e-3, 1e3, 2048)
+    N, alpha, g = 5, 4.02, cold_grid()
     nl.angular_kernel(nl.make_params(N, alpha), 0, g)
     assert len(calls) == 1
     singular = 12 * math.ceil(37.0 / min(1.0, N - alpha) / 0.75)
@@ -424,37 +426,40 @@ def test_weights_exactly_symmetric(N, alpha, ell):
     assert np.array_equal(kern.weights, kern.weights[::-1])
 
 
-def test_kernel_cache_is_bounded_lru(monkeypatch):
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
-    size = riesz._KERNEL_CACHE_SIZE
-    assert size >= 6   # spectral_gap's three sectors and the sweep's three pairs
-    p = nl.make_params(4, 1.0)
-    grids = [nl.make_log_grid(1e-1, 1e1, 16 + k) for k in range(size + 3)]
-    kernels = [nl.angular_kernel(p, 0, g) for g in grids]
-    assert len(riesz._kernel_cache) == size
-    for g, k in zip(grids[::-1][:size], kernels[::-1][:size]):
+def test_grid_memo_keeps_the_last_four_params():
+    """Kernels, like every per-Params entry, stay in their grid's memo while
+    their Params is among the last 4 it was asked for; grid-only and per-N
+    entries stay."""
+    bound = nl.grid._MEMO_PARAMS
+    assert bound == 4   # the sweep cycles 3 pairs on one grid, cli_cold 2 grids x 4
+    g = cold_grid(1e-1, 1e1, 40)
+    weights = g.dirichlet_weights(4)
+    ps = [nl.make_params(4, 1.0 + 0.1 * k) for k in range(bound + 3)]
+    kernels = [nl.angular_kernel(p, 0, g) for p in ps]
+    assert list(g._params_memo) == ps[-bound:]
+    for p, k in zip(ps[::-1][:bound], kernels[::-1][:bound]):
         assert nl.angular_kernel(p, 0, g) is k
-    assert len(riesz._kernel_cache) == size
-    assert nl.angular_kernel(p, 0, grids[0]) is not kernels[0]   # evicted, rebuilt
-    assert len(riesz._kernel_cache) == size
+    assert list(g._params_memo) == ps[-bound:][::-1]   # least recently asked first
+    assert nl.angular_kernel(ps[0], 0, g) is not kernels[0]   # evicted, rebuilt
+    assert list(g._params_memo) == ps[-bound:-1][::-1] + [ps[0]]
+    assert g.dirichlet_weights(4) is weights
+    assert sum(key[0] == "kernels" for key in memo_entries(g)) == bound
 
 
 @pytest.mark.parametrize("N,alpha", [(4, 1.5), (6, 4.0), (3, 2.0), (5, 4.03), (4, 3.02),
                                      (3, 2.99)])
-def test_batch_build_is_bit_identical(N, alpha, monkeypatch):
+def test_batch_build_is_bit_identical(N, alpha):
     """Sectors built together from one profile pass give exactly the tables
     and profile values of one-at-a-time builds; (3, 2.99) takes the
     closed-form finish of the singular cell."""
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
-    p, g = nl.make_params(N, alpha), nl.make_log_grid(1e-2, 1e2, 129)
+    p, g = nl.make_params(N, alpha), cold_grid(1e-2, 1e2, 129)
     ells = (0, 1, 2, 3)
     xi = np.concatenate([[0.0], np.logspace(-12, 1.5, 60), [riesz._NEAR_XI, 800.0]])
     batch = nl.angular_kernels(p, ells, g)
     batch_profile = riesz.KernelProfile(N, alpha, ells)(xi)
     assert [k.ell for k in batch] == list(ells)
     for j, (ell, kb) in enumerate(zip(ells, batch)):
-        riesz._kernel_cache.clear()
-        ks = nl.angular_kernel(p, ell, g)
+        ks = nl.angular_kernel(p, ell, cold_grid(1e-2, 1e2, 129))
         assert ks is not kb
         assert np.array_equal(kb.P, ks.P)
         assert np.array_equal(kb.weights, ks.weights)
@@ -478,7 +483,6 @@ def test_profile_values_do_not_depend_on_the_node_set(N, alpha, ells):
 
 
 def test_batch_builds_only_missing_sectors(monkeypatch):
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     built = []
 
     class Recording(riesz.KernelProfile):
@@ -487,23 +491,99 @@ def test_batch_builds_only_missing_sectors(monkeypatch):
             super().__init__(N, alpha, ells)
 
     monkeypatch.setattr(riesz, "KernelProfile", Recording)
-    size = riesz._KERNEL_CACHE_SIZE
-    p, g = nl.make_params(4, 1.0), nl.make_log_grid(1e-1, 1e1, 40)
+    p, g = nl.make_params(4, 1.0), cold_grid(1e-1, 1e1, 40)
     cached = nl.angular_kernels(p, (1, 3), g)
-    for k in range(size - 2):   # fill the cache, the two sectors oldest
-        nl.angular_kernel(p, 0, nl.make_log_grid(1e-1, 1e1, 16 + k))
-    assert len(riesz._kernel_cache) == size
+    for k in range(nl.grid._MEMO_PARAMS - 1):   # fill the memo, p least recent
+        nl.angular_kernel(nl.make_params(4, 1.5 + 0.1 * k), 0, g)
+    assert len(g._params_memo) == nl.grid._MEMO_PARAMS
     built.clear()
     got = nl.angular_kernels(p, (3, 0, 1, 2), g)
     assert built == [(0, 2)]
     assert got[0] is cached[1] and got[2] is cached[0]
     assert [k.ell for k in got] == [3, 0, 1, 2]
-    assert len(riesz._kernel_cache) == size
-    # the request is the most recent part of the cache, in request order
-    assert list(riesz._kernel_cache.values())[-4:] == got
+    assert all(k.grid is g and k.params == p for k in got)
+    # p is now the most recent Params, and its memo holds each sector once
+    assert list(g._params_memo)[-1] == p
+    assert memo_entries(g)[("kernels", p)] == {k.ell: k for k in got}
     built.clear()
     assert nl.angular_kernels(p, (2, 1), g) == [got[3], got[2]]
     assert built == []
+
+
+def test_memo_of_a_shared_grid_stays_bounded_over_many_params():
+    """Potentials and projections at 200 (N, alpha) on one shared grid keep 4
+    Params in its memo, and memory grows by less than 4 kernels once it holds
+    them: each new Params replaces one, kernels, bubble energy and tangent
+    basis together (the memo of an unbounded grid grew ~47 kernels here)."""
+    g = nl.make_log_grid(1e-1, 1e1, 73)
+    ps = [nl.make_params(4 + k % 2, 1.0 + 0.005 * k) for k in range(200)]
+    for p in ps:
+        nl.hls_sobolev_constant(p)   # cached per Params outside the grid
+
+    def op(p):
+        U = unit_bubble(p, g)
+        u = nl.RadialField(grid=g, values=U.values * (1 + 1e-3 * np.exp(-g.x ** 2)),
+                           tail_exponent=U.tail_exponent, head_value=U.head_value)
+        nl.riesz_potential(nl.field_abs_pow(u, p.two_star_alpha), p, 0)
+        nl.dist_to_manifold(u, p)
+        nl.project_orthogonal(u, p, 1.0, 0)
+
+    tracemalloc.start()
+    try:
+        for p in ps[:4]:
+            op(p)
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        for p in ps[4:]:
+            op(p)
+            assert len(g._params_memo) <= nl.grid._MEMO_PARAMS
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert list(g._params_memo) == ps[-4:]
+    assert {key[1] for key in memo_entries(g)
+            if len(key) > 1 and isinstance(key[1], nl.Params)} == set(ps[-4:])
+    kern = memo_entries(g)[("kernels", ps[-1])][0]
+    kernel_bytes = sum(a.nbytes for a in vars(kern).values() if isinstance(a, np.ndarray))
+    assert kernel_bytes > 9 * 3 * g.n * 8   # at least its moment table P
+    assert growth < 4 * kernel_bytes
+
+
+def test_twin_grid_builds_its_own_kernel(tmp_path):
+    """A direct RadialGrid and the grid of a CSV round trip build kernels of
+    their own, and their potentials and energies are the shared grid's bit for bit."""
+    p, g = nl.make_params(4, 1.5), nl.make_log_grid(1e-3, 1e3, 256)
+    f = bump_field(g, 0.2, 0.8)
+    path = os.path.join(tmp_path, "f.csv")
+    nl.write_field_csv(f, path)
+    twin = cold_grid(n=256)
+    twins = [bump_field(twin, 0.2, 0.8), nl.read_field_csv(path)]
+    ref = (nl.riesz_potential(f, p, 1).values, nl.interaction_energy(f, f, p))
+    for t in twins:
+        assert t.grid is not g and t.grid.key() == g.key()
+        assert np.array_equal(t.values, f.values)
+        assert memo_entries(t.grid) == {}
+        got = (nl.riesz_potential(t, p, 1).values, nl.interaction_energy(t, t, p))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        kernels = memo_entries(t.grid)[("kernels", p)]
+        assert sorted(kernels) == [0, 1] and all(k.grid is t.grid for k in kernels.values())
+        assert kernels[1] is not nl.angular_kernel(p, 1, g)
+
+
+def test_grid_dropped_by_make_log_grid_is_freed_with_its_kernels():
+    """Kernels point back at their grid, so a grid and its memo form a cycle;
+    once make_log_grid's LRU drops the grid, gc.collect frees both."""
+    p, g = nl.make_params(4, 1.5), nl.make_log_grid(1e-1, 1e1, 59)
+    nl.riesz_potential(bump_field(g, 0.2, 0.8), p, 0)
+    kernel = weakref.ref(nl.angular_kernel(p, 0, g))
+    grid = weakref.ref(g)
+    assert kernel().grid is g
+    del g
+    for k in range(nl.grid._GRID_CACHE_SIZE):
+        nl.make_log_grid(1e-1, 1e1, 60 + k)
+    gc.collect()
+    assert grid() is None and kernel() is None
 
 
 @pytest.mark.parametrize("N,alpha,ell", [(4, 2.0, 0), (5, 2.7, 1), (3, 2.5, 0)])
@@ -725,7 +805,6 @@ def test_m_start_sums_are_built_as_deep_as_asked(N, alpha, monkeypatch):
     to the c-floor, except for N - alpha < 0.12, where the singular cell's
     rule meets the floor), and its values equal, bit for bit, those of a
     profile that built the full table first."""
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     nodes = []
     call = riesz.KernelProfile.__call__
 
@@ -734,7 +813,7 @@ def test_m_start_sums_are_built_as_deep_as_asked(N, alpha, monkeypatch):
         return call(self, xi)
 
     monkeypatch.setattr(riesz.KernelProfile, "__call__", recorded)
-    nl.angular_kernel(nl.make_params(N, alpha), 0, nl.make_log_grid(1e-3, 1e3, 2048))
+    nl.angular_kernel(nl.make_params(N, alpha), 0, cold_grid())
     xi = np.concatenate(nodes)
     c = np.maximum(2.0 * np.sinh(xi[xi < riesz._NEAR_XI] / 2) ** 2, riesz._C_FLOOR)
     lazy, full = riesz.KernelProfile(N, alpha, (0,)), riesz.KernelProfile(N, alpha, (0,))
@@ -747,16 +826,21 @@ def test_m_start_sums_are_built_as_deep_as_asked(N, alpha, monkeypatch):
 
 
 @pytest.mark.parametrize("op", ["potential", "energy"])
-def test_spectrum_leaves_the_kernel_cache_alone(op, monkeypatch):
-    """`spectral_gap` forms B's Toeplitz column from moment tables of its own,
-    so it leaves the kernel cache as it found it; a later potential or energy
-    builds its sector-0 kernel itself, and transforms only that kernel."""
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
-    p, g = nl.make_params(4, 2.0), nl.make_log_grid(1e-3, 1e3, 256)
-    nl.angular_kernel(nl.make_params(5, 3.0), 1, g)     # a kernel already cached
-    before = list(riesz._kernel_cache.items())
+def test_spectrum_adds_no_kernels_to_the_grid_memo(op, monkeypatch):
+    """`spectral_gap` forms B's Toeplitz column from moment tables of its own
+    and memoizes nothing per Params, so it adds no `kernels` entry to the
+    grid's memo and leaves the kernels there as it found them; a later
+    potential or energy builds its sector-0 kernel itself, and transforms only
+    that kernel."""
+    p, q, g = nl.make_params(4, 2.0), nl.make_params(5, 3.0), cold_grid(n=256)
+    nl.angular_kernel(q, 1, g)     # a kernel already in the memo
+
+    def kernels():
+        return {key: dict(v) for key, v in memo_entries(g).items() if key[0] == "kernels"}
+
+    before = kernels()
     nl.spectral_gap(p, g, k=4)
-    assert list(riesz._kernel_cache.items()) == before
+    assert kernels() == before and list(g._params_memo) == [q]
     built = []
     profile = riesz.KernelProfile
 
@@ -772,5 +856,7 @@ def test_spectrum_leaves_the_kernel_cache_alone(op, monkeypatch):
     else:
         nl.interaction_energy(f, f, p)
     assert built == [(4, 2.0, (0,))]
-    new = [k for key, k in riesz._kernel_cache.items() if (key, k) not in before]
-    assert [(k.ell, k.params.alpha, "_weights_hat" in vars(k)) for k in new] == [(0, 2.0, True)]
+    new = memo_entries(g)[("kernels", p)]
+    assert [(ell, k.params.alpha, "_weights_hat" in vars(k)) for ell, k in new.items()] == \
+        [(0, 2.0, True)]
+    assert kernels()[("kernels", q)] == before[("kernels", q)]

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ from nlsobolev._quadrature import staggered_derivative_matrix
 from nlsobolev.errors import IndefiniteOperatorError, NumericsError, ValidationError
 from nlsobolev.experiments import _direction_field
 from nlsobolev.manifold import _dlam_bubble, _dr_bubble
-from conftest import bump_field, closed_form_mu, cold_grid, dense_a, dense_b, unit_bubble
+from conftest import (bump_field, closed_form_mu, cold_grid, dense_a, dense_b, memo_entries,
+                      unit_bubble)
 
 
 @pytest.fixture(scope="module")
@@ -443,14 +443,13 @@ def test_memoized_a_is_read_only_and_never_outlives_its_band(grid64, monkeypatch
 
 @pytest.mark.parametrize("n", [64, 1024, 4096])
 @pytest.mark.parametrize("N, alpha", [(3, 2.5), (5, 4.3), (4, 3.93), (3, 2.95), (6, 4.0)])
-def test_pencil_column_is_the_kernel_weights(N, alpha, n, monkeypatch):
+def test_pencil_column_is_the_kernel_weights(N, alpha, n):
     """B's Toeplitz column, formed from moment tables over n + 2 cells, is the
     padded sector kernel's weights at lags 0..n-1 times omega_{N-1}, bit for
     bit, in every sector: for alpha > N - 1 and for N - alpha < 0.12, where
     the singular cell's rule meets the c-floor."""
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     p = nl.make_params(N, alpha)
-    g = nl.make_log_grid(0.1, 10, n) if n == 64 else nl.make_log_grid(1e-3, 1e3, n)
+    g = cold_grid(0.1, 10, n) if n == 64 else cold_grid(n=n)
     ops = nl.assemble_sectors(p, range(riesz.MAX_ELL + 1), g)
     for op in ops:
         kern = nl.angular_kernel(p, op.ell, g)
@@ -617,7 +616,6 @@ def test_spectral_gap_merged(p64, grid64):
 def test_spectral_gap_builds_sectors_in_one_profile_pass(monkeypatch):
     """A cold spectral_gap evaluates the kernel profile once for the regular
     cells and once for the singular cell, shared by the three sectors."""
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
     calls = []
     call = riesz.KernelProfile.__call__
 
@@ -626,7 +624,7 @@ def test_spectral_gap_builds_sectors_in_one_profile_pass(monkeypatch):
         return call(self, xi)
 
     monkeypatch.setattr(riesz.KernelProfile, "__call__", counted)
-    nl.spectral_gap(nl.make_params(5, 2.5), nl.make_log_grid(1e-3, 1e3, 1024), k=4)
+    nl.spectral_gap(nl.make_params(5, 2.5), cold_grid(n=1024), k=4)
     assert 1 <= len(calls) <= 2
 
 
@@ -654,35 +652,33 @@ def test_spectral_gap_computes_no_riesz_potential(monkeypatch):
 
 
 @pytest.mark.parametrize("N,alpha", [(6, 4.0), (5, 4.5)])
-def test_assemble_sectors_matches_one_at_a_time(N, alpha, grid64, monkeypatch):
+def test_assemble_sectors_matches_one_at_a_time(N, alpha):
     """The sectors assembled together, from one kernel batch and one
-    ell-independent part, are the one-at-a-time operators to the bit."""
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+    ell-independent part, are the one-at-a-time operators, each on a cold
+    grid, to the bit."""
     p = nl.make_params(N, alpha)
-    batch = nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, grid64)
+    batch = nl.assemble_sectors(p, nl.spectrum.SECTOR_ELLS, cold_grid(n=1024))
     assert [op.ell for op in batch] == list(nl.spectrum.SECTOR_ELLS)
     for ob in batch:
-        riesz._kernel_cache.clear()
-        one = nl.assemble_sector(p, ob.ell, grid64)
+        one = nl.assemble_sector(p, ob.ell, cold_grid(n=1024))
         for a, b in [(ob.a_band, one.a_band), (ob.b_scale, one.b_scale),
                      (ob.b_col, one.b_col), (ob.b_diag, one.b_diag)]:
             assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("ells", [(0, 1, 4), (2, -1), (0, 1.5), (True, 0)])
-def test_assemble_sectors_rejects_any_bad_ell_before_building(p64, grid64, ells,
-                                                              monkeypatch):
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+def test_assemble_sectors_rejects_any_bad_ell_before_building(p64, ells):
+    g = cold_grid(n=1024)
     with pytest.raises(ValidationError, match="ell"):
-        nl.assemble_sectors(p64, ells, grid64)
-    assert not riesz._kernel_cache
+        nl.assemble_sectors(p64, ells, g)
+    assert memo_entries(g) == {}
 
 
-def test_spectral_gap_rejects_coarse_grid_before_building(p64, monkeypatch):
-    monkeypatch.setattr(riesz, "_kernel_cache", OrderedDict())
+def test_spectral_gap_rejects_coarse_grid_before_building(p64):
+    g = cold_grid(n=64)
     with pytest.raises(ValidationError, match="too coarse"):
-        nl.spectral_gap(p64, nl.make_log_grid(1e-3, 1e3, 64))
-    assert not riesz._kernel_cache
+        nl.spectral_gap(p64, g)
+    assert memo_entries(g) == {}
 
 
 @pytest.mark.parametrize("ell", [1.0, 2.5, True])
