@@ -268,7 +268,8 @@ class KernelProfile:
         R = np.exp(-_M_PANEL * j) / c
         lnR = np.log(R)
         v = lnR[:, None] * ((_GL_X + 1) / 2)
-        rest = (np.exp(sig * v) * (1 + c[:, None] * np.exp(v)) ** (-al / 2)) @ _GL_W * (lnR / 2)
+        vals = np.exp(sig * v) * (1 + c[:, None] * np.exp(v)) ** (-al / 2)
+        rest = np.einsum("ij,j->i", vals, _GL_W) * (lnR / 2)   # not gemv: see `_near`
         head = c ** -sig
         return head * self._A0 + (head if sig >= 0 else R ** sig) * self._m_sums[j] + rest
 
@@ -276,7 +277,8 @@ class KernelProfile:
         al = self.alpha
         c = np.maximum(2.0 * np.sinh(xi / 2.0) ** 2, _C_FLOOR)
         powm = (c[:, None] + self._i2_u) ** (-al / 2)
-        i2 = np.array([powm @ w for w in self._i2_w])
+        # einsum, not gemv, whose row bits depend on the row's position in the call
+        i2 = np.array([np.einsum("ij,j->i", powm, w) for w in self._i2_w])
         Ma = self._m_start(c)
         acc = self.rho[:, :1] * Ma
         one_c = (1 + c) ** (1 - al / 2)

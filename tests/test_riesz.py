@@ -471,7 +471,8 @@ def test_batch_build_is_bit_identical(N, alpha):
 def test_profile_values_do_not_depend_on_the_node_set(N, alpha, ells):
     """`_moment_tables` evaluates the regular near cells and the singular
     cell's graded rule in one call; each node's value is the one a call on
-    its own part alone gives, bit for bit."""
+    its own part alone gives, bit for bit, and so with 1-8 more nodes in front,
+    which shift the others' rows (a gemv rounds a row by its position)."""
     profile = riesz.KernelProfile(N, alpha, ells)
     h = nl.make_log_grid(1e-3, 1e3, 2048).h
     eta = (riesz._GL_X + 1) / 2
@@ -480,6 +481,9 @@ def test_profile_values_do_not_depend_on_the_node_set(N, alpha, ells):
     joint = profile(np.concatenate([regular, singular]))
     assert np.array_equal(joint[:, :regular.size], profile(regular))
     assert np.array_equal(joint[:, regular.size:], profile(singular))
+    for k in range(1, 9):
+        shifted = profile(np.concatenate([np.full(k, 0.2), regular, singular]))
+        assert np.array_equal(shifted[:, k:], joint), k
 
 
 def test_batch_builds_only_missing_sectors(monkeypatch):
