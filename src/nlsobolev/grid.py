@@ -80,9 +80,9 @@ class RadialGrid:
         return self.log_weights * self.nodes ** N
 
     def memo(self, key: tuple, build):
-        """build(), run once per grid instance (so per CSV grid) under key, a name and its
-        arguments, arrays read-only.  A key whose second item is a Params, kernels too, is
-        kept while that Params is among the last _MEMO_PARAMS the memo was asked for."""
+        """build(), once per grid instance under key (a name and its arguments), arrays
+        read-only: a CSV or direct RadialGrid(...) builds its own, kernels too.  A key with a
+        Params second is kept while that Params is among the last _MEMO_PARAMS asked for."""
         store = self._memo
         if len(key) > 1 and isinstance(key[1], Params):
             store = self._params_memo[key[1]] = self._params_memo.pop(key[1], {})
@@ -149,9 +149,9 @@ def _lock(value) -> None:
 
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     """n log-spaced nodes from r_min to r_max; RadialGrid rejects n < 16.  Equal
-    (float(r_min), float(r_max), n) give one shared grid, and with it its memo and
-    Riesz kernels, while it is among the last _GRID_CACHE_SIZE asked for; a grid
-    dropped from there is freed with all it memoized."""
+    (float(r_min), float(r_max), n) give one shared grid, its memo and Riesz kernels
+    with it, while it is among the last _GRID_CACHE_SIZE asked for, and a grid dropped
+    there is freed with them; a CSV or direct RadialGrid(...) builds kernels of its own."""
     try:   # a Python int past the largest double overflows float(), and numpy's comparisons
         ok = 0 < r_min < r_max < math.inf and float(r_max) < math.inf
     except OverflowError:

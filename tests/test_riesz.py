@@ -518,11 +518,10 @@ def test_memo_of_a_shared_grid_stays_bounded_over_many_params():
     """Potentials and projections at 200 (N, alpha) on one shared grid keep 4
     Params in its memo, and memory grows by less than 4 kernels once it holds
     them: each new Params replaces one, kernels, bubble energy and tangent
-    basis together (the memo of an unbounded grid grew ~47 kernels here)."""
+    basis together (an unbounded memo grows by ~47 kernels here)."""
     g = nl.make_log_grid(1e-1, 1e1, 73)
+    # made before measuring: make_params caches each Params' constants outside the grid
     ps = [nl.make_params(4 + k % 2, 1.0 + 0.005 * k) for k in range(200)]
-    for p in ps:
-        nl.hls_sobolev_constant(p)   # cached per Params outside the grid
 
     def op(p):
         U = unit_bubble(p, g)
